@@ -150,15 +150,16 @@ def reliability_bins(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_B
     return out
 
 
-def ece(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_BINS) -> float:
-    """Expected calibration error over occupied bins."""
-    bins = reliability_bins(preds, n_bins)
+def _ece(bins: Sequence[ReliabilityBin]) -> float:
     n = sum(b.count for b in bins)
     return float(
-        math.fsum(
-            b.count / n * abs(b.accuracy - b.confidence) for b in bins if not b.empty
-        )
+        math.fsum(b.count / n * abs(b.accuracy - b.confidence) for b in bins if not b.empty)
     )
+
+
+def ece(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_BINS) -> float:
+    """Expected calibration error over occupied bins."""
+    return _ece(reliability_bins(preds, n_bins))
 
 
 def confidence_histograms(
@@ -235,15 +236,11 @@ def calibration_report(
 ) -> CalibrationReport:
     """Assemble bins, ECE, metrics, and histograms into one report."""
     bins = reliability_bins(preds, n_bins)
-    n = sum(b.count for b in bins)
-    ece_value = float(
-        math.fsum(b.count / n * abs(b.accuracy - b.confidence) for b in bins if not b.empty)
-    )
     accuracy, macro_f1, nll = metrics(preds)
     hist_correct, hist_incorrect, rate = confidence_histograms(preds, n_bins, threshold)
     return CalibrationReport(
         bins=bins,
-        ece=ece_value,
+        ece=_ece(bins),
         accuracy=accuracy,
         macro_f1=macro_f1,
         nll=nll,

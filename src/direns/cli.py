@@ -7,9 +7,9 @@ selective classification, and evaluate closed-form evidential losses.
 
 Reports are deterministic JSON (no timestamps; provenance carries input
 digests, settings, seed, and version), curves are plain CSV.  Exit codes:
-0 success, 1 validation error, 2 I/O error.  The DIRENS_THREADS
-environment variable overrides the default worker count for batch
-fitting; results are identical at any thread count.
+0 success, 1 validation error (any out-of-range file content, flag or
+setting), 2 I/O error.  ``fit`` fits every input in one batched pass;
+``--threads`` is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -126,10 +126,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         incorrect_alpha0=_parse_pair(args.incorrect_alpha0, "--incorrect-alpha0"),
         peak=args.peak,
     )
-    try:
-        data = generate(config)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
+    data = generate(config)
     rows = (
         (sid, mid, data.ensembles[sid][j])
         for sid in data.sample_ids
@@ -348,6 +345,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     settings: dict = {"command": "select", "bins": args.bins, "conf_threshold": args.conf_threshold}
     if args.tau is not None:
         tau = float(args.tau)
+        if math.isnan(tau):
+            raise ValidationError("--tau must be a number, got nan")
         calinfo = None
         test = samples
         seed = None
@@ -421,10 +420,7 @@ def cmd_losses(args: argparse.Namespace) -> int:
 
     if args.loss == "mse-kl":
         if schedule_given:
-            try:
-                lambda_kl = annealed_lambda(args.lambda0, k, args.epoch, args.epochs)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from None
+            lambda_kl = annealed_lambda(args.lambda0, k, args.epoch, args.epochs)
         else:
             lambda_kl = args.lambda0
 
@@ -492,7 +488,7 @@ def _build_parser() -> _Parser:
     fit.add_argument("--eps", type=float, default=DEFAULT_EPS)
     fit.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR)
     fit.add_argument("--models-limit", type=int, default=None)
-    fit.add_argument("--threads", type=int, default=None)
+    fit.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 1)")
     fit.set_defaults(func=cmd_fit)
 
     ev = sub.add_parser("evaluate", help="calibration diagnostics report")
@@ -551,7 +547,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, ValueError) as exc:
+        # Library code raises ValueError for out-of-range settings; at the
+        # command line that is the same failure as a malformed file.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

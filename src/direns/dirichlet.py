@@ -40,6 +40,8 @@ __all__ = [
     "log_likelihood",
 ]
 
+# How far a probability vector's sum may miss 1, here, in the ensemble
+# container and in the file readers.
 SIMPLEX_TOL = 1e-6
 
 

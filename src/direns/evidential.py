@@ -33,7 +33,6 @@ __all__ = [
     "OneHotLabel",
     "EvidentialConfig",
     "ACTIVATIONS",
-    "KL_MODES",
     "softmax",
     "ce_loss",
     "ce_gradient",
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 ACTIVATIONS = ("softplus", "adaptive_softplus", "exponential")
-KL_MODES = ("none", "annealed_kl", "warmup_kl", "log_evidence")
 
 DELTA_ZERO_FLOOR = 1e-6
 
@@ -99,16 +97,12 @@ class EvidentialConfig:
     adaptive_gamma: Optional[np.ndarray] = None
     clamp_bound: float = 30.0
     lambda0: float = 0.0
-    kl_mode: str = "none"
-    lambda_ev: float = 0.0
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.delta not in (0, 1):
             raise ValueError("delta must be 0 or 1")
-        if self.kl_mode not in KL_MODES:
-            raise ValueError(f"kl_mode must be one of {KL_MODES}")
         adaptive = self.activation == "adaptive_softplus"
         has_params = self.adaptive_beta is not None or self.adaptive_gamma is not None
         if adaptive != has_params or (
@@ -129,8 +123,8 @@ class EvidentialConfig:
             self.adaptive_gamma = gamma
         if not (math.isfinite(self.clamp_bound) and self.clamp_bound > 0.0):
             raise ValueError("clamp_bound must be finite and > 0")
-        if self.lambda0 < 0.0 or self.lambda_ev < 0.0:
-            raise ValueError("regularizer weights must be nonnegative")
+        if self.lambda0 < 0.0:
+            raise ValueError("lambda0 must be nonnegative")
 
 
 LabelLike = Union[OneHotLabel, int]

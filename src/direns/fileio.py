@@ -34,6 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dirichlet import SIMPLEX_TOL
+
 __all__ = [
     "ValidationError",
     "RenormalizationWarning",
@@ -52,11 +54,9 @@ __all__ = [
     "atomic_write_text",
     "sha256_of_file",
     "format_float",
-    "ROW_SUM_TOL",
     "RENORM_WARN_TOL",
 ]
 
-ROW_SUM_TOL = 1e-6
 # Deviations beyond this get renormalized with a warning; smaller misses
 # are ordinary float rounding and are left untouched.
 RENORM_WARN_TOL = 1e-9
@@ -176,10 +176,10 @@ def read_predictions(path: str) -> PredictionsData:
         if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
             raise ValidationError(f"{path}: row {lineno}: probabilities must lie in [0, 1]")
         total = float(math.fsum(p.tolist()))
-        if abs(total - 1.0) > ROW_SUM_TOL:
+        if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValidationError(
                 f"{path}: row {lineno}: probabilities sum to {total!r}, "
-                f"outside 1 +- {ROW_SUM_TOL}"
+                f"outside 1 +- {SIMPLEX_TOL}"
             )
         if abs(total - 1.0) > RENORM_WARN_TOL:
             p = p / total

@@ -1,4 +1,4 @@
-"""Scalar special functions on the positive real axis.
+"""Special functions on the positive real axis.
 
 Provides the natural log of the gamma function, the digamma function
 ``psi(x) = d/dx ln Gamma(x)``, its functional inverse, and the log of the
@@ -7,16 +7,19 @@ needed for Dirichlet densities, closed-form evidential losses, and the
 fixed-point concentration update ``alpha_k <- psi^-1(psi(alpha_0) + mean
 log-probability)``.
 
-All functions are pure, operate on double-precision scalars, and raise
-``ValueError`` outside their documented domains.  Accuracy targets: 1e-12
-relative for ``log_gamma`` and 1e-10 absolute for ``digamma`` on
-``[1e-6, 1e8]``.
+``digamma``, ``inverse_digamma`` and ``_trigamma`` take a float or an array
+and run one elementwise formula, so each element of an array result has the
+bits of the scalar call.  All functions are pure and raise ``ValueError``
+outside their documented domains.  Accuracy targets: 1e-12 relative for
+``log_gamma`` and 1e-10 absolute for ``digamma`` on ``[1e-6, 1e8]``.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
@@ -108,21 +111,34 @@ def _require_positive(x: float, op: str) -> float:
     return x
 
 
+def _positive(x, op: str):
+    # The same check for a float, or on every element of an array.
+    if not isinstance(x, np.ndarray):
+        return _require_positive(x, op)
+    x = np.asarray(x, dtype=np.float64)
+    bad = x[~((x > 0.0) & (x <= _MAX_FINITE))]
+    if bad.size:
+        raise ValueError(f"{op} requires finite arguments > 0, got {float(bad[0])!r}")
+    return x
+
+
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def _reciprocal_parts(x: float) -> tuple[float, float]:
+def _reciprocal_parts(x):
     # 1/x as a rounded head plus its residual, via an exact product of the
-    # head with x.  Keeps the recurrence shift accurate for tiny x, where
-    # a single rounding of 1/x would already exhaust the error budget.
+    # head with x, so the shift stays accurate for tiny x.  The factors are
+    # split at scales 2**28 and 2**-28, which cancel exactly.
     hi = 1.0 / x
-    ah = hi * _SPLITTER
-    ah = ah - (ah - hi)
-    al = hi - ah
-    bh = x * _SPLITTER
-    bh = bh - (bh - x)
-    bl = x - bh
-    p = hi * x
+    hs = hi * 2.0**28
+    xs = x * 2.0**-28
+    ah = hs * _SPLITTER
+    ah = ah - (ah - hs)
+    al = hs - ah
+    bh = xs * _SPLITTER
+    bh = bh - (bh - xs)
+    bl = xs - bh
+    p = hs * xs
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     lo = ((1.0 - p) - err) / x
     return hi, lo
@@ -156,91 +172,76 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0.
+def digamma(x):
+    """Digamma function psi(x) for x > 0, elementwise on an array.
 
-    Uses the recurrence psi(x) = psi(x+1) - 1/x to shift the argument to
-    at least 6, then the asymptotic expansion with Bernoulli-number
-    terms through x^-12.  The shift terms and the expansion are combined
-    with exact summation so small arguments (where psi ~ -1/x diverges)
-    keep full absolute accuracy.
+    Shifts every argument by exactly 6 with psi(x) = psi(x + 6) -
+    sum_{j<6} 1/(x + j), then uses the asymptotic expansion at x + 6 with
+    Bernoulli-number terms through x^-12.  The 1/x term is carried as a
+    head and a residual, and the terms are added smallest first, so small
+    arguments (where psi ~ -1/x diverges) keep full absolute accuracy.
     """
-    x = _require_positive(x, "digamma")
-    terms = []
-    while x < 6.0:
-        hi, lo = _reciprocal_parts(x)
-        terms.append(-hi)
-        terms.append(-lo)
-        x += 1.0
-    inv = 1.0 / x
+    x = _positive(x, "digamma")
+    hi, lo = _reciprocal_parts(x)
+    inv = 1.0 / (x + 6.0)
     u = inv * inv
-    tail = u * (
-        1.0 / 12.0
-        - u * (
-            1.0 / 120.0
-            - u * (
-                1.0 / 252.0
-                - u * (1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0)))
-            )
-        )
-    )
-    terms.append(math.log(x))
-    terms.append(-0.5 * inv)
-    terms.append(-tail)
-    return math.fsum(terms)
+    tail = u * (1.0 / 12.0 - u * (1.0 / 120.0 - u * (1.0 / 252.0 - u * (
+        1.0 / 240.0 - u * (1.0 / 132.0 - u * (691.0 / 32760.0))))))
+    s = (lo + tail) + 0.5 * inv
+    for j in (5.0, 4.0, 3.0, 2.0, 1.0):
+        s = s + 1.0 / (x + j)
+    psi = (np.log(x + 6.0) - s) - hi
+    return psi if isinstance(psi, np.ndarray) else float(psi)
 
 
-def _trigamma(x: float) -> float:
-    # psi'(x), internal support for the Newton refinement in
-    # inverse_digamma.  Same shift-then-asymptotic-series scheme.
-    x = _require_positive(x, "trigamma")
-    terms = []
-    while x < 6.0:
-        terms.append(1.0 / (x * x))
-        x += 1.0
-    inv = 1.0 / x
+def _trigamma(x):
+    # psi'(x) = psi'(x + 6) + sum_{j<6} 1/(x + j)^2, elementwise, with the
+    # asymptotic series at x + 6.  Squaring reciprocals lets large arguments
+    # underflow quietly instead of overflowing.
+    x = _positive(x, "trigamma")
+    s = 0.0
+    for j in (5.0, 4.0, 3.0, 2.0, 1.0):
+        r = 1.0 / (x + j)
+        s = s + r * r
+    inv = 1.0 / (x + 6.0)
     u = inv * inv
-    series = inv + 0.5 * u + u * inv * (
-        1.0 / 6.0
-        - u * (1.0 / 30.0 - u * (1.0 / 42.0 - u * (1.0 / 30.0 - u * (5.0 / 66.0))))
-    )
-    terms.append(series)
-    return math.fsum(terms)
+    s = s + (inv + 0.5 * u + u * inv * (1.0 / 6.0 - u * (1.0 / 30.0 - u * (
+        1.0 / 42.0 - u * (1.0 / 30.0 - u * (5.0 / 66.0))))))
+    r = 1.0 / x
+    return s + r * r
 
 
-def inverse_digamma(y: float) -> float:
-    """Inverse of digamma: the unique x > 0 with psi(x) = y.
+def inverse_digamma(y):
+    """Inverse of digamma: the unique x > 0 with psi(x) = y, elementwise.
 
     Starts from the piecewise initializer exp(y) + 0.5 for y >= -2.22
     and -1/(y + EULER_GAMMA) below it, then refines with Newton steps
-    using the trigamma derivative.  At least five steps are taken; the
-    iteration is quadratically convergent, so the result is accurate to
-    roughly machine precision well before the step cap.
+    using the trigamma derivative.  Each element takes at least five
+    steps and stops on its own once its step is below 1e-15 relative, or
+    after 30; the iteration is quadratically convergent.
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise ValueError(f"inverse_digamma requires a finite argument, got {y!r}")
-    if y >= -2.22:
-        # exp would overflow past ~709.8; psi(x) ~ ln x there, so the
-        # capped initializer is already essentially exact.
-        x = math.exp(min(y, 709.0)) + 0.5
-    else:
-        x = -1.0 / (y + EULER_GAMMA)
-    for step in range(1, 31):
-        delta = (digamma(x) - y) / _trigamma(x)
-        candidate = x - delta
-        if candidate > 0.0 and math.isfinite(candidate):
-            x = candidate
-        elif candidate <= 0.0:
-            # psi is increasing and concave on (0, inf); an overshoot
-            # below zero is always corrected by halving.
-            x *= 0.5
-        else:
-            # Step overflowed; y is beyond psi of the largest double.
-            x = _MAX_FINITE
-        if step >= 5 and abs(delta) <= 1e-15 * x:
-            break
-    return x
+    shape = np.shape(y)
+    y = np.array(y, dtype=np.float64, ndmin=1)
+    if not np.isfinite(y).all():
+        raise ValueError(f"inverse_digamma requires finite arguments, got {float(y[~np.isfinite(y)][0])!r}")
+    # Overflow is handled: exp is capped (past ~709.8 psi(x) ~ ln x, so the capped
+    # start is essentially exact), and a step that overflows maps to the largest double.
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.where(y >= -2.22, np.exp(np.minimum(y, 709.0)) + 0.5, -1.0 / (y + EULER_GAMMA))
+        live = np.ones(y.shape, dtype=bool)
+        for step in range(1, 31):
+            xl = x[live]
+            delta = (digamma(xl) - y[live]) / _trigamma(xl)
+            candidate = xl - delta
+            # psi is increasing and concave, so an overshoot below zero is halved.
+            fallback = np.where(candidate <= 0.0, 0.5 * xl, _MAX_FINITE)
+            xl = np.where((candidate > 0.0) & np.isfinite(candidate), candidate, fallback)
+            x[live] = xl
+            if step >= 5:
+                live[live] = ~(np.abs(delta) <= 1e-15 * xl)
+                if not live.any():
+                    break
+    return float(x[0]) if shape == () else x.reshape(shape)
 
 
 def log_multivariate_beta(alpha: Iterable[float]) -> float:

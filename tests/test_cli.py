@@ -130,15 +130,6 @@ class TestFitCommand:
         assert run("fit", "--preds", paths["preds"], "--out", out, "--models-limit", "1") == 1
         assert run("fit", "--preds", paths["preds"], "--out", out, "--models-limit", "7") == 1
 
-    def test_thread_count_is_invisible_in_output(self, tmp_path, monkeypatch):
-        paths = simulate(tmp_path, n=25, m=15)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("DIRENS_THREADS", "4")
-        assert run("fit", "--preds", paths["preds"], "--out", a, "--mode", "mom-mle") == 0
-        monkeypatch.setenv("DIRENS_THREADS", "1")
-        assert run("fit", "--preds", paths["preds"], "--out", b, "--mode", "mom-mle") == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-
 
 class TestEvaluateCommand:
     def test_report_structure_and_determinism(self, tmp_path):
@@ -379,6 +370,45 @@ class TestExitCodes:
 
     def test_unknown_flag_is_validation_error(self, tmp_path):
         assert run("fit", "--nonsense") == 1
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("flags")
+        paths = simulate(tmp, n=20, m=5)
+        assert run("fit", "--preds", paths["preds"], "--out", tmp / "fits.csv") == 0
+        return {**paths, "fits": str(tmp / "fits.csv"), "tmp": str(tmp)}
+
+    FIT = ["fit", "--preds", "{preds}", "--out", "{tmp}/o.csv"]
+    REPORT = ["--alphas", "{fits}", "--labels", "{labels}", "--out", "{tmp}/o.json"]
+    LOSSES = ["losses", "--alphas", "{fits}", "--labels", "{labels}", "--out", "{tmp}/o.csv"]
+    SIMULATE = [
+        "simulate", "--preds-out", "{tmp}/p.csv", "--labels-out", "{tmp}/l.csv",
+        "--alphas-out", "{tmp}/a.csv", "--m", "5", "--k", "3", "--scheme", "two-population",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            FIT + ["--threads", "0"],
+            FIT + ["--cap", "-1"],
+            FIT + ["--max-iter", "0"],
+            FIT + ["--eps", "0"],
+            ["evaluate", *REPORT, "--bins", "0"],
+            ["evaluate", *REPORT, "--conf-threshold", "2"],
+            ["select", *REPORT, "--bins", "0"],
+            ["select", *REPORT, "--tau", "nan"],
+            LOSSES + ["--loss", "mse-kl", "--lambda0", "-1"],
+            LOSSES + ["--loss", "log-ev", "--lambda0", "-1"],
+            SIMULATE + ["--n", "0"],
+            SIMULATE + ["--n", "10", "--peak", "0.1"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if "{" not in a),
+    )
+    def test_bad_flag_value_is_validation_error(self, files, argv, capsys):
+        assert main([a.format(**files) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_help_and_version_succeed(self, capsys):
         assert run("--help") == 0

@@ -11,7 +11,6 @@ from direns.dirichlet import DirichletParams, log_likelihood, predictive_mean, s
 from direns.estimators import (
     DEFAULT_ALPHA0_CAP,
     EnsembleSample,
-    default_thread_count,
     fit_batch,
     fit_mle,
     fit_mom,
@@ -24,9 +23,9 @@ def two_member() -> EnsembleSample:
 
 
 @st.composite
-def ensembles(draw):
+def ensembles(draw, k=None):
     m = draw(st.integers(min_value=2, max_value=10))
-    k = draw(st.integers(min_value=2, max_value=5))
+    k = draw(st.integers(min_value=2, max_value=5)) if k is None else k
     raw = draw(
         st.lists(
             st.lists(
@@ -252,9 +251,30 @@ class TestFitBatch:
         with pytest.raises(ValueError):
             fit_batch([two_member()], "map")
 
-    def test_env_var_sets_default_threads(self, monkeypatch):
-        monkeypatch.setenv("DIRENS_THREADS", "3")
-        assert default_thread_count() == 3
-        monkeypatch.setenv("DIRENS_THREADS", "zero")
-        with pytest.raises(ValueError):
-            default_thread_count()
+    def test_rejects_bad_thread_count_and_settings(self):
+        s = [two_member()]
+        assert fit_batch(s, "mom_then_mle", n_threads=3)[0].converged is not None
+        for bad in ({"n_threads": 0}, {"alpha0_cap": -1.0}, {"max_iter": 0}, {"eps": 0.0}):
+            with pytest.raises(ValueError):
+                fit_batch(s, "mom", **bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(ensembles(k=3), min_size=1, max_size=12),
+        st.randoms(use_true_random=False),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_rows_fit_alone_in_any_order_and_split(self, samples, random, split):
+        # Mixed M, degenerate rows mixed in, any permutation and any chunking:
+        # every row equals the scalar fit of that row, bit for bit.
+        samples = samples + [EnsembleSample(np.tile([0.2, 0.3, 0.5], (4, 1)))]
+        random.shuffle(samples)
+        chunks = [samples[i : i + split] for i in range(0, len(samples), split)]
+        batch = [r for chunk in chunks for r in fit_batch(chunk, "mom_then_mle", max_iter=50)]
+        for s, got in zip(samples, batch):
+            start = fit_mom(s)
+            want = start if start.degenerate else fit_mle(s, start.params, max_iter=50)
+            assert got.params.alpha.tobytes() == want.params.alpha.tobytes()
+            assert got.degenerate == want.degenerate
+            assert got.iterations_used == want.iterations_used
+            assert got.converged == want.converged

@@ -180,8 +180,6 @@ class TestEvidentialConfigValidation:
     def test_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             EvidentialConfig(activation="relu")
-        with pytest.raises(ValueError):
-            EvidentialConfig(kl_mode="cosine")
 
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):

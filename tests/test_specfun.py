@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -113,10 +114,26 @@ class TestDigamma:
         assert abs(digamma(0.5) + 2.0 * math.log(2.0) + euler_gamma) <= 1e-10
         assert abs(digamma(DIGAMMA_ROOT)) <= 1e-10
 
+    def test_within_target_of_mpmath_over_documented_domain(self):
+        # The difference is taken in mpmath against the exact value: near
+        # 1e-6 one ulp of psi is 1.16e-10, so rounding the reference to a
+        # double first could by itself cost more than the target.
+        rng = np.random.default_rng(31)
+        grid = np.concatenate(
+            [[1e-6, 1e8], np.exp(rng.uniform(math.log(1e-6), math.log(1e8), 3000))]
+        )
+        with mpmath.workdps(40):
+            worst = max(
+                abs(mpmath.mpf(digamma(x)) - mpmath.digamma(mpmath.mpf(x))) for x in grid.tolist()
+            )
+        assert worst <= 1e-10, f"worst abs err {worst}"
+
     @pytest.mark.parametrize("bad", [0.0, -3.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_and_nonfinite(self, bad):
         with pytest.raises(ValueError):
             digamma(bad)
+        with pytest.raises(ValueError):
+            digamma(np.array([1.0, bad]))
 
 
 class TestTrigamma:
@@ -161,10 +178,52 @@ class TestInverseDigamma:
             x = inverse_digamma(float(y))
             assert math.isfinite(x) and x > 0.0
 
+    def test_beyond_exp_overflow_stays_finite_without_warnings(self):
+        ys = np.random.default_rng(8).uniform(709.5, 750.0, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = inverse_digamma(ys)
+            assert np.isfinite(xs).all() and np.all(xs > 0.0)
+            assert all(math.isfinite(inverse_digamma(y)) for y in ys[:10].tolist())
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
             inverse_digamma(bad)
+        with pytest.raises(ValueError):
+            inverse_digamma(np.array([0.0, bad]))
+
+
+class TestArrayCalls:
+    """An array call gives every element the bits of the scalar call."""
+
+    rng = np.random.default_rng(12)
+    XS = np.concatenate(
+        [[1e-6, 1.0, 6.0, 1e8, 1.7e308], np.exp(rng.uniform(math.log(1e-6), math.log(1e8), 2000))]
+    )
+    YS = np.concatenate(
+        [[-745.0, -2.22, 0.0, 709.0, 1000.0], rng.uniform(-40.0, 40.0, 500), rng.uniform(709.5, 750.0, 20)]
+    )
+
+    @pytest.mark.parametrize("fn", [digamma, _trigamma], ids=["digamma", "trigamma"])
+    def test_digamma_and_trigamma(self, fn):
+        got = fn(self.XS)
+        assert got.shape == self.XS.shape
+        assert got.tobytes() == np.array([fn(x) for x in self.XS.tolist()]).tobytes()
+        matrix = fn(self.XS[:2000].reshape(40, 50))
+        assert matrix.tobytes() == got[:2000].tobytes()
+
+    def test_inverse_digamma(self):
+        got = inverse_digamma(self.YS)
+        assert got.tobytes() == np.array([inverse_digamma(y) for y in self.YS.tolist()]).tobytes()
+        # Elements stop on their own: the batch neighbours do not matter.
+        assert inverse_digamma(self.YS[::-1]).tobytes() == got[::-1].tobytes()
+        assert inverse_digamma(self.YS[:520].reshape(20, 26)).tobytes() == got[:520].tobytes()
+
+    def test_scalar_calls_return_floats(self):
+        assert type(digamma(2.0)) is float
+        assert type(_trigamma(2.0)) is float
+        assert type(inverse_digamma(0.5)) is float
 
 
 class TestLogMultivariateBeta:
