@@ -13,13 +13,17 @@ marked so plots and the ECE skip them.  The module also reports accuracy,
 macro-averaged F1, negative log-likelihood, and correctness-conditioned
 confidence histograms with the fraction of incorrect predictions above a
 confidence threshold.
+
+Each computation has one array implementation over (n, K) means and (n,)
+labels; the public functions turn their ``LabeledPrediction`` lists into
+those two arrays and call it, and the CLI calls it on whole files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -94,9 +98,6 @@ class CalibrationReport:
     high_conf_error_rate: float
 
 
-PredLike = Union[LabeledPrediction, tuple]
-
-
 def confidence(p) -> float:
     """Maximum predicted class probability."""
     probs = p.p if isinstance(p, ProbabilityVector) else np.asarray(p, dtype=np.float64)
@@ -109,16 +110,41 @@ def correctness(p, label: int) -> int:
     return int(int(np.argmax(probs)) == int(label))
 
 
-def _bin_index(conf: float, n_bins: int) -> int:
+def _bin_index(conf, n_bins: int):
     # Bin b (1-based) covers ((b-1)/B, b/B]; exact 0 joins bin 1.
-    idx = int(math.ceil(conf * n_bins))
-    return min(max(idx, 1), n_bins)
+    return np.clip(np.ceil(np.multiply(conf, n_bins)), 1, n_bins).astype(np.int64)
 
 
-def _conf_correct(preds: Sequence[LabeledPrediction]) -> tuple[np.ndarray, np.ndarray]:
-    conf = np.array([confidence(p.mean) for p in preds])
-    corr = np.array([correctness(p.mean, p.label) for p in preds])
-    return conf, corr
+def _arrays(preds: Sequence[LabeledPrediction]) -> tuple[np.ndarray, np.ndarray]:
+    # The object API's view of the array implementation: (n, K) means, (n,)
+    # labels of any objects with ``mean`` and ``label``.
+    if not preds:
+        raise ValueError("at least one prediction is required")
+    return np.array([p.mean.p for p in preds]), np.array([p.label for p in preds])
+
+
+def _conf_correct(mean: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return mean.max(axis=1), mean.argmax(axis=1) == labels
+
+
+def _reliability(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> list[ReliabilityBin]:
+    if n_bins < 1:
+        raise ValueError("n_bins must be at least 1")
+    idx = _bin_index(conf, n_bins) - 1
+    counts = np.bincount(idx, minlength=n_bins).tolist()
+    # Members of each bin in input order, so a bin's mean sums like the
+    # mean over a mask would.
+    members = np.split(np.argsort(idx, kind="stable"), np.cumsum(counts)[:-1])
+    return [
+        ReliabilityBin(
+            lower=b / n_bins,
+            upper=(b + 1) / n_bins,
+            count=count,
+            accuracy=float(correct[m].mean()) if count else 0.0,
+            confidence=float(conf[m].mean()) if count else 0.0,
+        )
+        for b, (count, m) in enumerate(zip(counts, members))
+    ]
 
 
 def reliability_bins(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_BINS) -> list[ReliabilityBin]:
@@ -127,27 +153,7 @@ def reliability_bins(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_B
     Every bin is present in the output; empty ones carry zero count and
     zero statistics and are flagged through their ``empty`` property.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
-    if not preds:
-        raise ValueError("at least one prediction is required")
-    conf, corr = _conf_correct(preds)
-    out = []
-    for b in range(1, n_bins + 1):
-        mask = np.array([_bin_index(c, n_bins) == b for c in conf])
-        count = int(mask.sum())
-        acc = float(corr[mask].mean()) if count else 0.0
-        mean_conf = float(conf[mask].mean()) if count else 0.0
-        out.append(
-            ReliabilityBin(
-                lower=(b - 1) / n_bins,
-                upper=b / n_bins,
-                count=count,
-                accuracy=acc,
-                confidence=mean_conf,
-            )
-        )
-    return out
+    return _reliability(*_conf_correct(*_arrays(preds)), n_bins)
 
 
 def _ece(bins: Sequence[ReliabilityBin]) -> float:
@@ -162,6 +168,23 @@ def ece(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_BINS) -> float
     return _ece(reliability_bins(preds, n_bins))
 
 
+def _histograms(
+    conf: np.ndarray, correct: np.ndarray, n_bins: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
+    if n_bins < 1:
+        raise ValueError("n_bins must be at least 1")
+    idx = _bin_index(conf, n_bins) - 1
+    n_incorrect = int((~correct).sum())
+    overconfident = int((~correct & (conf > threshold)).sum())
+    return (
+        np.bincount(idx[correct], minlength=n_bins),
+        np.bincount(idx[~correct], minlength=n_bins),
+        overconfident / n_incorrect if n_incorrect else 0.0,
+    )
+
+
 def confidence_histograms(
     preds: Sequence[LabeledPrediction],
     n_bins: int = DEFAULT_BINS,
@@ -172,42 +195,28 @@ def confidence_histograms(
     The rate is the fraction of incorrect predictions whose confidence
     exceeds ``threshold`` (0 when nothing is incorrect).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
-    conf, corr = _conf_correct(preds)
-    hist_correct = np.zeros(n_bins, dtype=np.int64)
-    hist_incorrect = np.zeros(n_bins, dtype=np.int64)
-    for c, ok in zip(conf, corr):
-        target = hist_correct if ok else hist_incorrect
-        target[_bin_index(float(c), n_bins) - 1] += 1
-    n_incorrect = int((corr == 0).sum())
-    if n_incorrect:
-        overconfident = int(((corr == 0) & (conf > threshold)).sum())
-        rate = overconfident / n_incorrect
-    else:
-        rate = 0.0
-    return hist_correct, hist_incorrect, rate
+    return _histograms(*_conf_correct(*_arrays(preds)), n_bins, threshold)
 
 
 def _macro_f1(pred_classes: np.ndarray, labels: np.ndarray, k: int) -> float:
     # Classes absent from both predictions and labels are excluded from
     # the average; supported classes without true positives contribute 0.
-    scores = []
-    for c in range(k):
-        tp = int(((pred_classes == c) & (labels == c)).sum())
-        n_pred = int((pred_classes == c).sum())
-        n_true = int((labels == c).sum())
-        if n_pred == 0 and n_true == 0:
-            continue
-        if tp == 0:
-            scores.append(0.0)
-            continue
-        precision = tp / n_pred
-        recall = tp / n_true
-        scores.append(2.0 * precision * recall / (precision + recall))
-    return float(np.mean(scores)) if scores else 0.0
+    tp = np.bincount(labels[pred_classes == labels], minlength=k)
+    n_pred, n_true = np.bincount(pred_classes, minlength=k), np.bincount(labels, minlength=k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision, recall = tp / n_pred, tp / n_true
+        f1 = np.where(tp > 0, 2.0 * precision * recall / (precision + recall), 0.0)
+    return float(f1[(n_pred > 0) | (n_true > 0)].mean())
+
+
+def _metrics(mean: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]:
+    pred_classes = mean.argmax(axis=1)
+    accuracy = float((pred_classes == labels).mean())
+    macro_f1 = _macro_f1(pred_classes, labels, mean.shape[1])
+    # math.log, not np.log: the two differ in the last bit on some inputs.
+    at_label = np.maximum(mean[np.arange(labels.size), labels], NLL_FLOOR)
+    nll = -float(np.mean(list(map(math.log, at_label.tolist()))))
+    return accuracy, macro_f1, nll
 
 
 def metrics(preds: Sequence[LabeledPrediction]) -> tuple[float, float, float]:
@@ -216,28 +225,15 @@ def metrics(preds: Sequence[LabeledPrediction]) -> tuple[float, float, float]:
     The NLL is the mean negative log of the predicted probability at the
     true class, floored at 1e-12 so file-roundtripped zeros stay finite.
     """
-    if not preds:
-        raise ValueError("at least one prediction is required")
-    k = preds[0].mean.p.size
-    pred_classes = np.array([int(np.argmax(p.mean.p)) for p in preds])
-    labels = np.array([p.label for p in preds])
-    accuracy = float((pred_classes == labels).mean())
-    macro_f1 = _macro_f1(pred_classes, labels, k)
-    nll = -float(
-        np.mean([math.log(max(float(p.mean.p[p.label]), NLL_FLOOR)) for p in preds])
-    )
-    return accuracy, macro_f1, nll
+    return _metrics(*_arrays(preds))
 
 
-def calibration_report(
-    preds: Sequence[LabeledPrediction],
-    n_bins: int = DEFAULT_BINS,
-    threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
-) -> CalibrationReport:
-    """Assemble bins, ECE, metrics, and histograms into one report."""
-    bins = reliability_bins(preds, n_bins)
-    accuracy, macro_f1, nll = metrics(preds)
-    hist_correct, hist_incorrect, rate = confidence_histograms(preds, n_bins, threshold)
+def _report(mean: np.ndarray, labels: np.ndarray, n_bins: int, threshold: float) -> CalibrationReport:
+    # The array implementation of ``calibration_report``.
+    conf, correct = _conf_correct(mean, labels)
+    bins = _reliability(conf, correct, n_bins)
+    accuracy, macro_f1, nll = _metrics(mean, labels)
+    hist_correct, hist_incorrect, rate = _histograms(conf, correct, n_bins, threshold)
     return CalibrationReport(
         bins=bins,
         ece=_ece(bins),
@@ -248,3 +244,12 @@ def calibration_report(
         hist_incorrect=hist_incorrect,
         high_conf_error_rate=rate,
     )
+
+
+def calibration_report(
+    preds: Sequence[LabeledPrediction],
+    n_bins: int = DEFAULT_BINS,
+    threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
+) -> CalibrationReport:
+    """Assemble bins, ECE, metrics, and histograms into one report."""
+    return _report(*_arrays(preds), n_bins, threshold)

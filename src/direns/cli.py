@@ -15,6 +15,7 @@ setting), 2 I/O error.  ``fit`` fits every input in one batched pass;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Optional, Sequence
@@ -22,13 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .calibration import (
-    DEFAULT_BINS,
-    DEFAULT_CONFIDENCE_THRESHOLD,
-    LabeledPrediction,
-    calibration_report,
-)
-from .dirichlet import DirichletParams, predictive_mean, total_variance
+from .calibration import DEFAULT_BINS, DEFAULT_CONFIDENCE_THRESHOLD, _report
+from .dirichlet import DirichletParams, _total_variance
 from .estimators import (
     DEFAULT_ALPHA0_CAP,
     DEFAULT_EPS,
@@ -39,7 +35,6 @@ from .estimators import (
 )
 from .evidential import annealed_lambda, digamma_loss, log_evidence_penalty, mse_kl_loss, mse_loss
 from .fileio import (
-    AlphaRow,
     ValidationError,
     atomic_write_text,
     format_float,
@@ -56,12 +51,11 @@ from .fileio import (
 )
 from .selective import (
     DEFAULT_TARGET_RISK,
-    ScoredSample,
-    calibrate_threshold,
-    risk_coverage_curve,
-    selective_report,
-    variance_bin_edges,
-    variance_histograms,
+    _curve,
+    _subset_metrics,
+    _threshold,
+    _variance_histograms,
+    _wrong,
 )
 from .simulate import SimulationConfig, generate
 
@@ -134,10 +128,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     write_predictions(args.preds_out, config.k, list(rows))
     write_labels(args.labels_out, list(data.labels.items()))
-    write_alphas(
-        args.alphas_out,
-        [AlphaRow(sample_id=sid, degenerate=False, alpha=data.alphas[sid]) for sid in data.sample_ids],
-    )
+    alphas = np.array([data.alphas[sid] for sid in data.sample_ids])
+    write_alphas(args.alphas_out, data.sample_ids, np.zeros(len(alphas), dtype=bool), alphas)
     return 0
 
 
@@ -160,8 +152,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"{args.preds}: fitting needs at least 2 models per sample, found {len(model_ids)}"
         )
-    limit = len(model_ids)
-    samples = [EnsembleSample(data.ensembles[sid][:limit]) for sid in data.sample_ids]
+    samples = [EnsembleSample(p) for p in data.probs[:, : len(model_ids)]]
     mode = "mom_then_mle" if args.mode == "mom-mle" else "mom"
     results = fit_batch(
         samples,
@@ -172,32 +163,34 @@ def cmd_fit(args: argparse.Namespace) -> int:
         p_floor=args.p_floor,
         n_threads=args.threads,
     )
-    write_alphas(
-        args.out,
-        [
-            AlphaRow(sample_id=sid, degenerate=res.degenerate, alpha=res.params.alpha)
-            for sid, res in zip(data.sample_ids, results)
-        ],
-    )
+    write_alphas(args.out, data.sample_ids, [res.degenerate for res in results],
+                 np.array([res.params.alpha for res in results]))
     return 0
 
 
 # ---------------------------------------------------------------- evaluate
 
 
-def _predictions_from_alphas(path: str, labels_path: str):
-    rows = read_alphas(path)
-    k = int(rows[0].alpha.size)
-    labels = pair_labels([r.sample_id for r in rows], read_labels(labels_path), k, labels_path)
-    preds = [
-        LabeledPrediction(
-            mean=predictive_mean(DirichletParams(r.alpha)),
-            label=labels[r.sample_id],
-            sample_id=r.sample_id,
-        )
-        for r in rows
-    ]
-    return rows, labels, preds
+def _read_scored(alphas_path: str, labels_path: str, scored: bool = True):
+    """(means, total variances, labels) of every row of an alphas file, as arrays.
+
+    Row i has mean alpha / alpha_0, with alpha_0 the exact row sum, as
+    ``predictive_mean`` computes it, and the variance ``total_variance``
+    gives.  Variances are None unless ``scored``.
+    """
+    data = read_alphas(alphas_path)
+    alpha = data.alpha
+    labels = pair_labels(data.sample_ids, read_labels(labels_path), alpha.shape[1], labels_path)
+    alpha0 = np.array([math.fsum(row.tolist()) for row in alpha])
+    mean = alpha / alpha0[:, None]
+    if not scored:
+        return mean, None, labels
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = _total_variance(alpha, alpha0)
+    bad = np.flatnonzero(~np.isfinite(variance))
+    if bad.size:
+        raise ValidationError(f"{alphas_path}: row {bad[0] + 2}: total variance overflows")
+    return mean, variance, labels
 
 
 def _calibration_document(report, n_bins: int, threshold: float) -> dict:
@@ -208,17 +201,7 @@ def _calibration_document(report, n_bins: int, threshold: float) -> dict:
             "nll": float(report.nll),
             "ece": float(report.ece),
         },
-        "bins": [
-            {
-                "lower": b.lower,
-                "upper": b.upper,
-                "count": b.count,
-                "accuracy": b.accuracy,
-                "confidence": b.confidence,
-                "empty": b.empty,
-            }
-            for b in report.bins
-        ],
+        "bins": [{**dataclasses.asdict(b), "empty": b.empty} for b in report.bins],
         "histograms": {
             "bin_count": n_bins,
             "confidence_threshold": threshold,
@@ -231,7 +214,7 @@ def _calibration_document(report, n_bins: int, threshold: float) -> dict:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.alphas:
-        _, _, preds = _predictions_from_alphas(args.alphas, args.labels)
+        mean, _, labels = _read_scored(args.alphas, args.labels, scored=False)
         inputs = {"alphas": args.alphas, "labels": args.labels}
     else:
         data = read_predictions(args.preds)
@@ -241,12 +224,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"(found {len(data.model_ids)} models); fit an ensemble first"
             )
         labels = pair_labels(data.sample_ids, read_labels(args.labels), data.k, args.labels)
-        preds = [
-            LabeledPrediction(mean=data.ensembles[sid][0], label=labels[sid], sample_id=sid)
-            for sid in data.sample_ids
-        ]
+        mean = data.probs[:, 0]
         inputs = {"predictions": args.preds, "labels": args.labels}
-    report = calibration_report(preds, args.bins, args.conf_threshold)
+    report = _report(mean, labels, args.bins, args.conf_threshold)
     document = _calibration_document(report, args.bins, args.conf_threshold)
     document["selective"] = None
     document["provenance"] = _provenance(
@@ -261,78 +241,47 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ select
 
 
-def _scored_samples(path: str, labels_path: str) -> list[ScoredSample]:
-    rows = read_alphas(path)
-    k = int(rows[0].alpha.size)
-    labels = pair_labels([r.sample_id for r in rows], read_labels(labels_path), k, labels_path)
-    out = []
-    for r in rows:
-        params = DirichletParams(r.alpha)
-        out.append(
-            ScoredSample(
-                sample_id=r.sample_id,
-                mean=predictive_mean(params),
-                variance=total_variance(params),
-                label=labels[r.sample_id],
-            )
-        )
-    return out
-
-
-def _stratified_split(
-    samples: Sequence[ScoredSample], frac: float, seed: int
-) -> tuple[list[ScoredSample], list[ScoredSample]]:
+def _stratified_split(labels: np.ndarray, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # Row indices of the calibration and test sides.  Rows are in sample id
+    # order, and each label's rows are permuted in turn, lowest label first.
     if not 0.0 < frac < 1.0:
         raise ValidationError(f"--cal-split must lie in (0, 1), got {frac}")
     rng = np.random.default_rng(seed)
-    by_label: dict[int, list[ScoredSample]] = {}
-    for s in samples:
-        by_label.setdefault(s.label, []).append(s)
-    cal: list[ScoredSample] = []
-    test: list[ScoredSample] = []
-    for label in sorted(by_label):
-        group = sorted(by_label[label], key=lambda s: s.sample_id)
-        perm = rng.permutation(len(group))
-        n_cal = int(math.floor(frac * len(group) + 0.5))
-        chosen = set(perm[:n_cal].tolist())
-        for i, s in enumerate(group):
-            (cal if i in chosen else test).append(s)
-    if not cal or not test:
+    cal = np.zeros(labels.size, dtype=bool)
+    for label in np.unique(labels).tolist():
+        members = np.flatnonzero(labels == label)
+        perm = rng.permutation(members.size)
+        cal[members[perm[: int(math.floor(frac * members.size + 0.5))]]] = True
+    if cal.all() or not cal.any():
         raise ValidationError(
             "the stratified split left the calibration or test side empty; "
             "adjust --cal-split or provide more samples"
         )
-    cal.sort(key=lambda s: s.sample_id)
-    test.sort(key=lambda s: s.sample_id)
-    return cal, test
+    return np.flatnonzero(cal), np.flatnonzero(~cal)
 
 
-def _risk_in_range(r: float) -> float:
-    if not 0.0 < r < 1.0:
-        raise ValidationError(f"--risk must lie in (0, 1), got {r}")
-    return r
+def _calibrated_split(args: argparse.Namespace, mean, variance, labels):
+    # (calibration rows, test rows, the threshold calibrated on the former).
+    cal, test = _stratified_split(labels, args.cal_split, args.seed)
+    if not 0.0 < args.risk < 1.0:
+        raise ValidationError(f"--risk must lie in (0, 1), got {args.risk}")
+    return cal, test, _threshold(variance[cal], _wrong(mean[cal], labels[cal]), args.risk)
 
 
 def cmd_calibrate_threshold(args: argparse.Namespace) -> int:
-    samples = _scored_samples(args.alphas, args.labels)
-    cal, test = _stratified_split(samples, args.cal_split, args.seed)
-    result = calibrate_threshold(cal, _risk_in_range(args.risk))
+    cal, test, result = _calibrated_split(args, *_read_scored(args.alphas, args.labels))
     document = {
         "threshold": {
             "tau": _json_float(result.tau),
             "target_risk": result.target_risk,
             "achieved_cal_risk": result.achieved_cal_risk,
             "cal_coverage": result.cal_coverage,
-            "cal_n": len(cal),
-            "test_n": len(test),
+            "cal_n": cal.size,
+            "test_n": test.size,
         },
         "provenance": _provenance(
             {"alphas": args.alphas, "labels": args.labels},
-            {
-                "command": "calibrate-threshold",
-                "risk": args.risk,
-                "cal_split": args.cal_split,
-            },
+            {"command": "calibrate-threshold", "risk": args.risk, "cal_split": args.cal_split},
             args.seed,
         ),
     }
@@ -341,52 +290,41 @@ def cmd_calibrate_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    samples = _scored_samples(args.alphas, args.labels)
+    mean, variance, labels = _read_scored(args.alphas, args.labels)
     settings: dict = {"command": "select", "bins": args.bins, "conf_threshold": args.conf_threshold}
+    calinfo, cal_n, seed = None, None, None
     if args.tau is not None:
         tau = float(args.tau)
         if math.isnan(tau):
             raise ValidationError("--tau must be a number, got nan")
-        calinfo = None
-        test = samples
-        seed = None
+        test = np.arange(labels.size)
         settings["tau"] = _json_float(tau)
     else:
-        cal, test = _stratified_split(samples, args.cal_split, args.seed)
-        calinfo = calibrate_threshold(cal, _risk_in_range(args.risk))
-        tau = calinfo.tau
-        seed = args.seed
-        settings["risk"] = args.risk
-        settings["cal_split"] = args.cal_split
+        cal, test, calinfo = _calibrated_split(args, mean, variance, labels)
+        tau, cal_n, seed = calinfo.tau, cal.size, args.seed
+        settings.update(risk=args.risk, cal_split=args.cal_split)
 
-    curve = risk_coverage_curve(test)
-    report = selective_report(test, tau)
-    hist_correct, hist_incorrect = variance_histograms(test, args.bins)
-    edges = variance_bin_edges(test, args.bins)
-    preds = [LabeledPrediction(mean=s.mean, label=s.label, sample_id=s.sample_id) for s in test]
-    cal_report = calibration_report(preds, args.bins, args.conf_threshold)
+    mean, variance, labels = mean[test], variance[test], labels[test]
+    wrong = _wrong(mean, labels)
+    curve = _curve(variance, wrong)
+    keep = variance <= tau
+    retained = _subset_metrics(mean[keep], labels[keep])
+    edges, hist_correct, hist_incorrect = _variance_histograms(variance, wrong, args.bins)
+    cal_report = _report(mean, labels, args.bins, args.conf_threshold)
 
     document = _calibration_document(cal_report, args.bins, args.conf_threshold)
     document["histograms"]["variance"] = {
-        "edges": [float(e) for e in edges],
+        "edges": edges.tolist(),
         "correct": hist_correct.tolist(),
         "incorrect": hist_incorrect.tolist(),
     }
-    retained = report.retained_metrics
     document["selective"] = {
         "tau": _json_float(tau),
-        "target_risk": None if calinfo is None else calinfo.target_risk,
-        "achieved_cal_risk": None if calinfo is None else calinfo.achieved_cal_risk,
-        "cal_coverage": None if calinfo is None else calinfo.cal_coverage,
-        "cal_n": None if calinfo is None else len(cal),
-        "test_n": len(test),
-        "coverage": retained.n / len(test),
-        "retained": {
-            "n": retained.n,
-            "accuracy": retained.accuracy,
-            "macro_f1": retained.macro_f1,
-            "nll": retained.nll,
-        },
+        **{key: getattr(calinfo, key, None) for key in ("target_risk", "achieved_cal_risk", "cal_coverage")},
+        "cal_n": cal_n,
+        "test_n": test.size,
+        "coverage": retained.n / test.size,
+        "retained": dataclasses.asdict(retained),
         "curve_points": len(curve),
         "single_point_curve": len(curve) == 1,
     }
@@ -400,8 +338,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_risk_coverage(args: argparse.Namespace) -> int:
-    samples = _scored_samples(args.alphas, args.labels)
-    write_curve(args.out, risk_coverage_curve(samples))
+    mean, variance, labels = _read_scored(args.alphas, args.labels)
+    write_curve(args.out, _curve(variance, _wrong(mean, labels)))
     return 0
 
 
@@ -414,31 +352,32 @@ def cmd_losses(args: argparse.Namespace) -> int:
         raise ValidationError("--epoch/--epochs apply only to --loss mse-kl")
     if (args.epoch is None) != (args.epochs is None):
         raise ValidationError("--epoch and --epochs must be given together")
-    rows = read_alphas(args.alphas)
-    k = int(rows[0].alpha.size)
-    labels = pair_labels([r.sample_id for r in rows], read_labels(args.labels), k, args.labels)
+    data = read_alphas(args.alphas)
+    k = data.alpha.shape[1]
+    labels = pair_labels(data.sample_ids, read_labels(args.labels), k, args.labels)
 
-    if args.loss == "mse-kl":
-        if schedule_given:
-            lambda_kl = annealed_lambda(args.lambda0, k, args.epoch, args.epochs)
-        else:
-            lambda_kl = args.lambda0
-
-    def one(r: AlphaRow) -> float:
-        d = DirichletParams(r.alpha)
-        y = labels[r.sample_id]
-        if args.loss == "mse":
-            return mse_loss(d, y)
-        if args.loss == "digamma":
-            return digamma_loss(d, y)
-        if args.loss == "mse-kl":
-            return mse_kl_loss(d, y, lambda_kl)
-        return log_evidence_penalty(d, args.lambda0)
-
-    values = [(r.sample_id, one(r)) for r in rows]
-    mean = math.fsum(v for _, v in values) / len(values)
+    lambda0 = args.lambda0
+    if schedule_given:
+        lambda0 = annealed_lambda(args.lambda0, k, args.epoch, args.epochs)
+    loss = {
+        "mse": mse_loss,
+        "digamma": digamma_loss,
+        "mse-kl": lambda d, y: mse_kl_loss(d, y, lambda0),
+        "log-ev": lambda d, y: log_evidence_penalty(d, lambda0),
+    }[args.loss]
+    values = []
+    for i, (alpha, y) in enumerate(zip(data.alpha, labels.tolist())):
+        # With finite positive concentrations and weights, an overflow is
+        # the only way to an exception or a NaN here.
+        try:
+            values.append(loss(DirichletParams(alpha), y))
+        except OverflowError:
+            values.append(math.nan)
+        if math.isnan(values[-1]):
+            raise ValidationError(f"{args.alphas}: row {i + 2}: the {args.loss} loss overflows a float")
+    mean = math.fsum(values) / len(values)
     lines = ["sample_id,loss"]
-    lines += [f"{sid},{format_float(v)}" for sid, v in values]
+    lines += [f"{sid},{format_float(v)}" for sid, v in zip(data.sample_ids, values)]
     lines.append(f"{MEAN_ROW_ID},{format_float(mean)}")
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return 0

@@ -115,10 +115,15 @@ def class_variance(d: DirichletParams, k: int) -> float:
     return ak * (a0 - ak) / (a0 * a0 * (a0 + 1.0))
 
 
+def _total_variance(alpha: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
+    # Row-wise over (n, K) concentrations and their (n,) exact totals.
+    a0 = alpha0[:, None]
+    return np.sum(alpha * (a0 - alpha), axis=1) / (alpha0 * alpha0 * (alpha0 + 1.0))
+
+
 def total_variance(d: DirichletParams) -> float:
     """Sum of the per-class variances, the scalar spread of the Dirichlet."""
-    a0 = d.alpha0
-    return float(np.sum(d.alpha * (a0 - d.alpha)) / (a0 * a0 * (a0 + 1.0)))
+    return float(_total_variance(d.alpha[None], np.array([d.alpha0]))[0])
 
 
 def log_density(d: DirichletParams, p: VectorLike) -> float:

@@ -258,39 +258,45 @@ def digamma_loss_grad(d: DirichletParams, y: LabelLike) -> np.ndarray:
     return grad
 
 
+def _check_weight(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def mse_kl_loss(d: DirichletParams, y: LabelLike, lambda_kl: float) -> float:
     """MSE loss plus ``lambda_kl`` times the KL to the uniform Dirichlet."""
-    if lambda_kl < 0.0:
-        raise ValueError("lambda_kl must be nonnegative")
+    _check_weight(lambda_kl, "lambda_kl")
     return mse_loss(d, y) + lambda_kl * kl_to_uniform(d)
 
 
 def mse_kl_loss_grad(d: DirichletParams, y: LabelLike, lambda_kl: float) -> np.ndarray:
     """Analytic gradient of ``mse_kl_loss`` with respect to each alpha_j."""
-    if lambda_kl < 0.0:
-        raise ValueError("lambda_kl must be nonnegative")
+    _check_weight(lambda_kl, "lambda_kl")
     return mse_loss_grad(d, y) + lambda_kl * kl_to_uniform_grad(d)
 
 
 def log_evidence_penalty(d: DirichletParams, lambda_ev: float) -> float:
     """Total-evidence regularizer ``lambda_ev * ln(1 + alpha_0)``."""
-    if lambda_ev < 0.0:
-        raise ValueError("lambda_ev must be nonnegative")
+    _check_weight(lambda_ev, "lambda_ev")
     return lambda_ev * math.log1p(d.alpha0)
 
 
-def _check_schedule(t: float, total: float) -> None:
-    if total < 1:
-        raise ValueError("total epochs must be at least 1")
-    if t < 0 or t > total:
-        raise ValueError(f"epoch {t} outside [0, {total}]")
+def _check_schedule(lambda0: float, t: float, total: float) -> None:
+    if not math.isfinite(lambda0):
+        raise ValueError(f"lambda0 must be finite, got {lambda0}")
+    if not (math.isfinite(total) and total >= 1):
+        raise ValueError("total epochs must be finite and at least 1")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"epoch must be finite and nonnegative, got {t}")
 
 
 def annealed_lambda(lambda0: float, k: int, t: float, total: float) -> float:
     """Linearly annealed KL weight ``(lambda0 / K) * (t / total)``."""
     if k < 2:
         raise ValueError("K must be at least 2")
-    _check_schedule(t, total)
+    _check_schedule(lambda0, t, total)
+    if t > total:
+        raise ValueError(f"epoch {t} outside [0, {total}]")
     return (lambda0 / k) * (t / total)
 
 
@@ -300,8 +306,5 @@ def warmup_lambda(lambda0: float, t: float, total: float) -> float:
     Unlike the linear schedule, epochs past ``total`` are valid here and
     saturate at ``lambda0``.
     """
-    if total < 1:
-        raise ValueError("total epochs must be at least 1")
-    if t < 0:
-        raise ValueError("epoch must be nonnegative")
+    _check_schedule(lambda0, t, total)
     return lambda0 * min(1.0, t / total)

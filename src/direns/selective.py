@@ -12,6 +12,12 @@ decision.
 Also provided: risk-coverage curves (one point per distinct variance
 value), correctness-conditioned variance histograms on log-spaced bins,
 and retained-set metrics after applying a threshold.
+
+As in ``calibration``, each computation has one array implementation
+over means, variances and labels; the public functions take
+``ScoredSample`` lists and convert.  The threshold and the curve share
+one pass over the distinct variances, and the variance histograms and
+their bin edges share one range computation.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calibration import LabeledPrediction, correctness, metrics
+from .calibration import _arrays as _mean_labels, _metrics
 from .dirichlet import DirichletParams, ProbabilityVector, total_variance
 
 __all__ = [
@@ -110,17 +116,43 @@ def score(d: DirichletParams) -> float:
     return total_variance(d)
 
 
-def _sorted_groups(samples: Sequence[ScoredSample]):
-    # Ascending by variance with sample_id as the deterministic tiebreak,
-    # then grouped so ties are always treated as one block.
-    ordered = sorted(samples, key=lambda s: (s.variance, s.sample_id))
-    groups = []
-    for s in ordered:
-        if groups and groups[-1][0] == s.variance:
-            groups[-1][1].append(s)
-        else:
-            groups.append((s.variance, [s]))
-    return groups
+def _arrays(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The object API's view of the array implementation: means, variances, labels.
+    mean, labels = _mean_labels(samples)
+    return mean, np.array([s.variance for s in samples]), labels
+
+
+def _wrong(mean: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return mean.argmax(axis=1) != labels
+
+
+def _prefix_risk(variance: np.ndarray, wrong: np.ndarray):
+    # One pass over the tie-closed prefixes of the variance order: each
+    # distinct variance ascending, with the samples and errors at or below it.
+    values, group = np.unique(variance, return_inverse=True)
+    kept = np.cumsum(np.bincount(group, minlength=values.size))
+    errors = np.cumsum(np.bincount(group[wrong], minlength=values.size))
+    return values, kept, errors
+
+
+def _threshold(variance: np.ndarray, wrong: np.ndarray, r: float) -> ThresholdCalibration:
+    if not (0.0 < r < 1.0):
+        raise ValueError(f"target risk must lie in (0, 1), got {r}")
+    values, kept, errors = _prefix_risk(variance, wrong)
+    risk = errors / kept
+    # Compare the realized ratio so the reported risk is <= r bit-exactly.
+    ok = np.flatnonzero(risk <= r)
+    if not ok.size:
+        return ThresholdCalibration(
+            tau=ABSTAIN_TAU, target_risk=r, achieved_cal_risk=0.0, cal_coverage=0.0
+        )
+    j = ok[-1]
+    return ThresholdCalibration(
+        tau=float(values[j]),
+        target_risk=r,
+        achieved_cal_risk=float(risk[j]),
+        cal_coverage=int(kept[j]) / variance.size,
+    )
 
 
 def calibrate_threshold(cal: Sequence[ScoredSample], r: float = DEFAULT_TARGET_RISK) -> ThresholdCalibration:
@@ -131,31 +163,8 @@ def calibrate_threshold(cal: Sequence[ScoredSample], r: float = DEFAULT_TARGET_R
     its last sample.  When even the lowest-variance block is too risky,
     tau becomes -inf (abstain on everything) with zero coverage.
     """
-    if not cal:
-        raise ValueError("calibration set must be nonempty")
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"target risk must lie in (0, 1), got {r}")
-    total = len(cal)
-    kept = 0
-    errors = 0
-    best: Optional[tuple[float, int, int]] = None
-    for variance, block in _sorted_groups(cal):
-        kept += len(block)
-        errors += sum(1 - correctness(s.mean, s.label) for s in block)
-        # Compare the realized ratio so the reported risk is <= r bit-exactly.
-        if errors / kept <= r:
-            best = (variance, kept, errors)
-    if best is None:
-        return ThresholdCalibration(
-            tau=ABSTAIN_TAU, target_risk=r, achieved_cal_risk=0.0, cal_coverage=0.0
-        )
-    tau, kept, errors = best
-    return ThresholdCalibration(
-        tau=tau,
-        target_risk=r,
-        achieved_cal_risk=errors / kept,
-        cal_coverage=kept / total,
-    )
+    mean, variance, labels = _arrays(cal)
+    return _threshold(variance, _wrong(mean, labels), r)
 
 
 def decide(s: ScoredSample, tau: float) -> Optional[int]:
@@ -165,38 +174,48 @@ def decide(s: ScoredSample, tau: float) -> Optional[int]:
     return None
 
 
+def _curve(variance: np.ndarray, wrong: np.ndarray) -> list[RiskCoveragePoint]:
+    values, kept, errors = _prefix_risk(variance, wrong)
+    return [
+        RiskCoveragePoint(coverage=c, risk=r, tau_at_point=t)
+        for c, r, t in zip((kept / variance.size).tolist(), (errors / kept).tolist(), values.tolist())
+    ]
+
+
 def risk_coverage_curve(test: Sequence[ScoredSample]) -> list[RiskCoveragePoint]:
     """Risk and coverage at every distinct variance threshold of the set.
 
     Coverage is strictly increasing along the output since each distinct
     variance adds at least one retained sample.
     """
-    if not test:
-        raise ValueError("test set must be nonempty")
-    total = len(test)
-    kept = 0
-    errors = 0
-    points = []
-    for variance, block in _sorted_groups(test):
-        kept += len(block)
-        errors += sum(1 - correctness(s.mean, s.label) for s in block)
-        points.append(
-            RiskCoveragePoint(coverage=kept / total, risk=errors / kept, tau_at_point=variance)
-        )
-    return points
+    mean, variance, labels = _arrays(test)
+    return _curve(variance, _wrong(mean, labels))
+
+
+def _variance_histograms(variance: np.ndarray, wrong: np.ndarray, bins: int):
+    # (edges, correct counts, incorrect counts) from one range computation.
+    if bins < 1:
+        raise ValueError("bins must be at least 1")
+    positive = variance[variance > 0.0]
+    lo, hi = (float(positive.min()), float(positive.max())) if positive.size else (0.0, 0.0)
+    idx = np.zeros(variance.size, dtype=np.int64)
+    if lo == hi:
+        edges = np.full(bins + 1, lo)
+    else:
+        # math.log10, not np.log10: the two differ in the last bit on many inputs.
+        log_lo, log_hi = math.log10(lo), math.log10(hi)
+        edges = np.logspace(log_lo, log_hi, bins + 1)
+        if log_hi > log_lo:
+            above = np.flatnonzero(variance > lo)
+            logs = np.array(list(map(math.log10, variance[above].tolist())))
+            idx[above] = np.minimum(bins - 1, ((logs - log_lo) / (log_hi - log_lo) * bins).astype(np.int64))
+    return edges, np.bincount(idx[~wrong], minlength=bins), np.bincount(idx[wrong], minlength=bins)
 
 
 def variance_bin_edges(test: Sequence[ScoredSample], bins: int) -> np.ndarray:
     """Log10-spaced bin edges spanning the positive variances of the set."""
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
-    positive = [s.variance for s in test if s.variance > 0.0]
-    if not positive:
-        return np.zeros(bins + 1)
-    lo, hi = min(positive), max(positive)
-    if lo == hi:
-        return np.full(bins + 1, lo)
-    return np.logspace(math.log10(lo), math.log10(hi), bins + 1)
+    variance = np.array([s.variance for s in test], dtype=np.float64)
+    return _variance_histograms(variance, np.zeros(variance.size, dtype=bool), bins)[0]
 
 
 def variance_histograms(
@@ -207,46 +226,23 @@ def variance_histograms(
     Zero variances land in the lowest bin, as does everything when the
     positive variances span no range at all.
     """
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
-    if not test:
-        raise ValueError("test set must be nonempty")
-    positive = [s.variance for s in test if s.variance > 0.0]
-    hist_correct = np.zeros(bins, dtype=np.int64)
-    hist_incorrect = np.zeros(bins, dtype=np.int64)
-    if positive:
-        lo, hi = min(positive), max(positive)
-        span = math.log10(hi) - math.log10(lo) if hi > lo else 0.0
-    else:
-        lo, span = 0.0, 0.0
-    for s in test:
-        if s.variance <= lo or span == 0.0:
-            idx = 0
-        else:
-            idx = min(bins - 1, int((math.log10(s.variance) - math.log10(lo)) / span * bins))
-        target = hist_correct if correctness(s.mean, s.label) else hist_incorrect
-        target[idx] += 1
-    return hist_correct, hist_incorrect
+    mean, variance, labels = _arrays(test)
+    return _variance_histograms(variance, _wrong(mean, labels), bins)[1:]
 
 
-def _subset_metrics(samples: Sequence[ScoredSample]) -> SubsetMetrics:
-    if not samples:
+def _subset_metrics(mean: np.ndarray, labels: np.ndarray) -> SubsetMetrics:
+    if not labels.size:
         return SubsetMetrics(n=0, accuracy=None, macro_f1=None, nll=None)
-    preds = [
-        LabeledPrediction(mean=s.mean, label=s.label, sample_id=s.sample_id) for s in samples
-    ]
-    accuracy, macro_f1, nll = metrics(preds)
-    return SubsetMetrics(n=len(samples), accuracy=accuracy, macro_f1=macro_f1, nll=nll)
+    accuracy, macro_f1, nll = _metrics(mean, labels)
+    return SubsetMetrics(n=int(labels.size), accuracy=accuracy, macro_f1=macro_f1, nll=nll)
 
 
 def selective_report(test: Sequence[ScoredSample], tau: float) -> SelectiveReport:
     """Apply a threshold to a test set and compare full vs retained metrics."""
-    if not test:
-        raise ValueError("test set must be nonempty")
-    decisions = [(s.sample_id, decide(s, tau)) for s in test]
-    retained = [s for s in test if s.variance <= tau]
+    mean, variance, labels = _arrays(test)
+    keep = variance <= tau
     return SelectiveReport(
-        decisions=decisions,
-        retained_metrics=_subset_metrics(retained),
-        full_metrics=_subset_metrics(list(test)),
+        decisions=[(s.sample_id, decide(s, tau)) for s in test],
+        retained_metrics=_subset_metrics(mean[keep], labels[keep]),
+        full_metrics=_subset_metrics(mean, labels),
     )

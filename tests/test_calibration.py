@@ -110,6 +110,22 @@ class TestReliabilityBins:
             else:
                 assert b.lower < b.confidence <= b.upper + 1e-15
 
+    def test_bin_statistics_are_masked_means(self, rng):
+        # By definition a bin's statistics are numpy means over its members
+        # in input order; bit for bit, not just close.
+        probs = rng.dirichlet(np.ones(3), size=2000)
+        labels = rng.integers(3, size=2000)
+        preds = [pred(p, int(y), f"s{i}") for i, (p, y) in enumerate(zip(probs, labels))]
+        conf = probs.max(axis=1)
+        correct = (probs.argmax(axis=1) == labels).astype(int)
+        idx = np.array([min(max(math.ceil(c * 10), 1), 10) for c in conf.tolist()])
+        for b, got in enumerate(reliability_bins(preds, 10), start=1):
+            mask = idx == b
+            assert got.count == int(mask.sum())
+            if got.count:
+                assert got.confidence == float(conf[mask].mean())
+                assert got.accuracy == float(correct[mask].mean())
+
     def test_rejects_empty_input_and_bad_bin_count(self):
         with pytest.raises(ValueError):
             reliability_bins([], 10)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from direns.cli import main
-from direns.dirichlet import log_likelihood
-from direns.fileio import read_alphas, read_predictions
+from direns.dirichlet import DirichletParams, log_likelihood, predictive_mean, total_variance
+from direns.fileio import read_alphas, read_labels, read_predictions
 from direns.selective import ScoredSample, risk_coverage_curve
 
 
@@ -268,9 +268,12 @@ class TestRiskCoverageCommand:
         paths = simulate(tmp_path, n=80, m=12)
         out = tmp_path / "rc.csv"
         assert run("risk-coverage", "--alphas", paths["alphas"], "--labels", paths["labels"], "--out", out) == 0
-        from direns.cli import _scored_samples
-
-        points = risk_coverage_curve(_scored_samples(paths["alphas"], paths["labels"]))
+        labels = read_labels(paths["labels"]).labels
+        samples = []
+        for row in read_alphas(paths["alphas"]):
+            d = DirichletParams(row.alpha)
+            samples.append(ScoredSample(row.sample_id, predictive_mean(d), total_variance(d), labels[row.sample_id]))
+        points = risk_coverage_curve(samples)
         lines = out.read_text().splitlines()
         assert lines[0] == "coverage,risk,tau"
         assert len(lines) == len(points) + 1
@@ -344,6 +347,20 @@ class TestLossesCommand:
             "--loss", "mse-kl", "--epoch", "11", "--epochs", "10", "--out", out,
         ) == 1
 
+    @pytest.mark.parametrize("loss, row", [("mse", "1e200,1e200"), ("mse-kl", "1,1e308")])
+    def test_overflowing_loss_names_its_row(self, tmp_path, capsys, loss, row):
+        alphas = tmp_path / "a.csv"
+        alphas.write_text(f"sample_id,degenerate,a_0,a_1\ns0,0,2,2\ns1,0,{row}\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("sample_id,label\ns0,0\ns1,1\n")
+        out = tmp_path / "loss.csv"
+        with np.errstate(all="ignore"):
+            code = run("losses", "--alphas", alphas, "--labels", labels, "--loss", loss,
+                       "--lambda0", "1", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {alphas}: row 3: the {loss} loss overflows a float\n"
+        assert not out.exists()
+
     def test_mean_row_averages_samples(self, tmp_path):
         alphas = tmp_path / "a.csv"
         alphas.write_text(
@@ -399,6 +416,9 @@ class TestExitCodes:
             ["select", *REPORT, "--tau", "nan"],
             LOSSES + ["--loss", "mse-kl", "--lambda0", "-1"],
             LOSSES + ["--loss", "log-ev", "--lambda0", "-1"],
+            LOSSES + ["--loss", "mse-kl", "--lambda0", "nan"],
+            LOSSES + ["--loss", "mse-kl", "--lambda0", "1", "--epoch", "nan", "--epochs", "10"],
+            LOSSES + ["--loss", "log-ev", "--lambda0", "inf"],
             SIMULATE + ["--n", "0"],
             SIMULATE + ["--n", "10", "--peak", "0.1"],
         ],
@@ -408,6 +428,27 @@ class TestExitCodes:
         assert main([a.format(**files) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["long field", "bad utf-8"])
+    @pytest.mark.parametrize("target", ["preds", "fits", "labels"])
+    def test_unreadable_csv_names_file_and_row(self, files, tmp_path, capsys, fault, target):
+        lines = open(files[target], "rb").read().split(b"\n")
+        if fault == "long field":
+            lines[2] = b"x" * 200_000
+        else:
+            lines[2] = lines[2].replace(b",", b"\xff,", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "o.out"
+        argv = {
+            "preds": ["fit", "--preds", bad, "--out", out],
+            "fits": ["losses", "--alphas", bad, "--labels", files["labels"], "--loss", "mse", "--out", out],
+            "labels": ["evaluate", "--alphas", files["fits"], "--labels", bad, "--out", out],
+        }[target]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: row 3: ")
         assert "Traceback" not in err
 
     def test_help_and_version_succeed(self, capsys):

@@ -356,6 +356,24 @@ class TestPenaltiesAndSchedules:
         with pytest.raises(ValueError):
             warmup_lambda(1.0, -0.5, 5.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_and_epochs_rejected(self, bad):
+        d = params(2.0, 3.0)
+        calls = [
+            lambda: annealed_lambda(bad, 4, 1.0, 10.0),
+            lambda: annealed_lambda(1.0, 4, bad, 10.0),
+            lambda: annealed_lambda(1.0, 4, 1.0, bad),
+            lambda: warmup_lambda(bad, 1.0, 10.0),
+            lambda: warmup_lambda(1.0, bad, 10.0),
+            lambda: warmup_lambda(1.0, 1.0, bad),
+            lambda: mse_kl_loss(d, 0, bad),
+            lambda: mse_kl_loss_grad(d, 0, bad),
+            lambda: log_evidence_penalty(d, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
 
 class TestInputWrappers:
     def test_logit_vector_validation(self):

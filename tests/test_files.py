@@ -10,6 +10,7 @@ import pytest
 
 from direns.fileio import (
     AlphaRow,
+    AlphasData,
     RenormalizationWarning,
     ValidationError,
     atomic_write_text,
@@ -139,6 +140,43 @@ class TestPredictionsFile:
         with pytest.raises(ValidationError):
             read_predictions(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # Faults of every kind after the first bad row do not matter.
+            (["s0,m0,0.5,0.5", "s0,m1,0.6,0.6", "s1,m0,0.5", "s1,m1,x,1", "s0,m0,0.5,0.5"],
+             "row 3: probabilities sum to 1.2, outside 1 +- 1e-06"),
+            # A check that runs later still wins when its row comes first.
+            (["s0,m0,0.5,0.5", "s0,m0,0.4,0.6", "s1,m0,1.5,-0.5", "s1,m1"],
+             "row 3: duplicate (sample_id, model_id) pair ('s0', 'm0')"),
+            # Within one row, the first failed check names the fault.
+            (["s0,m0,0.5,0.5", "s0,m1,x,2", "s1,m0,0.5"], "row 3: non-numeric probability"),
+            (["s0,m0,0.5,0.5", "s0,m1,1.5,-0.5,9", "s1,m0,x,0.5"], "row 3: expected 4 fields, got 5"),
+            (["s0,m0,0.5,0.5", "s0,m1,0.5,0.5", "s1,m0,0.5,0.5", "s1,m1,nan,0.5", "s1,m1,0.5,0.5"],
+             "row 5: probabilities must lie in [0, 1]"),
+            (["s0,m0,0.5,0.5", "", "s0,m1,0.6,0.6"], "row 3: expected 4 fields, got 0"),
+        ],
+    )
+    def test_multi_fault_file_names_the_earliest_bad_row(self, tmp_path, rows, message):
+        path = write(tmp_path / "p.csv", "sample_id,model_id,p_0,p_1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValidationError) as info:
+            read_predictions(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_model_set_fault_names_first_sample_in_id_order(self, tmp_path):
+        text = "sample_id,model_id,p_0,p_1\ns2,m0,0.5,0.5\ns1,m0,0.5,0.5\ns0,m0,0.5,0.5\ns0,m1,0.5,0.5\ns1,m1,0.5,0.5\n"
+        path = write(tmp_path / "p.csv", text)
+        with pytest.raises(ValidationError) as info:
+            read_predictions(path)
+        assert str(info.value) == f"{path}: row 2: sample 's2' has a different model set than sample 's0'"
+
+    def test_probs_hold_every_sample_in_id_and_model_order(self, tmp_path):
+        text = "sample_id,model_id,p_0,p_1\ns1,m1,0.3,0.7\ns0,m1,0.8,0.2\ns1,m0,0.5,0.5\ns0,m0,0.6,0.4\n"
+        data = read_predictions(write(tmp_path / "p.csv", text))
+        assert data.probs.shape == (2, 2, 2)
+        np.testing.assert_array_equal(data.probs, [[[0.6, 0.4], [0.8, 0.2]], [[0.5, 0.5], [0.3, 0.7]]])
+        assert np.shares_memory(data.ensembles["s1"], data.probs)
+
 
 class TestLabelsFile:
     def test_round_trip_sorted(self, tmp_path):
@@ -176,21 +214,22 @@ class TestLabelsFile:
 
 class TestAlphasFile:
     def test_round_trip_exact(self, tmp_path, rng):
-        rows = [
-            AlphaRow(
-                sample_id=f"s{i:03d}",
-                degenerate=bool(i % 3 == 0),
-                alpha=rng.uniform(1e-4, 1e5, size=4),
-            )
-            for i in range(20)
-        ]
+        ids = [f"s{i:03d}" for i in range(20)]
+        degenerate = np.arange(20) % 3 == 0
+        alpha = rng.uniform(1e-4, 1e5, size=(20, 4))
+        order = rng.permutation(20)
         out = tmp_path / "a.csv"
-        write_alphas(str(out), rows)
+        write_alphas(str(out), [ids[i] for i in order], degenerate[order], alpha[order])
         back = read_alphas(str(out))
-        for orig, loaded in zip(rows, back):
-            assert loaded.sample_id == orig.sample_id
-            assert loaded.degenerate == orig.degenerate
-            np.testing.assert_array_equal(loaded.alpha, orig.alpha)
+        assert isinstance(back, AlphasData)
+        assert back.sample_ids == ids
+        np.testing.assert_array_equal(back.degenerate, degenerate)
+        np.testing.assert_array_equal(back.alpha, alpha)
+        assert len(back) == 20
+        for i, row in enumerate(back):
+            assert isinstance(row, AlphaRow)
+            assert (row.sample_id, row.degenerate) == (ids[i], bool(degenerate[i]))
+            np.testing.assert_array_equal(row.alpha, alpha[i])
 
     def test_rejects_unsorted_rows(self, tmp_path):
         text = "sample_id,degenerate,a_0,a_1\ns1,0,1.0,1.0\ns0,0,1.0,1.0\n"
@@ -209,6 +248,21 @@ class TestAlphasFile:
         path = write(tmp_path / "a.csv", text)
         with pytest.raises(ValidationError):
             read_alphas(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["s1,0,1,1", "s0,0,1,1", "s2,5,x,1"], "row 3: sample_id 's0' out of sorted order"),
+            (["s0,0,1,1", "s1,2,-1,1", "s2,0,x"], "row 3: degenerate must be 0 or 1"),
+            (["s0,0,1,1", "s1,0,-1,x", "s0,0,1"], "row 3: non-numeric concentration"),
+            (["s0,0,1e308,1e308", "s1,0,0,1"], "row 2: concentrations sum past the largest float"),
+        ],
+    )
+    def test_multi_fault_file_names_the_earliest_bad_row(self, tmp_path, rows, message):
+        path = write(tmp_path / "a.csv", "sample_id,degenerate,a_0,a_1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValidationError) as info:
+            read_alphas(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_rejects_nonfinite_alpha(self, tmp_path):
         text = "sample_id,degenerate,a_0,a_1\ns0,0,inf,1.0\n"
