@@ -43,6 +43,7 @@ from .evidential import (
     digamma_loss,
     evidence,
     log_evidence_penalty,
+    losses,
     mse_kl_loss,
     mse_loss,
     softmax,
@@ -108,6 +109,7 @@ __all__ = [
     "log_gamma",
     "log_likelihood",
     "log_multivariate_beta",
+    "losses",
     "metrics",
     "moments",
     "mse_kl_loss",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import DEFAULT_BINS, DEFAULT_CONFIDENCE_THRESHOLD, _report
-from .dirichlet import DirichletParams, _total_variance
+from .dirichlet import _variances
 from .estimators import (
     DEFAULT_ALPHA0_CAP,
     DEFAULT_EPS,
@@ -33,11 +33,9 @@ from .estimators import (
     EnsembleSample,
     fit_batch,
 )
-from .evidential import annealed_lambda, digamma_loss, log_evidence_penalty, mse_kl_loss, mse_loss
+from .evidential import LOSSES, annealed_lambda, losses
 from .fileio import (
     ValidationError,
-    atomic_write_text,
-    format_float,
     pair_labels,
     read_alphas,
     read_labels,
@@ -46,6 +44,7 @@ from .fileio import (
     write_alphas,
     write_curve,
     write_labels,
+    write_losses,
     write_predictions,
     write_report,
 )
@@ -61,7 +60,6 @@ from .simulate import SimulationConfig, generate
 
 __all__ = ["main"]
 
-LOSSES = ("mse", "digamma", "mse-kl", "log-ev")
 MEAN_ROW_ID = "__dataset_mean__"
 
 
@@ -121,12 +119,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         peak=args.peak,
     )
     data = generate(config)
-    rows = (
-        (sid, mid, data.ensembles[sid][j])
-        for sid in data.sample_ids
-        for j, mid in enumerate(data.model_ids)
-    )
-    write_predictions(args.preds_out, config.k, list(rows))
+    probs = np.array([data.ensembles[sid] for sid in data.sample_ids])
+    write_predictions(args.preds_out, data.sample_ids, data.model_ids, probs)
     write_labels(args.labels_out, list(data.labels.items()))
     alphas = np.array([data.alphas[sid] for sid in data.sample_ids])
     write_alphas(args.alphas_out, data.sample_ids, np.zeros(len(alphas), dtype=bool), alphas)
@@ -179,18 +173,9 @@ def _read_scored(alphas_path: str, labels_path: str, scored: bool = True):
     gives.  Variances are None unless ``scored``.
     """
     data = read_alphas(alphas_path)
-    alpha = data.alpha
-    labels = pair_labels(data.sample_ids, read_labels(labels_path), alpha.shape[1], labels_path)
-    alpha0 = np.array([math.fsum(row.tolist()) for row in alpha])
-    mean = alpha / alpha0[:, None]
-    if not scored:
-        return mean, None, labels
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = _total_variance(alpha, alpha0)
-    bad = np.flatnonzero(~np.isfinite(variance))
-    if bad.size:
-        raise ValidationError(f"{alphas_path}: row {bad[0] + 2}: total variance overflows")
-    return mean, variance, labels
+    labels = pair_labels(data.sample_ids, read_labels(labels_path), data.alpha.shape[1], labels_path)
+    mean = data.alpha / data.alpha0[:, None]
+    return mean, _variances(data.alpha, data.alpha0, total=True) if scored else None, labels
 
 
 def _calibration_document(report, n_bins: int, threshold: float) -> dict:
@@ -356,30 +341,13 @@ def cmd_losses(args: argparse.Namespace) -> int:
     k = data.alpha.shape[1]
     labels = pair_labels(data.sample_ids, read_labels(args.labels), k, args.labels)
 
-    lambda0 = args.lambda0
-    if schedule_given:
-        lambda0 = annealed_lambda(args.lambda0, k, args.epoch, args.epochs)
-    loss = {
-        "mse": mse_loss,
-        "digamma": digamma_loss,
-        "mse-kl": lambda d, y: mse_kl_loss(d, y, lambda0),
-        "log-ev": lambda d, y: log_evidence_penalty(d, lambda0),
-    }[args.loss]
-    values = []
-    for i, (alpha, y) in enumerate(zip(data.alpha, labels.tolist())):
-        # With finite positive concentrations and weights, an overflow is
-        # the only way to an exception or a NaN here.
-        try:
-            values.append(loss(DirichletParams(alpha), y))
-        except OverflowError:
-            values.append(math.nan)
-        if math.isnan(values[-1]):
-            raise ValidationError(f"{args.alphas}: row {i + 2}: the {args.loss} loss overflows a float")
-    mean = math.fsum(values) / len(values)
-    lines = ["sample_id,loss"]
-    lines += [f"{sid},{format_float(v)}" for sid, v in zip(data.sample_ids, values)]
-    lines.append(f"{MEAN_ROW_ID},{format_float(mean)}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    lambda0 = annealed_lambda(args.lambda0, k, args.epoch, args.epochs) if schedule_given else args.lambda0
+    values = losses(args.loss, data.alpha, data.alpha0, labels, lambda0)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{args.alphas}: row {bad[0] + 2}: the {args.loss} loss overflows a float")
+    values = values.tolist()
+    write_losses(args.out, data.sample_ids + [MEAN_ROW_ID], values + [math.fsum(values) / len(values)])
     return 0
 
 

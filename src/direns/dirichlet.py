@@ -15,6 +15,10 @@ Everything operates on plain numpy arrays wrapped in two light containers,
 ``DirichletParams`` and ``ProbabilityVector``, which validate their
 invariants on construction.  Collections of simplex points (samples,
 ensembles) are represented as 2-D arrays with one point per row.
+
+The variances and the KL each have one row-wise implementation over (n, K)
+concentrations and their (n,) exact totals; the functions on one
+``DirichletParams`` are its n=1 views.
 """
 
 from __future__ import annotations
@@ -101,6 +105,25 @@ def predictive_mean(d: DirichletParams) -> ProbabilityVector:
     return ProbabilityVector(d.alpha / d.alpha0)
 
 
+def _variances(alpha: np.ndarray, alpha0: np.ndarray, total: bool) -> np.ndarray:
+    # The one variance formula: class k has variance alpha_k (alpha_0 - alpha_k)
+    # / (alpha_0^2 (alpha_0 + 1)); the (n,) total sums the numerators over the
+    # one denominator.  Where that is not finite (alpha_0^2 overflows or
+    # underflows to 0), it is taken with both parts divided by alpha_0^2.
+    def formula(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.sum(num, axis=1) / den if total else num / den[:, None]
+
+    a0 = alpha0[:, None]
+    with np.errstate(all="ignore"):
+        out = formula(alpha * (a0 - alpha), alpha0 * alpha0 * (alpha0 + 1.0))
+    bad = ~np.isfinite(out)
+    if bad.any():
+        rows = bad if total else bad.any(axis=1)
+        a, s = alpha[rows], a0[rows]
+        out[bad] = formula((a / s) * ((s - a) / s), alpha0[rows] + 1.0)[bad[rows]]
+    return out
+
+
 def class_variance(d: DirichletParams, k: int) -> float:
     """Marginal variance of class k.
 
@@ -110,20 +133,12 @@ def class_variance(d: DirichletParams, k: int) -> float:
     k = int(k)
     if not 0 <= k < d.k:
         raise IndexError(f"class index {k} out of range for K={d.k}")
-    a0 = d.alpha0
-    ak = float(d.alpha[k])
-    return ak * (a0 - ak) / (a0 * a0 * (a0 + 1.0))
-
-
-def _total_variance(alpha: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
-    # Row-wise over (n, K) concentrations and their (n,) exact totals.
-    a0 = alpha0[:, None]
-    return np.sum(alpha * (a0 - alpha), axis=1) / (alpha0 * alpha0 * (alpha0 + 1.0))
+    return float(_variances(d.alpha[None], np.array([d.alpha0]), total=False)[0, k])
 
 
 def total_variance(d: DirichletParams) -> float:
     """Sum of the per-class variances, the scalar spread of the Dirichlet."""
-    return float(_total_variance(d.alpha[None], np.array([d.alpha0]))[0])
+    return float(_variances(d.alpha[None], np.array([d.alpha0]), total=True)[0])
 
 
 def log_density(d: DirichletParams, p: VectorLike) -> float:
@@ -141,6 +156,25 @@ def log_density(d: DirichletParams, p: VectorLike) -> float:
     return math.fsum(terms) - log_multivariate_beta(d.alpha)
 
 
+def _exact_sum(row: np.ndarray) -> float:
+    # math.fsum of a row, or NaN where a partial sum overflows or inf meets -inf.
+    try:
+        return math.fsum(row.tolist())
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _kl_to_uniform(alpha: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
+    # (n,) KL to the uniform Dirichlet, row-wise; a row whose terms overflow gives NaN.
+    k = alpha.shape[1]
+    terms = np.empty((alpha.shape[0], k + 2))
+    with np.errstate(all="ignore"):
+        terms[:, :k] = -log_gamma(alpha) + (alpha - 1.0) * (digamma(alpha) - digamma(alpha0)[:, None])
+        terms[:, k] = log_gamma(alpha0)
+        terms[:, k + 1] = -log_gamma(float(k))
+    return np.maximum(list(map(_exact_sum, terms)), 0.0)
+
+
 def kl_to_uniform(d: DirichletParams) -> float:
     """KL divergence from Dir(alpha) to the uniform Dirichlet Dir(1, ..., 1).
 
@@ -149,18 +183,13 @@ def kl_to_uniform(d: DirichletParams) -> float:
         ln Gamma(alpha_0) - ln Gamma(K) - sum_k ln Gamma(alpha_k)
             + sum_k (alpha_k - 1) (psi(alpha_k) - psi(alpha_0))
 
-    computed through log-gamma differences so it stays finite for very
-    large total concentration.  The result is clamped at zero: the exact
-    value is nonnegative, and near alpha = 1 rounding could otherwise
-    yield a tiny negative.
+    computed through log-gamma differences, summed exactly, so it stays
+    finite for very large total concentration; it is NaN where a log-gamma
+    term itself overflows.  The result is clamped at zero: the exact value
+    is nonnegative, and near alpha = 1 rounding could otherwise yield a
+    tiny negative.
     """
-    a = d.alpha.tolist()
-    a0 = d.alpha0
-    psi0 = digamma(a0)
-    terms = [-log_gamma(ak) + (ak - 1.0) * (digamma(ak) - psi0) for ak in a]
-    terms.append(log_gamma(a0))
-    terms.append(-log_gamma(float(len(a))))
-    return max(math.fsum(terms), 0.0)
+    return float(_kl_to_uniform(d.alpha[None], np.array([d.alpha0]))[0])
 
 
 def kl_to_uniform_grad(d: DirichletParams) -> np.ndarray:
@@ -169,11 +198,8 @@ def kl_to_uniform_grad(d: DirichletParams) -> np.ndarray:
     Component j equals ``(alpha_j - 1) psi'(alpha_j) - (alpha_0 - K) psi'(alpha_0)``.
     """
     a0 = d.alpha0
-    common = (a0 - d.k) * _trigamma(a0)
-    return np.array(
-        [(aj - 1.0) * _trigamma(aj) - common for aj in d.alpha.tolist()],
-        dtype=np.float64,
-    )
+    tri = _trigamma(np.append(d.alpha, a0))
+    return (d.alpha - 1.0) * tri[:-1] - (a0 - d.k) * tri[-1]
 
 
 def sample(d: DirichletParams, rng_seed: int, n: int) -> np.ndarray:
@@ -200,11 +226,7 @@ def log_likelihood(alpha: VectorLike, samples: np.ndarray) -> float:
     + M sum_k (alpha_k - 1) lbar_k`` with ``lbar_k`` the mean log
     probability of class k over the M rows.
     """
-    a = np.asarray(alpha, dtype=np.float64) if not isinstance(alpha, DirichletParams) else alpha.alpha
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("alpha must be a 1-D vector with at least 2 components")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-        raise ValueError("every concentration must be finite and > 0")
+    a = alpha.alpha if isinstance(alpha, DirichletParams) else DirichletParams(alpha).alpha
     mat = np.asarray(samples, dtype=np.float64)
     if mat.ndim == 1:
         mat = mat[None, :]

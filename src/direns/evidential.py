@@ -12,9 +12,11 @@ attached to it:
 * ``mse_kl_loss``   the MSE term plus a weighted KL to the uniform prior;
 * ``log_evidence_penalty``  lambda * ln(1 + alpha_0).
 
-Annealing schedules for the KL weight and analytic gradients for every
-loss are included so finite-difference checks can confirm the closed
-forms.  No training machinery lives here; everything is a pure function.
+``losses`` evaluates any of the four row-wise on whole files; the scalar
+losses above are its n=1 views.  Annealing schedules for the KL weight and
+analytic gradients for every loss are included so finite-difference checks
+can confirm the closed forms.  No training machinery lives here; everything
+is a pure function.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dirichlet import DirichletParams, ProbabilityVector, kl_to_uniform, kl_to_uniform_grad
+from .dirichlet import DirichletParams, ProbabilityVector, _kl_to_uniform, _variances, kl_to_uniform_grad
 from .specfun import digamma, _trigamma
 
 __all__ = [
@@ -38,6 +40,8 @@ __all__ = [
     "ce_gradient",
     "evidence",
     "alphas_from_evidence",
+    "LOSSES",
+    "losses",
     "mse_loss",
     "mse_loss_grad",
     "digamma_loss",
@@ -52,6 +56,12 @@ __all__ = [
 ACTIVATIONS = ("softplus", "adaptive_softplus", "exponential")
 
 DELTA_ZERO_FLOOR = 1e-6
+
+LOSSES = ("mse", "digamma", "mse-kl", "log-ev")
+# The name each weighted loss reports its weight by.
+_WEIGHT_NAMES = {"mse-kl": "lambda_kl", "log-ev": "lambda_ev"}
+# Rows per pass through the special functions, which bounds their temporaries.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -211,11 +221,48 @@ def alphas_from_evidence(e: np.ndarray, delta: int) -> DirichletParams:
     return DirichletParams(alpha)
 
 
-def _mean_and_variance(d: DirichletParams) -> tuple[np.ndarray, np.ndarray, float]:
-    a0 = d.alpha0
-    mu = d.alpha / a0
-    var = d.alpha * (a0 - d.alpha) / (a0 * a0 * (a0 + 1.0))
-    return mu, var, a0
+def _check_weight(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _block_losses(kind: str, alpha: np.ndarray, alpha0: np.ndarray, labels: np.ndarray,
+                  weight: float) -> np.ndarray:
+    if kind == "log-ev":
+        return weight * np.array([math.log1p(a0) for a0 in alpha0.tolist()])
+    rows = np.arange(labels.size)
+    if kind == "digamma":
+        return digamma(alpha0) - digamma(alpha[rows, labels])
+    # y - mu, with mu_k = alpha_k / alpha_0 and y the one-hot target.
+    resid = -alpha / alpha0[:, None]
+    resid[rows, labels] += 1.0
+    mse = np.sum(resid ** 2, axis=1) + np.sum(_variances(alpha, alpha0, total=False), axis=1)
+    return mse if kind == "mse" else mse + weight * _kl_to_uniform(alpha, alpha0)
+
+
+def losses(kind: str, alpha: np.ndarray, alpha0: np.ndarray, labels, weight: float = 0.0) -> np.ndarray:
+    """The ``kind`` loss (one of ``LOSSES``) of every row, as an (n,) array.
+
+    Takes (n, K) concentrations, their (n,) exact totals (as ``read_alphas``
+    returns them) and (n,) labels in [0, K).  ``weight`` is lambda_kl for
+    ``mse-kl`` and lambda_ev for ``log-ev``; the other losses ignore it.  A
+    row whose loss overflows a float gives inf or NaN.
+    """
+    if kind not in LOSSES:
+        raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
+    if kind in _WEIGHT_NAMES:
+        _check_weight(weight, _WEIGHT_NAMES[kind])
+    labels = np.array([_class_index(y, alpha.shape[1]) for y in labels], dtype=np.intp)
+    out = np.empty(labels.size)
+    with np.errstate(all="ignore"):
+        for start in range(0, out.size, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            out[block] = _block_losses(kind, alpha[block], alpha0[block], labels[block], weight)
+    return out
+
+
+def _loss_view(kind: str, d: DirichletParams, y: LabelLike, weight: float = 0.0) -> float:
+    return float(losses(kind, d.alpha[None], np.array([d.alpha0]), [y], weight)[0])
 
 
 def mse_loss(d: DirichletParams, y: LabelLike) -> float:
@@ -224,16 +271,13 @@ def mse_loss(d: DirichletParams, y: LabelLike) -> float:
     Closed form: sum_k (y_k - mu_k)^2 + sum_k Var[p_k] with
     mu_k = alpha_k / alpha_0.
     """
-    mu, var, _ = _mean_and_variance(d)
-    idx = _class_index(y, d.k)
-    target = np.zeros(d.k)
-    target[idx] = 1.0
-    return float(np.sum((target - mu) ** 2) + np.sum(var))
+    return _loss_view("mse", d, y)
 
 
 def mse_loss_grad(d: DirichletParams, y: LabelLike) -> np.ndarray:
     """Analytic gradient of ``mse_loss`` with respect to each alpha_j."""
-    mu, _, a0 = _mean_and_variance(d)
+    a0 = d.alpha0
+    mu = d.alpha / a0
     idx = _class_index(y, d.k)
     target = np.zeros(d.k)
     target[idx] = 1.0
@@ -246,8 +290,7 @@ def mse_loss_grad(d: DirichletParams, y: LabelLike) -> np.ndarray:
 
 def digamma_loss(d: DirichletParams, y: LabelLike) -> float:
     """Expected cross entropy under Dir(alpha): psi(alpha_0) - psi(alpha_true)."""
-    idx = _class_index(y, d.k)
-    return digamma(d.alpha0) - digamma(float(d.alpha[idx]))
+    return _loss_view("digamma", d, y)
 
 
 def digamma_loss_grad(d: DirichletParams, y: LabelLike) -> np.ndarray:
@@ -258,15 +301,9 @@ def digamma_loss_grad(d: DirichletParams, y: LabelLike) -> np.ndarray:
     return grad
 
 
-def _check_weight(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-
-
 def mse_kl_loss(d: DirichletParams, y: LabelLike, lambda_kl: float) -> float:
     """MSE loss plus ``lambda_kl`` times the KL to the uniform Dirichlet."""
-    _check_weight(lambda_kl, "lambda_kl")
-    return mse_loss(d, y) + lambda_kl * kl_to_uniform(d)
+    return _loss_view("mse-kl", d, y, lambda_kl)
 
 
 def mse_kl_loss_grad(d: DirichletParams, y: LabelLike, lambda_kl: float) -> np.ndarray:
@@ -277,8 +314,7 @@ def mse_kl_loss_grad(d: DirichletParams, y: LabelLike, lambda_kl: float) -> np.n
 
 def log_evidence_penalty(d: DirichletParams, lambda_ev: float) -> float:
     """Total-evidence regularizer ``lambda_ev * ln(1 + alpha_0)``."""
-    _check_weight(lambda_ev, "lambda_ev")
-    return lambda_ev * math.log1p(d.alpha0)
+    return _loss_view("log-ev", d, 0, lambda_ev)
 
 
 def _check_schedule(lambda0: float, t: float, total: float) -> None:

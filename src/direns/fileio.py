@@ -10,7 +10,8 @@ Three CSV formats move data between commands:
 
 Readers parse a whole file into arrays: ``read_predictions`` gives
 ``probs`` (n, M, K) in sorted sample and model order, ``read_alphas``
-sorted ids, a (n,) degenerate mask and (n, K) concentrations.  Checks run
+sorted ids, a (n,) degenerate mask, (n, K) concentrations and their (n,)
+exact row sums.  The writers take the same arrays.  Checks run
 over whole arrays; a ``ValidationError`` names the earliest bad row in
 file order (the header is row 1) and the first check it fails.  Rows that
 miss exact closure within the 1e-6 tolerance are renormalized with a
@@ -27,8 +28,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
-import math
 import operator
 import os
 import tempfile
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dirichlet import SIMPLEX_TOL
+from .dirichlet import SIMPLEX_TOL, _exact_sum
 
 __all__ = [
     "ValidationError",
@@ -56,6 +57,7 @@ __all__ = [
     "pair_labels",
     "write_report",
     "write_curve",
+    "write_losses",
     "atomic_write_text",
     "sha256_of_file",
     "format_float",
@@ -79,13 +81,13 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write a file via a same-directory temp file and an atomic rename."""
+def atomic_write_text(path: str, text) -> None:
+    """Write a string, or an iterable of strings, via a same-directory temp file and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -136,6 +138,7 @@ class AlphaRow:
 class AlphasData:
     """Parsed alphas file: sorted ids, (n,) degenerate mask, (n, K) concentrations.
 
+    ``alpha0`` holds each row's total concentration, its ``math.fsum``.
     ``len()`` is the row count; iterating yields one ``AlphaRow`` per input
     whose ``alpha`` is a view into the matrix.
     """
@@ -143,6 +146,7 @@ class AlphasData:
     sample_ids: list
     degenerate: np.ndarray
     alpha: np.ndarray
+    alpha0: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sample_ids)
@@ -230,14 +234,6 @@ def _raise_first_fault(path: str, checks: list[tuple[np.ndarray, Callable[[int],
         raise ValidationError(f"{path}: row {i + 2}: {checks[order][1](i)}")
 
 
-def _fsum(row: np.ndarray) -> float:
-    # The exact sum, or inf where it overflows.
-    try:
-        return math.fsum(row.tolist())
-    except OverflowError:
-        return math.inf
-
-
 def _index(ids: list) -> tuple[list, np.ndarray]:
     # Sorted distinct ids, and each entry's position among them.
     distinct = sorted(set(ids))
@@ -260,7 +256,7 @@ def read_predictions(path: str) -> PredictionsData:
     near = np.flatnonzero(in_bounds)
     near = near[np.abs(values[near].sum(axis=1) - 1.0) > RENORM_WARN_TOL / 2]
     totals = np.ones(len(body))
-    totals[near] = list(map(_fsum, values[near]))
+    totals[near] = list(map(_exact_sum, values[near]))
     miss = np.abs(totals - 1.0)
     renorm = (miss > RENORM_WARN_TOL) & (miss <= SIMPLEX_TOL)
     values[renorm] /= totals[renorm, None]
@@ -305,18 +301,30 @@ def read_predictions(path: str) -> PredictionsData:
     return PredictionsData(sample_ids, model_ids, k, probs, dict(zip(sample_ids, probs)))
 
 
-def _write_csv(path: str, header: list, rows) -> None:
+def _csv_fields(values: Sequence[str]) -> list:
+    # Each value as csv.writer writes it as one field of a row of several.
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    ends = np.cumsum([writer.writerow([v, ""]) for v in values]).tolist()
+    text = buf.getvalue()
+    return [text[start:end - 2] for start, end in zip([0] + ends, ends)]
 
 
-def write_predictions(path: str, k: int, rows: Sequence[tuple]) -> None:
-    """Write predictions rows (sample_id, model_id, vector) with full precision."""
-    _write_csv(path, ["sample_id", "model_id"] + [f"p_{i}" for i in range(k)],
-               ([sid, mid] + [format_float(v) for v in p] for sid, mid, p in rows))
+def _write_table(path: str, header: list, texts, values: np.ndarray) -> None:
+    # One line per row of the (n, V) ``values``, in one format call: the row's
+    # CSV-quoted text fields from ``texts``, then its floats in full precision.
+    line = ",".join(["%s"] * (len(header) - values.shape[1]) + ["%.17g"] * values.shape[1]) + "\n"
+    rows = (line % (*text, *row.tolist()) for text, row in zip(texts, values))
+    atomic_write_text(path, itertools.chain([",".join(header) + "\n"], rows))
+
+
+def write_predictions(path: str, sample_ids: Sequence[str], model_ids: Sequence[str], probs) -> None:
+    """Write (n, M, K) probabilities with full precision, one row per (sample, model), sample-major."""
+    n, m, k = np.shape(probs)
+    models = _csv_fields(model_ids)
+    _write_table(path, ["sample_id", "model_id"] + [f"p_{i}" for i in range(k)],
+                 ((sid, mid) for sid in _csv_fields(sample_ids) for mid in models),
+                 np.asarray(probs, dtype=np.float64).reshape(n * m, k))
 
 
 def read_labels(path: str) -> LabelsData:
@@ -349,7 +357,9 @@ def read_labels(path: str) -> LabelsData:
 
 
 def write_labels(path: str, pairs: Sequence[tuple]) -> None:
-    _write_csv(path, ["sample_id", "label"], ([sid, int(label)] for sid, label in sorted(pairs)))
+    pairs = sorted(pairs)
+    _write_table(path, ["sample_id", "label"], zip(_csv_fields([sid for sid, _ in pairs]),
+                 (str(int(label)) for _, label in pairs)), np.empty((len(pairs), 0)))
 
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
@@ -372,7 +382,7 @@ def read_alphas(path: str) -> AlphasData:
     shaped, numeric, ids, flags, alpha = _columns(body, k + 2)
     positive = np.isfinite(alpha).all(axis=1) & (alpha > 0.0).all(axis=1)
     totals = np.zeros(len(body))
-    totals[positive] = list(map(_fsum, alpha[positive]))
+    totals[positive] = list(map(_exact_sum, alpha[positive]))
     unsorted = np.zeros(len(body), dtype=bool)
     unsorted[1:] = np.fromiter(map(operator.le, ids[1:], ids[:-1]), bool, len(body) - 1)
     _raise_first_fault(path, [
@@ -380,27 +390,30 @@ def read_alphas(path: str) -> AlphasData:
         (np.array([f not in ("0", "1") for f in flags]), lambda i: "degenerate must be 0 or 1"),
         (~numeric, lambda i: "non-numeric concentration"),
         (~positive, lambda i: "concentrations must be finite and > 0"),
-        (np.isinf(totals), lambda i: "concentrations sum past the largest float"),
+        (np.isnan(totals), lambda i: "concentrations sum past the largest float"),
         (unsorted, lambda i: f"sample_id {ids[i]!r} out of sorted order"),
     ])
-    return AlphasData(ids, np.array([f == "1" for f in flags]), alpha)
+    return AlphasData(ids, np.array([f == "1" for f in flags]), alpha, totals)
 
 
 def write_alphas(path: str, sample_ids: Sequence[str], degenerate, alpha: np.ndarray) -> None:
     """Write (n, K) concentrations with their ids and degenerate flags, rows sorted by id."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    flags = np.asarray(degenerate, dtype=bool).tolist()
-    _write_csv(path, ["sample_id", "degenerate"] + [f"a_{i}" for i in range(alpha.shape[1])], (
-        [sample_ids[i], "1" if flags[i] else "0"] + [format_float(v) for v in alpha[i].tolist()]
-        for i in sorted(range(len(sample_ids)), key=sample_ids.__getitem__)
-    ))
+    order = sorted(range(len(sample_ids)), key=sample_ids.__getitem__)
+    alpha = np.asarray(alpha, dtype=np.float64)[order]
+    flags = np.where(np.asarray(degenerate, dtype=bool), "1", "0")[order].tolist()
+    _write_table(path, ["sample_id", "degenerate"] + [f"a_{i}" for i in range(alpha.shape[1])],
+                 zip(_csv_fields([sample_ids[i] for i in order]), flags), alpha)
 
 
 def write_curve(path: str, points: Sequence) -> None:
     """Write a risk-coverage curve as CSV with columns coverage,risk,tau."""
-    _write_csv(path, ["coverage", "risk", "tau"], (
-        [format_float(p.coverage), format_float(p.risk), format_float(p.tau_at_point)] for p in points
-    ))
+    values = np.array([[p.coverage, p.risk, p.tau_at_point] for p in points]).reshape(-1, 3)
+    _write_table(path, ["coverage", "risk", "tau"], itertools.repeat(()), values)
+
+
+def write_losses(path: str, sample_ids: Sequence[str], losses: Sequence[float]) -> None:
+    """Write a losses CSV with columns sample_id,loss, one row per id."""
+    _write_table(path, ["sample_id", "loss"], zip(_csv_fields(sample_ids)), np.array(losses)[:, None])
 
 
 def write_report(path: str, document: dict) -> None:

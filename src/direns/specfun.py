@@ -7,11 +7,12 @@ needed for Dirichlet densities, closed-form evidential losses, and the
 fixed-point concentration update ``alpha_k <- psi^-1(psi(alpha_0) + mean
 log-probability)``.
 
-``digamma``, ``inverse_digamma`` and ``_trigamma`` take a float or an array
-and run one elementwise formula, so each element of an array result has the
-bits of the scalar call.  All functions are pure and raise ``ValueError``
-outside their documented domains.  Accuracy targets: 1e-12 relative for
-``log_gamma`` and 1e-10 absolute for ``digamma`` on ``[1e-6, 1e8]``.
+``log_gamma``, ``digamma``, ``inverse_digamma`` and ``_trigamma`` take a
+float or an array and run one elementwise implementation, so each element
+of an array result has the bits of the scalar call.  All functions are pure
+and raise ``ValueError`` outside their documented domains.  Accuracy
+targets: 1e-12 relative for ``log_gamma`` and 1e-10 absolute for
+``digamma`` on ``[1e-6, 1e8]``.
 """
 
 from __future__ import annotations
@@ -95,26 +96,26 @@ _LGAMMA_TAYLOR_AT_2 = (
 # Both windows are well inside the series' radius of convergence; at
 # half-width 0.2 the truncated tails are below 1e-18 relative.
 _WINDOW_HALF_WIDTH = 0.2
+_LGAMMA_WINDOWS = (
+    (1.0, -EULER_GAMMA, _LGAMMA_TAYLOR_AT_1),
+    (2.0, 1.0 - EULER_GAMMA, _LGAMMA_TAYLOR_AT_2),
+)
 
-# Correctly rounded ln((n-1)!) for small integer arguments.  math.log on an
-# exact Python int avoids the double rounding that the general path incurs,
-# so integer inputs reproduce log factorials to the last bit.
+# Correctly rounded ln((n-1)!) at index n for small integer arguments (index
+# 0 is unused).  math.log on an exact Python int avoids the double rounding
+# that the general path incurs, so integer inputs reproduce log factorials to
+# the last bit.
 _INT_TABLE_LIMIT = 25
-_LGAMMA_AT_INT = {float(n): math.log(math.factorial(n - 1)) for n in range(2, _INT_TABLE_LIMIT + 1)}
-_LGAMMA_AT_INT[1.0] = 0.0
-
-
-def _require_positive(x: float, op: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{op} requires a finite argument > 0, got {x!r}")
-    return x
+_LGAMMA_AT_INT = np.array([math.nan] + [math.log(math.factorial(n - 1)) for n in range(1, _INT_TABLE_LIMIT + 1)])
 
 
 def _positive(x, op: str):
     # The same check for a float, or on every element of an array.
     if not isinstance(x, np.ndarray):
-        return _require_positive(x, op)
+        x = float(x)
+        if not math.isfinite(x) or x <= 0.0:
+            raise ValueError(f"{op} requires a finite argument > 0, got {x!r}")
+        return x
     x = np.asarray(x, dtype=np.float64)
     bad = x[~((x > 0.0) & (x <= _MAX_FINITE))]
     if bad.size:
@@ -144,7 +145,7 @@ def _reciprocal_parts(x):
     return hi, lo
 
 
-def _taylor_window(t: float, linear: float, coeffs: tuple[float, ...]) -> float:
+def _taylor_window(t, linear: float, coeffs: tuple[float, ...]):
     # Factoring out t keeps the result accurate in relative terms even as
     # the value itself crosses zero at the window center.
     tail = 0.0
@@ -153,23 +154,37 @@ def _taylor_window(t: float, linear: float, coeffs: tuple[float, ...]) -> float:
     return t * (linear + tail)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
+def _lgamma(x: float) -> float:
+    # math.lgamma, overflowing to inf (past about 2.6e305) instead of raising.
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
-    The zeros of ln Gamma at x = 1 and x = 2 are covered by dedicated
-    Taylor expansions so the result stays accurate in relative terms
-    there; elsewhere the platform implementation already meets the
-    target and is used directly.
+
+def log_gamma(x):
+    """Natural log of the gamma function for x > 0, elementwise on an array.
+
+    Integers up to 25 come from a table of log factorials.  The zeros of
+    ln Gamma at x = 1 and x = 2 are covered by dedicated Taylor expansions
+    so the result stays accurate in relative terms there; elsewhere the
+    platform implementation already meets the target and is used directly.
+    A result past the largest float is inf.
     """
-    x = _require_positive(x, "log_gamma")
-    exact = _LGAMMA_AT_INT.get(x)
-    if exact is not None:
-        return exact
-    if abs(x - 1.0) <= _WINDOW_HALF_WIDTH:
-        return _taylor_window(x - 1.0, -EULER_GAMMA, _LGAMMA_TAYLOR_AT_1)
-    if abs(x - 2.0) <= _WINDOW_HALF_WIDTH:
-        return _taylor_window(x - 2.0, 1.0 - EULER_GAMMA, _LGAMMA_TAYLOR_AT_2)
-    return math.lgamma(x)
+    x = _positive(x, "log_gamma")
+    v = np.atleast_1d(x)
+    out = np.empty(v.shape)
+    general = np.ones(v.shape, dtype=bool)
+    for center, linear, coeffs in _LGAMMA_WINDOWS:
+        near = np.abs(v - center) <= _WINDOW_HALF_WIDTH
+        if near.any():
+            out[near] = _taylor_window(v[near] - center, linear, coeffs)
+            general &= ~near
+    exact = (v <= _INT_TABLE_LIMIT) & (v == np.floor(v))
+    out[exact] = _LGAMMA_AT_INT[v[exact].astype(np.intp)]
+    general &= ~exact
+    out[general] = list(map(_lgamma, v[general].tolist()))
+    return out.reshape(x.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 
 def digamma(x):
@@ -249,13 +264,8 @@ def log_multivariate_beta(alpha: Iterable[float]) -> float:
 
     Requires at least two strictly positive components.
     """
-    values = [float(a) for a in alpha]
-    if len(values) < 2:
+    values = np.array([float(a) for a in alpha])
+    if values.size < 2:
         raise ValueError("log_multivariate_beta requires at least 2 components")
-    for a in values:
-        if not math.isfinite(a) or a <= 0.0:
-            raise ValueError(
-                f"log_multivariate_beta requires finite components > 0, got {a!r}"
-            )
-    total = math.fsum(values)
-    return math.fsum([log_gamma(a) for a in values]) - log_gamma(total)
+    values = _positive(values, "log_multivariate_beta")
+    return math.fsum(log_gamma(values).tolist()) - log_gamma(math.fsum(values.tolist()))

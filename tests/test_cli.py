@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -347,7 +348,7 @@ class TestLossesCommand:
             "--loss", "mse-kl", "--epoch", "11", "--epochs", "10", "--out", out,
         ) == 1
 
-    @pytest.mark.parametrize("loss, row", [("mse", "1e200,1e200"), ("mse-kl", "1,1e308")])
+    @pytest.mark.parametrize("loss, row", [("mse-kl", "1,1e308")])
     def test_overflowing_loss_names_its_row(self, tmp_path, capsys, loss, row):
         alphas = tmp_path / "a.csv"
         alphas.write_text(f"sample_id,degenerate,a_0,a_1\ns0,0,2,2\ns1,0,{row}\n")
@@ -360,6 +361,46 @@ class TestLossesCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {alphas}: row 3: the {loss} loss overflows a float\n"
         assert not out.exists()
+
+    def test_huge_concentrations_give_finite_mse(self, tmp_path):
+        # alpha_0^2 overflows here; the variance and the loss must not.
+        alphas = tmp_path / "a.csv"
+        alphas.write_text("sample_id,degenerate,a_0,a_1\ns0,0,2,2\ns1,0,1e200,1e200\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("sample_id,label\ns0,0\ns1,1\n")
+        out = tmp_path / "loss.csv"
+        assert run("losses", "--alphas", alphas, "--labels", labels, "--loss", "mse", "--out", out) == 0
+        assert self.read_loss(out)["s1"] == 0.5
+
+    def test_huge_cap_fit_is_scored(self, tmp_path):
+        # A zero-spread input fitted with a huge cap gets alpha_0 near the cap.
+        paths = simulate(tmp_path, n=40, m=6, k=3)
+        with open(paths["preds"], "a") as handle:
+            handle.writelines(f"z0,m{j},0.5,0.3,0.2\n" for j in range(6))
+        with open(paths["labels"], "a") as handle:
+            handle.write("z0,0\n")
+        fits = tmp_path / "fits.csv"
+        assert run("fit", "--preds", paths["preds"], "--mode", "mom-mle", "--cap", "1e200", "--out", fits) == 0
+        assert read_alphas(str(fits)).alpha[-1].sum() > 1e199
+        common = ("--alphas", fits, "--labels", paths["labels"])
+        assert run("select", *common, "--risk", "0.3", "--out", tmp_path / "s.json") == 0
+        for loss in ("mse", "digamma", "log-ev"):
+            out = tmp_path / f"{loss}.csv"
+            assert run("losses", *common, "--loss", loss, "--lambda0", "1", "--out", out) == 0
+            assert all(math.isfinite(v) for v in self.read_loss(out).values())
+        assert self.read_loss(tmp_path / "mse.csv")["z0"] == pytest.approx(0.38, abs=1e-12)
+
+    def test_ids_are_csv_quoted(self, tmp_path):
+        alphas = tmp_path / "a.csv"
+        alphas.write_text('sample_id,degenerate,a_0,a_1\n"a,b",0,2,2\n"say ""hi""",0,4,1\n')
+        labels = tmp_path / "l.csv"
+        labels.write_text('sample_id,label\n"a,b",0\n"say ""hi""",1\n')
+        out = tmp_path / "loss.csv"
+        assert run("losses", "--alphas", alphas, "--labels", labels, "--loss", "mse", "--out", out) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows] == ["sample_id", "a,b", 'say "hi"', "__dataset_mean__"]
+        assert float(rows[1][1]) == pytest.approx(0.6, abs=1e-12)
 
     def test_mean_row_averages_samples(self, tmp_path):
         alphas = tmp_path / "a.csv"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 
@@ -73,14 +75,31 @@ class TestPredictionsFile:
         assert data.k == 2
         np.testing.assert_allclose(data.ensembles["s0"], [[0.6, 0.4], [0.8, 0.2]])
         out = tmp_path / "q.csv"
-        rows = [
-            (sid, mid, data.ensembles[sid][j])
-            for sid in data.sample_ids
-            for j, mid in enumerate(data.model_ids)
-        ]
-        write_predictions(str(out), data.k, rows)
+        write_predictions(str(out), data.sample_ids, data.model_ids, data.probs)
         again = read_predictions(str(out))
         np.testing.assert_array_equal(again.ensembles["s1"], data.ensembles["s1"])
+
+    def test_round_trip_quotes_ids_as_csv_writer(self, tmp_path):
+        # Ids with a delimiter, a quote and a newline; the text must be what
+        # csv.writer writes for the same rows, and read back bit-exactly.
+        sample_ids = ["a,b", 'say "hi"', "line\nbreak", "", "plain"]
+        model_ids = ["m,0", "m\n1", '"m2"']
+        probs = np.random.default_rng(3).dirichlet([0.5, 1.0, 2.0], size=(5, 3))
+        probs[0, 0] = [1.0, 0.0, 0.0]
+        out = tmp_path / "p.csv"
+        write_predictions(str(out), sample_ids, model_ids, probs)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["sample_id", "model_id", "p_0", "p_1", "p_2"])
+        for sid, block in zip(sample_ids, probs):
+            for mid, p in zip(model_ids, block):
+                writer.writerow([sid, mid] + [format_float(v) for v in p])
+        assert out.read_text(encoding="utf-8") == buf.getvalue()
+        again = read_predictions(str(out))
+        assert again.sample_ids == sorted(sample_ids)
+        assert again.model_ids == sorted(model_ids)
+        order = np.argsort(sample_ids)
+        np.testing.assert_array_equal(again.probs, probs[order][:, np.argsort(model_ids)])
 
     def test_rejects_wrong_header(self, tmp_path):
         path = write(tmp_path / "p.csv", "sample,model,p_0,p_1\ns0,m0,0.5,0.5\n")

@@ -1,12 +1,14 @@
 """The CLI's array data path against the public object API, and the README against the CLI.
 
 The report commands compute every row's predictive mean and total
-variance at once and never build per-row objects.  These tests rebuild
-the same numbers through the public scalar chain, per-row
-``DirichletParams`` -> ``predictive_mean``/``total_variance`` ->
-``LabeledPrediction``/``ScoredSample`` -> the report functions, and
-require report.json, select.json and the curve CSV to match it bit for
-bit.
+variance at once, and ``losses`` every row's loss in one call; none
+builds per-row objects.  These tests rebuild the same numbers through the
+public scalar chain, per-row ``DirichletParams`` ->
+``predictive_mean``/``total_variance`` -> ``LabeledPrediction``/
+``ScoredSample`` -> the report functions, or ``DirichletParams`` ->
+``mse_loss``/``digamma_loss``/``mse_kl_loss``/``log_evidence_penalty``,
+and require report.json, select.json, the curve CSV and losses.csv to
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 from direns.calibration import LabeledPrediction, calibration_report
 from direns.cli import _calibration_document, _json_float, main
 from direns.dirichlet import DirichletParams, predictive_mean, total_variance
+from direns.evidential import annealed_lambda, digamma_loss, log_evidence_penalty, mse_kl_loss, mse_loss
 from direns.fileio import read_alphas, read_labels
 from direns.selective import (
     ScoredSample,
@@ -157,6 +160,36 @@ def test_select_threshold_and_curves_match_object_api(dataset):
     for path, expected_points in ((curve, points), (full_curve, risk_coverage_curve(scored))):
         rows = [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
         same(rows, [[p.coverage, p.risk, p.tau_at_point] for p in expected_points])
+
+
+@pytest.mark.parametrize("loss, flags", [
+    ("mse", []),
+    ("digamma", []),
+    ("mse-kl", ["--lambda0", "0.7"]),
+    ("mse-kl", ["--lambda0", "0.7", "--epoch", "3", "--epochs", "10"]),
+    ("log-ev", ["--lambda0", "0.7"]),
+])
+def test_losses_match_object_api(dataset, loss, flags):
+    alphas, labels, tmp = dataset
+    out = tmp / "losses.csv"
+    assert run("losses", "--alphas", alphas, "--labels", labels, "--loss", loss, *flags, "--out", out) == 0
+    rows = read_alphas(str(alphas))
+    lam = 0.7 if flags else 0.0
+    if "--epoch" in flags:
+        lam = annealed_lambda(0.7, rows.alpha.shape[1], 3, 10)
+    scalar = {
+        "mse": mse_loss,
+        "digamma": digamma_loss,
+        "mse-kl": lambda d, y: mse_kl_loss(d, y, lam),
+        "log-ev": lambda d, y: log_evidence_penalty(d, lam),
+    }[loss]
+    by_id = read_labels(str(labels)).labels
+    values = [scalar(DirichletParams(row.alpha), by_id[row.sample_id]) for row in rows]
+    expected = [f"{row.sample_id},{v!r}" for row, v in zip(rows, values)]
+    expected.append(f"__dataset_mean__,{math.fsum(values) / len(values)!r}")
+    lines = out.read_text().splitlines()
+    assert lines[0] == "sample_id,loss"
+    assert [f"{sid},{float(v)!r}" for sid, v in (line.split(",") for line in lines[1:])] == expected
 
 
 def _walkthrough() -> list[list[str]]:
