@@ -8,8 +8,9 @@ selective classification, and evaluate closed-form evidential losses.
 Reports are deterministic JSON (no timestamps; provenance carries input
 digests, settings, seed, and version), curves are plain CSV.  Exit codes:
 0 success, 1 validation error (any out-of-range file content, flag or
-setting), 2 I/O error.  ``fit`` fits every input in one batched pass;
-``--threads`` is accepted for compatibility and changes nothing.
+setting), 2 I/O error.  ``fit`` fits the reader's (n, M, K) array in one
+batched pass; ``--threads`` is accepted for compatibility and changes
+nothing.  No command builds per-input objects.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .estimators import (
     DEFAULT_EPS,
     DEFAULT_MAX_ITER,
     DEFAULT_P_FLOOR,
-    EnsembleSample,
-    fit_batch,
+    _fit,
 )
 from .evidential import LOSSES, annealed_lambda, losses
 from .fileio import (
@@ -132,33 +132,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     data = read_predictions(args.preds)
-    model_ids = data.model_ids
+    m = len(data.model_ids)
     if args.models_limit is not None:
         if args.models_limit < 2:
             raise ValidationError("--models-limit must be at least 2")
-        if args.models_limit > len(model_ids):
+        if args.models_limit > m:
             raise ValidationError(
-                f"--models-limit {args.models_limit} exceeds the {len(model_ids)} "
+                f"--models-limit {args.models_limit} exceeds the {m} "
                 "models present"
             )
-        model_ids = model_ids[: args.models_limit]
-    if len(model_ids) < 2:
+        m = args.models_limit
+    if m < 2:
         raise ValidationError(
-            f"{args.preds}: fitting needs at least 2 models per sample, found {len(model_ids)}"
+            f"{args.preds}: fitting needs at least 2 models per sample, found {m}"
         )
-    samples = [EnsembleSample(p) for p in data.probs[:, : len(model_ids)]]
-    mode = "mom_then_mle" if args.mode == "mom-mle" else "mom"
-    results = fit_batch(
-        samples,
-        mode,
+    # The reader has checked every row's bounds and closure, and K >= 2.
+    alpha, degenerate, _, _ = _fit(
+        data.probs[:, :m],
+        args.mode == "mom-mle",
         alpha0_cap=args.cap,
         max_iter=args.max_iter,
         eps=args.eps,
         p_floor=args.p_floor,
         n_threads=args.threads,
     )
-    write_alphas(args.out, data.sample_ids, [res.degenerate for res in results],
-                 np.array([res.params.alpha for res in results]))
+    write_alphas(args.out, data.sample_ids, degenerate, alpha)
     return 0
 
 
@@ -310,8 +308,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         "test_n": test.size,
         "coverage": retained.n / test.size,
         "retained": dataclasses.asdict(retained),
-        "curve_points": len(curve),
-        "single_point_curve": len(curve) == 1,
+        "curve_points": curve.shape[0],
+        "single_point_curve": curve.shape[0] == 1,
     }
     document["provenance"] = _provenance(
         {"alphas": args.alphas, "labels": args.labels}, settings, seed
@@ -345,7 +343,9 @@ def cmd_losses(args: argparse.Namespace) -> int:
     values = losses(args.loss, data.alpha, data.alpha0, labels, lambda0)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ValidationError(f"{args.alphas}: row {bad[0] + 2}: the {args.loss} loss overflows a float")
+        raise ValidationError(
+            f"{args.alphas}: row {bad[0] + 2}: the {args.loss} loss overflows or loses its precision in a float"
+        )
     values = values.tolist()
     write_losses(args.out, data.sample_ids + [MEAN_ROW_ID], values + [math.fsum(values) / len(values)])
     return 0

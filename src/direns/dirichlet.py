@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 # How far a probability vector's sum may miss 1, here, in the ensemble
-# container and in the file readers.
+# container and in the predictions reader, each given it by _simplex_rows.
 SIMPLEX_TOL = 1e-6
 
 
@@ -84,11 +84,24 @@ class ProbabilityVector:
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("p must be a 1-D vector with at least 2 components")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
+        in_bounds, totals = _simplex_rows(p[None])
+        if not in_bounds[0]:
             raise ValueError("every probability must lie in [0, 1]")
-        if abs(math.fsum(p.tolist()) - 1.0) > SIMPLEX_TOL:
+        if abs(totals[0] - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"probabilities must sum to 1 within {SIMPLEX_TOL}")
         self.p = p
+
+
+def _simplex_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The one simplex check: which (n, K) rows lie in [0, 1] (NaN does not),
+    # and their exact sums, NaN elsewhere.  A float sum of K entries in [0, 1]
+    # is within K * 2**-53 of exact, so one within 5e-10 of 1 is kept: it
+    # decides closure at 1e-9 (the reader's renormalization) or coarser alike.
+    in_bounds = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
+    totals = np.where(in_bounds, p.sum(axis=1, where=in_bounds[:, None]), np.nan)
+    far = np.flatnonzero(np.abs(totals - 1.0) > 5e-10)
+    totals[far] = list(map(_exact_sum, p[far]))
+    return in_bounds, totals
 
 
 VectorLike = Union[ProbabilityVector, np.ndarray, list, tuple]
@@ -165,14 +178,20 @@ def _exact_sum(row: np.ndarray) -> float:
 
 
 def _kl_to_uniform(alpha: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
-    # (n,) KL to the uniform Dirichlet, row-wise; a row whose terms overflow gives NaN.
+    # (n,) KL to the uniform Dirichlet, row-wise.  The terms grow like
+    # alpha_0 ln alpha_0 and cancel, so a row gives NaN where a term overflows
+    # or where the terms' rounding, bounded by 4 ulp of their absolute sum,
+    # could exceed 1e-6 of max(1, KL).
     k = alpha.shape[1]
     terms = np.empty((alpha.shape[0], k + 2))
     with np.errstate(all="ignore"):
         terms[:, :k] = -log_gamma(alpha) + (alpha - 1.0) * (digamma(alpha) - digamma(alpha0)[:, None])
         terms[:, k] = log_gamma(alpha0)
         terms[:, k + 1] = -log_gamma(float(k))
-    return np.maximum(list(map(_exact_sum, terms)), 0.0)
+        bound = 4.0 * 2.0**-52 * np.sum(np.abs(terms), axis=1)
+    kl = np.maximum(list(map(_exact_sum, terms)), 0.0)
+    kl[bound > 1e-6 * np.maximum(1.0, kl)] = math.nan
+    return kl
 
 
 def kl_to_uniform(d: DirichletParams) -> float:
@@ -183,11 +202,14 @@ def kl_to_uniform(d: DirichletParams) -> float:
         ln Gamma(alpha_0) - ln Gamma(K) - sum_k ln Gamma(alpha_k)
             + sum_k (alpha_k - 1) (psi(alpha_k) - psi(alpha_0))
 
-    computed through log-gamma differences, summed exactly, so it stays
-    finite for very large total concentration; it is NaN where a log-gamma
-    term itself overflows.  The result is clamped at zero: the exact value
-    is nonnegative, and near alpha = 1 rounding could otherwise yield a
-    tiny negative.
+    with its terms summed exactly.  The terms grow like alpha_0 ln alpha_0
+    while the KL grows like (K - 1)/2 ln alpha_0, so at large total
+    concentration they cancel: the result is NaN where their rounding could
+    move it by more than 1e-6 of max(1, KL) (past alpha_0 = 2.7e8 for a
+    flat alpha with K = 2, 2.3e9 with K = 10), and where a log-gamma term
+    itself overflows.  The result is clamped at zero: the exact value is
+    nonnegative, and near alpha = 1 rounding could otherwise yield a tiny
+    negative.
     """
     return float(_kl_to_uniform(d.alpha[None], np.array([d.alpha0]))[0])
 

@@ -15,10 +15,12 @@ iterate alpha_k <- psi^-1(psi(alpha_0) + lbar_k) with lbar_k the mean log
 probability of class k.  Each sweep is a monotone step on the Dirichlet
 log-likelihood, so the likelihood never decreases along the iteration.
 
-Both are array kernels over (n, K) per-input summaries: ``fit_batch`` runs
-them on every input at once, ``fit_mom`` and ``fit_mle`` on one row.  Each
-step is elementwise or reduces within a row, and each row stops its sweeps
-on its own, so a row's fit has the same bits in any batch.
+Both are array kernels over (n, K) per-input summaries, and ``_fit`` is
+the one implementation that runs them: on every input of an (n, M, K)
+block, as the CLI calls it on the predictions reader's array, or of a list
+of (M_i, K) ensembles.  ``fit_mom``, ``fit_mle`` and ``fit_batch`` are its
+views.  Each step is elementwise or reduces within one input, and each row
+stops its sweeps on its own, so a row's fit has the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dirichlet import SIMPLEX_TOL, DirichletParams
+from .dirichlet import SIMPLEX_TOL, DirichletParams, _simplex_rows
 from .specfun import digamma, inverse_digamma
 
 __all__ = [
@@ -71,10 +73,10 @@ class EnsembleSample:
             raise ValueError("an ensemble needs at least 2 members")
         if k < 2:
             raise ValueError("an ensemble needs at least 2 classes")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0) or np.any(probs > 1.0):
+        in_bounds, totals = _simplex_rows(probs)
+        if not in_bounds.all():
             raise ValueError("every probability must lie in [0, 1]")
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
+        if np.any(np.abs(totals - 1.0) > SIMPLEX_TOL):
             raise ValueError(f"every row must sum to 1 within {SIMPLEX_TOL}")
         self.probs = probs
 
@@ -132,18 +134,22 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=-1)[..., -1]
 
 
-def _mean_var(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = probs.mean(axis=0)
-    sigma2 = probs.var(axis=0, ddof=1)
+def _summaries(probs: np.ndarray, p_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Mean, unbiased variance and floored mean log over the members axis
+    # (-2) of one (M, K) ensemble or an (n, M, K) block.  Each input reduces
+    # alone, so its values have the same bits in either shape.
+    mu = probs.mean(axis=-2)
+    sigma2 = probs.var(axis=-2, ddof=1)
     # Rounding in the mean can leave a ~1e-32 residue on columns whose
     # members agree bitwise; their spread is zero by definition.
-    sigma2[np.all(probs == probs[0], axis=0)] = 0.0
-    return mu, sigma2
+    sigma2[np.all(probs == probs[..., :1, :], axis=-2)] = 0.0
+    logs = np.maximum(probs, p_floor)
+    return mu, sigma2, np.log(logs, out=logs).mean(axis=-2)
 
 
 def moments(s: SampleLike) -> MomentSummary:
     """Per-class empirical mean and unbiased variance of an ensemble."""
-    mu, sigma2 = _mean_var(_as_sample(s).probs)
+    mu, sigma2, _ = _summaries(_as_sample(s).probs, DEFAULT_P_FLOOR)
     valid = np.flatnonzero(_class_alpha0(mu, sigma2)[1])
     return MomentSummary(mu=mu, sigma2=sigma2, valid_classes=valid)
 
@@ -181,13 +187,41 @@ def _mle_rows(alpha: np.ndarray, lbar: np.ndarray, max_iter: int, eps: float, pa
     return alpha, used, converged
 
 
-def _check(alpha0_cap=DEFAULT_ALPHA0_CAP, max_iter=DEFAULT_MAX_ITER, eps=DEFAULT_EPS, p_floor=DEFAULT_P_FLOOR):
+def _check(alpha0_cap, max_iter, eps, p_floor, n_threads) -> None:
     if not (math.isfinite(alpha0_cap) and alpha0_cap > 0.0):
         raise ValueError("alpha0_cap must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not (eps > 0.0 and p_floor > 0.0):
         raise ValueError("eps and p_floor must be > 0")
+    if n_threads is not None and n_threads < 1:
+        raise ValueError("n_threads must be >= 1")
+
+
+def _fit(probs, mle: bool, init=None, path=None, *, alpha0_cap=DEFAULT_ALPHA0_CAP, max_iter=DEFAULT_MAX_ITER,
+         eps=DEFAULT_EPS, p_floor=DEFAULT_P_FLOOR, n_threads=None):
+    """Fit every input of an unchecked (n, M, K) block, or of a list of (M_i, K) ensembles.
+
+    Returns (n, K) concentrations and (n,) degenerate flags, MLE sweeps
+    used (0 where not refined) and convergence.  Rows start from their
+    moment fit, or from ``init`` (n, K); with ``mle`` the non-degenerate
+    ones are refined, and ``path`` receives them after each sweep.
+    """
+    _check(alpha0_cap, max_iter, eps, p_floor, n_threads)
+    if isinstance(probs, np.ndarray):
+        mu, sigma2, lbar = _summaries(probs, p_floor)
+    else:
+        mu, sigma2, lbar = (np.stack(a) for a in zip(*(_summaries(p, p_floor) for p in probs)))
+    if init is None:
+        alpha, degenerate = _mom_rows(mu, sigma2, alpha0_cap)
+    else:
+        alpha, degenerate = np.array(init, dtype=np.float64), np.zeros(len(init), dtype=bool)
+    used = np.zeros(alpha.shape[0], dtype=np.int64)
+    converged = np.zeros(alpha.shape[0], dtype=bool)
+    if mle:
+        refine = np.flatnonzero(~degenerate)
+        alpha[refine], used[refine], converged[refine] = _mle_rows(alpha[refine], lbar[refine], max_iter, eps, path)
+    return alpha, degenerate, used, converged
 
 
 def fit_mom(s: SampleLike, alpha0_cap: float = DEFAULT_ALPHA0_CAP) -> FitResult:
@@ -198,9 +232,7 @@ def fit_mom(s: SampleLike, alpha0_cap: float = DEFAULT_ALPHA0_CAP) -> FitResult:
     usable class the fit is flagged degenerate and the cap is used as the
     total concentration instead.
     """
-    _check(alpha0_cap=alpha0_cap)
-    mu, sigma2 = _mean_var(_as_sample(s).probs)
-    alpha, degenerate = _mom_rows(mu[None], sigma2[None], alpha0_cap)
+    alpha, degenerate, _, _ = _fit(_as_sample(s).probs[None], False, alpha0_cap=alpha0_cap)
     return FitResult(params=DirichletParams(alpha[0]), degenerate=bool(degenerate[0]))
 
 
@@ -222,10 +254,9 @@ def fit_mle(
     sample = _as_sample(s)
     if init.k != sample.k:
         raise ValueError("init dimension does not match the ensemble")
-    _check(max_iter=max_iter, eps=eps, p_floor=p_floor)
     path = [init.alpha[None].copy()] if keep_path else None
-    lbar = np.log(np.maximum(sample.probs, p_floor)).mean(axis=0)
-    alpha, used, converged = _mle_rows(init.alpha[None], lbar[None], max_iter, eps, path)
+    alpha, _, used, converged = _fit(sample.probs[None], True, init.alpha[None], path,
+                                     max_iter=max_iter, eps=eps, p_floor=p_floor)
     return FitResult(DirichletParams(alpha[0]), False, int(used[0]), bool(converged[0]),
                      None if path is None else [a[0] for a in path])
 
@@ -245,27 +276,24 @@ def fit_batch(
     ``mode`` is "mom" or "mom_then_mle"; the latter refines each
     non-degenerate moment fit with the fixed-point MLE (degenerate fits
     are returned as-is, since identical ensemble members make the
-    likelihood unbounded).  All inputs are fitted in one array pass;
-    ``n_threads`` is checked to be at least 1 and changes nothing.
+    likelihood unbounded).  The ensembles may differ in M; all are fitted
+    in one array pass.  ``n_threads`` is checked to be at least 1 and
+    changes nothing.
     """
     if mode not in ("mom", "mom_then_mle"):
         raise ValueError('mode must be "mom" or "mom_then_mle"')
-    if n_threads is not None and n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
-    _check(alpha0_cap, max_iter, eps, p_floor)
+    settings = dict(alpha0_cap=alpha0_cap, max_iter=max_iter, eps=eps, p_floor=p_floor, n_threads=n_threads)
     ensembles = [_as_sample(s) for s in samples]
     if not ensembles:
+        _check(**settings)
         return []
     k = ensembles[0].k
     for i, e in enumerate(ensembles):
         if e.k != k:
             raise ValueError(f"dimension mismatch: sample 0 has K={k}, sample {i} has K={e.k}")
-    mu, sigma2 = (np.stack(a) for a in zip(*(_mean_var(e.probs) for e in ensembles)))
-    alpha, degenerate = _mom_rows(mu, sigma2, alpha0_cap)
-    refine = np.flatnonzero(~degenerate) if mode == "mom_then_mle" else np.arange(0)
-    lbar = np.array([np.log(np.maximum(ensembles[i].probs, p_floor)).mean(axis=0) for i in refine])
-    alpha[refine], used, converged = _mle_rows(alpha[refine], lbar.reshape(-1, k), max_iter, eps)
-    results = [FitResult(DirichletParams(a), d) for a, d in zip(alpha, degenerate.tolist())]
-    for i, it, conv in zip(refine.tolist(), used.tolist(), converged.tolist()):
-        results[i].iterations_used, results[i].converged = it, conv
-    return results
+    mle = mode == "mom_then_mle"
+    alpha, degenerate, used, converged = _fit([e.probs for e in ensembles], mle, **settings)
+    return [
+        FitResult(DirichletParams(a), d, *((it, conv) if mle and not d else (None, None)))
+        for a, d, it, conv in zip(alpha, degenerate.tolist(), used.tolist(), converged.tolist())
+    ]

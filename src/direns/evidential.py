@@ -93,7 +93,7 @@ class OneHotLabel:
 
 @dataclass
 class EvidentialConfig:
-    """Head configuration: activation choice, offset, and regularizer knobs.
+    """Head configuration: activation choice, offset, and activation parameters.
 
     ``adaptive_beta`` (per-class, >= 1) and ``adaptive_gamma`` (per-class,
     > 0) must be given exactly when the activation is adaptive_softplus.
@@ -106,7 +106,6 @@ class EvidentialConfig:
     adaptive_beta: Optional[np.ndarray] = None
     adaptive_gamma: Optional[np.ndarray] = None
     clamp_bound: float = 30.0
-    lambda0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATIONS:
@@ -133,8 +132,6 @@ class EvidentialConfig:
             self.adaptive_gamma = gamma
         if not (math.isfinite(self.clamp_bound) and self.clamp_bound > 0.0):
             raise ValueError("clamp_bound must be finite and > 0")
-        if self.lambda0 < 0.0:
-            raise ValueError("lambda0 must be nonnegative")
 
 
 LabelLike = Union[OneHotLabel, int]

@@ -11,7 +11,8 @@ Three CSV formats move data between commands:
 Readers parse a whole file into arrays: ``read_predictions`` gives
 ``probs`` (n, M, K) in sorted sample and model order, ``read_alphas``
 sorted ids, a (n,) degenerate mask, (n, K) concentrations and their (n,)
-exact row sums.  The writers take the same arrays.  Checks run
+exact row sums.  The writers take the same arrays, and ``write_curve``
+the (P, 3) array of coverage, risk and tau.  Checks run
 over whole arrays; a ``ValidationError`` names the earliest bad row in
 file order (the header is row 1) and the first check it fails.  Rows that
 miss exact closure within the 1e-6 tolerance are renormalized with a
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dirichlet import SIMPLEX_TOL, _exact_sum
+from .dirichlet import SIMPLEX_TOL, _exact_sum, _simplex_rows
 
 __all__ = [
     "ValidationError",
@@ -250,13 +251,7 @@ def read_predictions(path: str) -> PredictionsData:
     """
     body, k = _body(path, _read_rows(path), ["sample_id", "model_id"], "p")
     shaped, numeric, sids, mids, values = _columns(body, k + 2)
-    in_bounds = np.isfinite(values).all(axis=1) & (values >= 0.0).all(axis=1) & (values <= 1.0).all(axis=1)
-    # np.sum of K values in [0, 1] is within K * 2.2e-16 of the exact sum,
-    # so only rows past half the warning tolerance can need the exact one.
-    near = np.flatnonzero(in_bounds)
-    near = near[np.abs(values[near].sum(axis=1) - 1.0) > RENORM_WARN_TOL / 2]
-    totals = np.ones(len(body))
-    totals[near] = list(map(_exact_sum, values[near]))
+    in_bounds, totals = _simplex_rows(values)
     miss = np.abs(totals - 1.0)
     renorm = (miss > RENORM_WARN_TOL) & (miss <= SIMPLEX_TOL)
     values[renorm] /= totals[renorm, None]
@@ -405,10 +400,9 @@ def write_alphas(path: str, sample_ids: Sequence[str], degenerate, alpha: np.nda
                  zip(_csv_fields([sample_ids[i] for i in order]), flags), alpha)
 
 
-def write_curve(path: str, points: Sequence) -> None:
-    """Write a risk-coverage curve as CSV with columns coverage,risk,tau."""
-    values = np.array([[p.coverage, p.risk, p.tau_at_point] for p in points]).reshape(-1, 3)
-    _write_table(path, ["coverage", "risk", "tau"], itertools.repeat(()), values)
+def write_curve(path: str, curve) -> None:
+    """Write a (P, 3) risk-coverage curve as CSV with columns coverage,risk,tau."""
+    _write_table(path, ["coverage", "risk", "tau"], itertools.repeat(()), np.asarray(curve, dtype=np.float64))
 
 
 def write_losses(path: str, sample_ids: Sequence[str], losses: Sequence[float]) -> None:

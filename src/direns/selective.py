@@ -17,7 +17,9 @@ As in ``calibration``, each computation has one array implementation
 over means, variances and labels; the public functions take
 ``ScoredSample`` lists and convert.  The threshold and the curve share
 one pass over the distinct variances, and the variance histograms and
-their bin edges share one range computation.
+their bin edges share one range computation.  The curve is a (P, 3)
+array of coverage, risk and tau, as ``fileio.write_curve`` takes it;
+``risk_coverage_curve`` builds its ``RiskCoveragePoint`` list from it.
 """
 
 from __future__ import annotations
@@ -174,12 +176,10 @@ def decide(s: ScoredSample, tau: float) -> Optional[int]:
     return None
 
 
-def _curve(variance: np.ndarray, wrong: np.ndarray) -> list[RiskCoveragePoint]:
+def _curve(variance: np.ndarray, wrong: np.ndarray) -> np.ndarray:
+    # (P, 3) coverage, risk and tau, one row per distinct variance.
     values, kept, errors = _prefix_risk(variance, wrong)
-    return [
-        RiskCoveragePoint(coverage=c, risk=r, tau_at_point=t)
-        for c, r, t in zip((kept / variance.size).tolist(), (errors / kept).tolist(), values.tolist())
-    ]
+    return np.column_stack([kept / variance.size, errors / kept, values])
 
 
 def risk_coverage_curve(test: Sequence[ScoredSample]) -> list[RiskCoveragePoint]:
@@ -189,7 +189,7 @@ def risk_coverage_curve(test: Sequence[ScoredSample]) -> list[RiskCoveragePoint]
     variance adds at least one retained sample.
     """
     mean, variance, labels = _arrays(test)
-    return _curve(variance, _wrong(mean, labels))
+    return [RiskCoveragePoint(*row) for row in _curve(variance, _wrong(mean, labels)).tolist()]
 
 
 def _variance_histograms(variance: np.ndarray, wrong: np.ndarray, bins: int):

@@ -129,10 +129,13 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 def _reciprocal_parts(x):
     # 1/x as a rounded head plus its residual, via an exact product of the
     # head with x, so the shift stays accurate for tiny x.  The factors are
-    # split at scales 2**28 and 2**-28, which cancel exactly.
+    # split at scales s and 1/s, which cancel exactly.  s is 2**28 for x > 1
+    # (2**-28 vanishes beside it in the sum) and 2**-28 otherwise, so the
+    # head's split cannot overflow when 1/x nears the largest float.
     hi = 1.0 / x
-    hs = hi * 2.0**28
-    xs = x * 2.0**-28
+    scale = 2.0**-28 + (x > 1.0) * 2.0**28
+    hs = hi * scale
+    xs = x / scale
     ah = hs * _SPLITTER
     ah = ah - (ah - hs)
     al = hs - ah

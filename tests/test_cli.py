@@ -359,7 +359,9 @@ class TestLossesCommand:
             code = run("losses", "--alphas", alphas, "--labels", labels, "--loss", loss,
                        "--lambda0", "1", "--out", out)
         assert code == 1
-        assert capsys.readouterr().err == f"error: {alphas}: row 3: the {loss} loss overflows a float\n"
+        assert capsys.readouterr().err == (
+            f"error: {alphas}: row 3: the {loss} loss overflows or loses its precision in a float\n"
+        )
         assert not out.exists()
 
     def test_huge_concentrations_give_finite_mse(self, tmp_path):
@@ -372,7 +374,17 @@ class TestLossesCommand:
         assert run("losses", "--alphas", alphas, "--labels", labels, "--loss", "mse", "--out", out) == 0
         assert self.read_loss(out)["s1"] == 0.5
 
-    def test_huge_cap_fit_is_scored(self, tmp_path):
+    def test_tiny_concentrations_give_finite_digamma(self, tmp_path):
+        alphas = tmp_path / "a.csv"
+        alphas.write_text("sample_id,degenerate,a_0,a_1\ns0,0,2,2\ns1,0,1e-300,1e-300\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("sample_id,label\ns0,0\ns1,1\n")
+        out = tmp_path / "loss.csv"
+        assert run("losses", "--alphas", alphas, "--labels", labels, "--loss", "digamma", "--out", out) == 0
+        # psi(2e-300) - psi(1e-300) is 5e299 to double precision.
+        assert self.read_loss(out)["s1"] == pytest.approx(5e299, rel=1e-15)
+
+    def test_huge_cap_fit_is_scored(self, tmp_path, capsys):
         # A zero-spread input fitted with a huge cap gets alpha_0 near the cap.
         paths = simulate(tmp_path, n=40, m=6, k=3)
         with open(paths["preds"], "a") as handle:
@@ -389,6 +401,15 @@ class TestLossesCommand:
             assert run("losses", *common, "--loss", loss, "--lambda0", "1", "--out", out) == 0
             assert all(math.isfinite(v) for v in self.read_loss(out).values())
         assert self.read_loss(tmp_path / "mse.csv")["z0"] == pytest.approx(0.38, abs=1e-12)
+        # The KL's terms cancel far past double precision there.
+        capsys.readouterr()
+        out = tmp_path / "mse-kl.csv"
+        assert run("losses", *common, "--loss", "mse-kl", "--lambda0", "1", "--out", out) == 1
+        row = len(read_alphas(str(fits)).sample_ids) + 1
+        assert capsys.readouterr().err == (
+            f"error: {fits}: row {row}: the mse-kl loss overflows or loses its precision in a float\n"
+        )
+        assert not out.exists()
 
     def test_ids_are_csv_quoted(self, tmp_path):
         alphas = tmp_path / "a.csv"

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from direns.dirichlet import (
+    SIMPLEX_TOL,
     DirichletParams,
     ProbabilityVector,
+    _simplex_rows,
     class_variance,
     kl_to_uniform,
     kl_to_uniform_grad,
@@ -22,6 +24,8 @@ from direns.dirichlet import (
     sample,
     total_variance,
 )
+from direns.estimators import EnsembleSample
+from direns.fileio import ValidationError, read_predictions
 
 
 def params(*alpha: float) -> DirichletParams:
@@ -63,6 +67,43 @@ class TestProbabilityVector:
     def test_rejects_off_simplex(self, p):
         with pytest.raises(ValueError):
             ProbabilityVector(np.array(p, dtype=float))
+
+
+class TestSimplexCheck:
+    # Misses of 1 around the 1e-6 tolerance, and inside the float-sum gate.
+    MISSES = [2e-10, -4e-10, 9e-7, -9.999999e-7, 1.0000001e-6, -1.0000001e-6, 1.1e-6, 3e-6]
+
+    def rows(self) -> np.ndarray:
+        return np.array([[0.25, 0.25 + d, 0.5] for d in self.MISSES] + [[1.5, -0.5, 0.0], [np.nan, 0.5, 0.5]])
+
+    def test_exact_totals_beyond_the_gate(self):
+        rows = self.rows()
+        in_bounds, totals = _simplex_rows(rows)
+        assert in_bounds.tolist() == [True] * len(self.MISSES) + [False, False]
+        assert np.isnan(totals[~in_bounds]).all()
+        for row, total in zip(rows[in_bounds].tolist(), totals[in_bounds].tolist()):
+            if abs(total - 1.0) > 5e-10:
+                assert total == math.fsum(row)
+
+    @pytest.mark.filterwarnings("ignore::direns.fileio.RenormalizationWarning")
+    def test_point_ensemble_and_reader_decide_alike(self, tmp_path):
+        for row in self.rows():
+            in_bounds = bool(((row >= 0.0) & (row <= 1.0)).all())
+            rejected = not (in_bounds and abs(math.fsum(row.tolist()) - 1.0) <= SIMPLEX_TOL)
+            path = tmp_path / "p.csv"
+            path.write_text("sample_id,model_id,p_0,p_1,p_2\n" + "".join(
+                f"s0,m{j},{','.join(map(repr, row.tolist()))}\n" for j in range(2)))
+            builders = [
+                (ProbabilityVector, ValueError),
+                (lambda r: EnsembleSample(np.stack([r, r])), ValueError),
+                (lambda r: read_predictions(str(path)), ValidationError),
+            ]
+            for build, error in builders:
+                if rejected:
+                    with pytest.raises(error):
+                        build(row)
+                else:
+                    build(row)
 
 
 class TestMoments:

@@ -11,6 +11,7 @@ from direns.dirichlet import DirichletParams, log_likelihood, predictive_mean, s
 from direns.estimators import (
     DEFAULT_ALPHA0_CAP,
     EnsembleSample,
+    _fit,
     fit_batch,
     fit_mle,
     fit_mom,
@@ -278,3 +279,30 @@ class TestFitBatch:
             assert got.degenerate == want.degenerate
             assert got.iterations_used == want.iterations_used
             assert got.converged == want.converged
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    def test_block_fit_matches_list_fit(self, n, m, k, seed, mle):
+        # _fit on an (n, M, K) block, a view of it (as --models-limit takes
+        # one) and fit_batch on the same inputs as a list agree bit for bit.
+        rng = np.random.default_rng(seed)
+        block = rng.dirichlet(np.full(k, 1.5), size=(n, m + 1))
+        block[rng.random(n) < 0.3] = block[0, 0]
+        block[:, :, 0][rng.random((n, m + 1)) < 0.1] = 0.0
+        block /= block.sum(axis=2, keepdims=True)
+        view = block[:, :m]
+        alpha, degenerate, used, converged = _fit(view, mle, max_iter=50)
+        results = fit_batch(list(view), "mom_then_mle" if mle else "mom", max_iter=50)
+        assert alpha.tobytes() == np.array([r.params.alpha for r in results]).tobytes()
+        assert degenerate.tolist() == [r.degenerate for r in results]
+        refined = [r.iterations_used is not None for r in results]
+        assert refined == (mle & ~degenerate).tolist()
+        assert used.tolist() == [r.iterations_used or 0 for r in results]
+        assert converged.tolist() == [bool(r.converged) for r in results]
+        assert _fit(np.ascontiguousarray(view), mle, max_iter=50)[0].tobytes() == alpha.tobytes()

@@ -186,8 +186,6 @@ class TestEvidentialConfigValidation:
             EvidentialConfig(delta=2)
         with pytest.raises(ValueError):
             EvidentialConfig(clamp_bound=0.0)
-        with pytest.raises(ValueError):
-            EvidentialConfig(lambda0=-0.5)
 
 
 class TestMseLoss:

@@ -28,7 +28,6 @@ from direns.fileio import (
     write_predictions,
     write_report,
 )
-from direns.selective import RiskCoveragePoint
 from direns.simulate import SimulationConfig, generate
 
 
@@ -293,15 +292,9 @@ class TestAlphasFile:
 class TestCurveAndReport:
     def test_curve_format(self, tmp_path):
         out = tmp_path / "c.csv"
-        points = [
-            RiskCoveragePoint(coverage=0.5, risk=0.0, tau_at_point=0.002),
-            RiskCoveragePoint(coverage=1.0, risk=0.25, tau_at_point=0.05),
-        ]
-        write_curve(str(out), points)
+        write_curve(str(out), np.array([[0.5, 0.0, 0.002], [1.0, 0.25, 0.05]]))
         lines = out.read_text().splitlines()
-        assert lines[0] == "coverage,risk,tau"
-        assert lines[1].startswith("0.5,0,")
-        assert len(lines) == 3
+        assert lines == ["coverage,risk,tau", "0.5,0,0.002", "1,0.25,0.050000000000000003"]
 
     def test_report_is_deterministic_and_newline_terminated(self, tmp_path):
         doc = {"metrics": {"accuracy": 0.75}, "provenance": {"seed": 3}}

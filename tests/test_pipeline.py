@@ -1,14 +1,15 @@
 """The CLI's array data path against the public object API, and the README against the CLI.
 
-The report commands compute every row's predictive mean and total
-variance at once, and ``losses`` every row's loss in one call; none
-builds per-row objects.  These tests rebuild the same numbers through the
-public scalar chain, per-row ``DirichletParams`` ->
-``predictive_mean``/``total_variance`` -> ``LabeledPrediction``/
-``ScoredSample`` -> the report functions, or ``DirichletParams`` ->
-``mse_loss``/``digamma_loss``/``mse_kl_loss``/``log_evidence_penalty``,
-and require report.json, select.json, the curve CSV and losses.csv to
-match it bit for bit.
+``fit`` fits the reader's (n, M, K) array in one call, the report
+commands compute every row's predictive mean and total variance at once,
+and ``losses`` every row's loss in one call; no command builds per-input
+objects.  These tests rebuild the same numbers through the public scalar
+chain, ``fit_mom``/``fit_mle`` on each input alone, per-row
+``DirichletParams`` -> ``predictive_mean``/``total_variance`` ->
+``LabeledPrediction``/``ScoredSample`` -> the report functions, or
+``DirichletParams`` -> ``mse_loss``/``digamma_loss``/``mse_kl_loss``/
+``log_evidence_penalty``, and require fits.csv, report.json, select.json,
+the curve CSV and losses.csv to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +25,19 @@ import pytest
 
 from direns.calibration import LabeledPrediction, calibration_report
 from direns.cli import _calibration_document, _json_float, main
-from direns.dirichlet import DirichletParams, predictive_mean, total_variance
-from direns.evidential import annealed_lambda, digamma_loss, log_evidence_penalty, mse_kl_loss, mse_loss
-from direns.fileio import read_alphas, read_labels
+from direns.dirichlet import DirichletParams, ProbabilityVector, predictive_mean, total_variance
+from direns.estimators import EnsembleSample, FitResult, fit_mle, fit_mom
+from direns.evidential import (
+    LOSSES,
+    annealed_lambda,
+    digamma_loss,
+    log_evidence_penalty,
+    mse_kl_loss,
+    mse_loss,
+)
+from direns.fileio import read_alphas, read_labels, read_predictions
 from direns.selective import (
+    RiskCoveragePoint,
     ScoredSample,
     calibrate_threshold,
     risk_coverage_curve,
@@ -70,6 +80,72 @@ def dataset(request, tmp_path_factory):
     assert run("fit", "--preds", preds, "--mode", "mom-mle", "--out", fits) == 0
     assert read_alphas(str(fits)).degenerate.sum() == 3
     return fits, labels, tmp
+
+
+@pytest.mark.parametrize("mode", ["mom", "mom-mle"])
+@pytest.mark.parametrize("limit", [None, 2])
+def test_fits_match_per_input_fits(dataset, mode, limit, tmp_path):
+    preds = dataset[2] / "preds.csv"
+    if len(read_predictions(str(preds)).model_ids) == 1:
+        # Nothing to fit in a single-model file: fit two members per input
+        # instead, with a zero-spread input among them.
+        preds, _, _ = simulate(tmp_path, "--scheme", "two-population", "--n", 150, "--m", 2, "--k", 5, "--seed", 6)
+        with open(preds, "a") as handle:
+            handle.writelines(f"z,m{j},0.1,0.2,0.3,0.2,0.2\n" for j in range(2))
+    out = tmp_path / "fits.csv"
+    flags = [] if limit is None else ["--models-limit", limit]
+    assert run("fit", "--preds", preds, "--mode", mode, *flags, "--out", out) == 0
+    data, fits = read_predictions(str(preds)), read_alphas(str(out))
+    assert fits.sample_ids == data.sample_ids
+    for sid, alpha, degenerate in zip(fits.sample_ids, fits.alpha, fits.degenerate.tolist()):
+        ensemble = data.ensembles[sid][:limit]
+        want = fit_mom(ensemble)
+        if mode == "mom-mle" and not want.degenerate:
+            want = fit_mle(ensemble, want.params)
+        assert alpha.tobytes() == want.params.alpha.tobytes(), sid
+        assert degenerate == want.degenerate, sid
+
+
+PER_INPUT_TYPES = (
+    EnsembleSample, DirichletParams, FitResult, ProbabilityVector,
+    LabeledPrediction, ScoredSample, RiskCoveragePoint,
+)
+
+
+def test_no_command_builds_per_input_objects(tmp_path, monkeypatch):
+    preds, labels, _ = simulate(tmp_path, "--scheme", "two-population", "--n", 60, "--m", 6, "--k", 3, "--seed", 2)
+    with open(preds, "a") as handle, open(labels, "a") as label_handle:
+        handle.writelines(f"z,m{j},0.5,0.3,0.2\n" for j in range(6))
+        label_handle.write("z,1\n")
+    single = tmp_path / "single"
+    single.mkdir()
+    single_preds, single_labels, _ = simulate(single, "--scheme", "two-population", "--n", 40, "--m", 1, "--k", 3, "--seed", 3)
+    built = []
+    for cls in PER_INPUT_TYPES:
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    fits = tmp_path / "fits.csv"
+    scored = ("--alphas", fits, "--labels", labels)
+    commands = [
+        ["fit", "--preds", preds, "--mode", "mom", "--models-limit", 4, "--out", fits],
+        ["fit", "--preds", preds, "--mode", "mom", "--out", fits],
+        ["fit", "--preds", preds, "--mode", "mom-mle", "--models-limit", 4, "--out", fits],
+        ["fit", "--preds", preds, "--mode", "mom-mle", "--out", fits],
+        ["evaluate", *scored, "--out", tmp_path / "r.json"],
+        ["evaluate", "--preds", single_preds, "--labels", single_labels, "--out", tmp_path / "r1.json"],
+        ["select", *scored, "--risk", 0.3, "--out", tmp_path / "s.json", "--curve-out", tmp_path / "c.csv"],
+        ["select", *scored, "--tau", 0.01, "--out", tmp_path / "t.json", "--curve-out", tmp_path / "c.csv"],
+        ["calibrate-threshold", *scored, "--risk", 0.3, "--out", tmp_path / "ct.json"],
+        ["risk-coverage", *scored, "--out", tmp_path / "rc.csv"],
+        *(["losses", *scored, "--loss", loss, "--lambda0", 0.5, "--out", tmp_path / "l.csv"] for loss in LOSSES),
+    ]
+    for argv in commands:
+        assert run(*argv) == 0, argv
+        assert built == [], argv
+    assert read_alphas(str(fits)).degenerate.sum() == 1
 
 
 def object_chain(alphas, labels_path):

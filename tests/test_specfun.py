@@ -128,6 +128,14 @@ class TestDigamma:
             )
         assert worst <= 1e-10, f"worst abs err {worst}"
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-305, 1e-308, 6e-309])
+    def test_tiny_arguments_stay_accurate(self, x):
+        # Down to subnormal x, as long as -1/x is finite.
+        got = digamma(x)
+        assert type(got) is float
+        assert abs(got - mp_digamma(x)) <= 1e-15 * abs(mp_digamma(x))
+        assert digamma(np.array([x, 2.0]))[0] == got
+
     @pytest.mark.parametrize("bad", [0.0, -3.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_and_nonfinite(self, bad):
         with pytest.raises(ValueError):
