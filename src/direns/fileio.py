@@ -12,12 +12,17 @@ Readers parse a whole file into arrays: ``read_predictions`` gives
 ``probs`` (n, M, K) in sorted sample and model order, ``read_alphas``
 sorted ids, a (n,) degenerate mask, (n, K) concentrations and their (n,)
 exact row sums.  The writers take the same arrays, and ``write_curve``
-the (P, 3) array of coverage, risk and tau.  Checks run
-over whole arrays; a ``ValidationError`` names the earliest bad row in
-file order (the header is row 1) and the first check it fails.  Rows that
-miss exact closure within the 1e-6 tolerance are renormalized with a
-warning instead of rejected.  Floats are written with 17 significant
-digits so files round-trip bit-exactly; writes are atomic renames.
+the (P, 3) array of coverage, risk and tau.  A plain file (printable
+ASCII without quotes, LF line ends, the header's field count on every
+line) is split at its byte offsets and its numbers parsed by
+``np.loadtxt``; any other file, or one whose numbers numpy rejects, is
+read by the ``csv`` module and ``float()``.  Both give the same arrays
+and the same errors.  Checks run over whole arrays; a
+``ValidationError`` names the earliest bad row in file order (the header
+is row 1) and the first check it fails.  Rows that miss exact closure
+within the 1e-6 tolerance are renormalized with a warning instead of
+rejected.  Floats are written with 17 significant digits so files
+round-trip bit-exactly; writes are atomic renames.
 
 Reports are JSON documents with a fixed key order, no timestamps, and a
 provenance block (input digests, settings, seed, tool version) so a rerun
@@ -36,7 +41,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -185,29 +190,32 @@ def _expect_header(actual: Sequence[str], expected: Sequence[str], path: str) ->
         )
 
 
-def _body(path: str, rows: list, lead: list[str], prefix: str) -> tuple[list, int]:
-    # Check a header of two named columns and K >= 2 columns prefix_0 ..
-    # prefix_(K-1); return the data rows and K.
-    if not rows:
+def _width(path: str, header: Optional[list], rows: int, lead: list[str], prefix: Optional[str]) -> int:
+    # Check a header of the two ``lead`` columns, followed, given a
+    # ``prefix``, by K >= 2 columns prefix_0 .. prefix_(K-1), over ``rows``
+    # data rows; return its field count.  ``header`` is None for an empty file.
+    if header is None:
         raise ValidationError(f"{path}: row 1: empty file, header expected")
-    header = rows[0]
-    if len(header) < 4 or header[:2] != lead:
+    if prefix is None:
+        _expect_header(header, lead, path)
+    elif len(header) < 4 or header[:2] != lead:
         raise ValidationError(
             f"{path}: row 1: header must be {','.join(lead)},{prefix}_0..{prefix}_(K-1)"
         )
-    k = len(header) - 2
-    _expect_header(header, lead + [f"{prefix}_{i}" for i in range(k)], path)
-    if len(rows) == 1:
+    else:
+        _expect_header(header, lead + [f"{prefix}_{i}" for i in range(len(header) - 2)], path)
+    if rows == 0:
         raise ValidationError(f"{path}: row 2: no data rows")
-    return rows[1:], k
+    return len(header)
 
 
 def _columns(rows: list, width: int):
-    # (shaped, numeric, first, second, values): which rows have ``width``
-    # fields and which of those parse, the two text columns, and the
-    # (n, width - 2) float block, NaN on rows that do not parse.
+    # (fields, numeric, first, second, values): each row's field count,
+    # which rows have ``width`` fields that all parse, the two text columns,
+    # and the (n, width - 2) float block, NaN on rows that do not parse.
     n = len(rows)
-    shaped = np.fromiter(map(len, rows), np.intp, n) == width
+    fields = np.fromiter(map(len, rows), np.intp, n)
+    shaped = fields == width
     if not shaped.all():
         rows = [r if ok else [""] * width for r, ok in zip(rows, shaped.tolist())]
     table = np.array(rows, dtype=object)
@@ -221,7 +229,78 @@ def _columns(rows: list, width: int):
                 values[i] = [float(v) for v in rows[i][2:]]
             except ValueError:
                 numeric[i] = False
-    return shaped, numeric, table[:, 0].tolist(), table[:, 1].tolist(), values
+    return fields, numeric, table[:, 0].tolist(), table[:, 1].tolist(), values
+
+
+# The bytes of a plain file: printable ASCII except the quote, and LF.  On
+# such bytes csv.reader splits exactly at commas and newlines, and
+# np.loadtxt parses a number as float() does or rejects it (underscores).
+# The other ASCII whitespace and control bytes stay out: numpy strips
+# 0x1c-0x1f around a number, and float() does not.
+_PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\n"
+
+
+def _plain_split(raw: bytes):
+    # (header fields, first, second) when ``raw`` is a plain file: only
+    # _PLAIN_BYTES, the header's field count W >= 2 on every line and no
+    # field past the csv module's size limit.  first and second are the text
+    # of every data row's first two fields.  None otherwise.
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    width = raw.count(b",", 0, raw.find(b"\n")) + 1
+    if width < 2 or raw.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if ends.size % width:
+        return None
+    # Each line's W separators are W - 1 commas and its newline, so no line
+    # is blank (W >= 2) and the csv module splits it at the same bytes.
+    ends = ends.reshape(-1, width)
+    if not ((buf[ends[:, :-1]] == ord(",")).all() and (buf[ends[:, -1]] == ord("\n")).all()):
+        return None
+    if (np.diff(ends.ravel(), prepend=-1) - 1).max() >= csv.field_size_limit():
+        return None
+    # Gather each data row's first two fields with the separator after
+    # each, and split the lot at once: fields hold no comma or newline.
+    starts = ends[:-1, -1] + 1
+    lengths = ends[1:, 1] + 1 - starts
+    offsets = np.cumsum(lengths) - lengths
+    lead = buf[np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)].tobytes()
+    fields = lead.replace(b"\n", b",").decode("ascii").split(",")
+    return raw[:ends[0, -1]].decode("ascii").split(","), fields[0:-1:2], fields[1:-1:2]
+
+
+def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
+    # _table's result for a plain file whose numbers numpy parses, else None.
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    plain = _plain_split(raw)
+    if plain is None:
+        return None
+    header, first, second = plain
+    n = len(first)
+    width = _width(path, header, n, lead, prefix)
+    values = np.empty((n, 0))
+    if width > 2:
+        try:
+            values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, usecols=range(2, width),
+                                comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            return None
+    return width, np.full(n, width), np.ones(n, dtype=bool), first, second, values
+
+
+def _table(path: str, lead: list[str], prefix: Optional[str]):
+    # (width, fields, numeric, first, second, values) of the data rows of a
+    # file whose header _width accepts; see _columns.  A plain file parses
+    # through numpy; any other file, or one numpy rejects, through csv.reader.
+    table = _plain_table(path, lead, prefix)
+    if table is not None:
+        return table
+    rows = _read_rows(path)
+    width = _width(path, rows[0] if rows else None, len(rows) - 1, lead, prefix)
+    return (width, *_columns(rows[1:], width))
 
 
 def _raise_first_fault(path: str, checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
@@ -249,8 +328,8 @@ def read_predictions(path: str) -> PredictionsData:
     closure (renormalizing small misses), (sample, model) uniqueness, and
     that every sample carries the same model set.
     """
-    body, k = _body(path, _read_rows(path), ["sample_id", "model_id"], "p")
-    shaped, numeric, sids, mids, values = _columns(body, k + 2)
+    width, fields, numeric, sids, mids, values = _table(path, ["sample_id", "model_id"], "p")
+    k = width - 2
     in_bounds, totals = _simplex_rows(values)
     miss = np.abs(totals - 1.0)
     renorm = (miss > RENORM_WARN_TOL) & (miss <= SIMPLEX_TOL)
@@ -260,10 +339,10 @@ def read_predictions(path: str) -> PredictionsData:
     model_all, midx = _index(mids)
     key = sidx * len(model_all) + midx
     order = np.argsort(key, kind="stable")
-    duplicate = np.zeros(len(body), dtype=bool)
+    duplicate = np.zeros(len(fields), dtype=bool)
     duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
     _raise_first_fault(path, [
-        (~shaped, lambda i: f"expected {k + 2} fields, got {len(body[i])}"),
+        (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
         (~numeric, lambda i: "non-numeric probability"),
         (~in_bounds, lambda i: "probabilities must lie in [0, 1]"),
         (miss > SIMPLEX_TOL, lambda i: f"probabilities sum to {float(totals[i])!r}, outside 1 +- {SIMPLEX_TOL}"),
@@ -322,33 +401,29 @@ def write_predictions(path: str, sample_ids: Sequence[str], model_ids: Sequence[
                  np.asarray(probs, dtype=np.float64).reshape(n * m, k))
 
 
+def _integer(text: str) -> Optional[int]:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def read_labels(path: str) -> LabelsData:
     """Parse and validate a labels file (unique ids, integer labels >= 0)."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ValidationError(f"{path}: row 1: empty file, header expected")
-    _expect_header(rows[0], ["sample_id", "label"], path)
-    labels: dict[str, int] = {}
-    where: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValidationError(f"{path}: row {lineno}: expected 2 fields, got {len(row)}")
-        sample_id, raw = row
-        try:
-            label = int(raw)
-        except ValueError:
-            raise ValidationError(f"{path}: row {lineno}: label must be an integer") from None
-        if label < 0:
-            raise ValidationError(f"{path}: row {lineno}: label must be nonnegative")
-        if sample_id in labels:
-            raise ValidationError(
-                f"{path}: row {lineno}: duplicate sample_id {sample_id!r}"
-            )
-        labels[sample_id] = label
-        where[sample_id] = lineno
-    if not labels:
-        raise ValidationError(f"{path}: row 2: no data rows")
-    return LabelsData(labels=labels, rows=where)
+    _, fields, _, ids, texts, _ = _table(path, ["sample_id", "label"], None)
+    n = len(ids)
+    values = list(map(_integer, texts))
+    labels = np.array(values, dtype=object)
+    integer = ~np.equal(labels, None)
+    rows = dict(zip(reversed(ids), range(n + 1, 1, -1)))  # each id's first row
+    _raise_first_fault(path, [
+        (fields != 2, lambda i: f"expected 2 fields, got {fields[i]}"),
+        (~integer, lambda i: "label must be an integer"),
+        (np.where(integer, labels, 0) < 0, lambda i: "label must be nonnegative"),
+        (np.fromiter(map(rows.__getitem__, ids), np.intp, n) != np.arange(2, n + 2),
+         lambda i: f"duplicate sample_id {ids[i]!r}"),
+    ])
+    return LabelsData(labels=dict(zip(ids, values)), rows=rows)
 
 
 def write_labels(path: str, pairs: Sequence[tuple]) -> None:
@@ -359,29 +434,31 @@ def write_labels(path: str, pairs: Sequence[tuple]) -> None:
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
     """Labels of ``sample_ids`` in order as an int array; each must exist and lie in [0, k)."""
-    labels = list(map(data.labels.get, sample_ids))
-    for sid, label in zip(sample_ids, labels):
-        if label is None:
+    labels = np.array(list(map(data.labels.get, sample_ids)), dtype=object)
+    missing = np.equal(labels, None)
+    bad = np.flatnonzero(missing | (np.where(missing, 0, labels) >= k))
+    if bad.size:
+        sid = sample_ids[bad[0]]
+        if missing[bad[0]]:
             raise ValidationError(f"{path}: missing label for sample_id {sid!r}")
-        if label >= k:
-            raise ValidationError(
-                f"{path}: row {data.rows[sid]}: label {label} outside [0, {k}) "
-                f"for sample_id {sid!r}"
-            )
-    return np.array(labels, dtype=np.int64)
+        raise ValidationError(
+            f"{path}: row {data.rows[sid]}: label {labels[bad[0]]} outside [0, {k}) "
+            f"for sample_id {sid!r}"
+        )
+    return labels.astype(np.int64)
 
 
 def read_alphas(path: str) -> AlphasData:
     """Parse and validate an alphas file (positive values with a finite sum, sorted unique ids)."""
-    body, k = _body(path, _read_rows(path), ["sample_id", "degenerate"], "a")
-    shaped, numeric, ids, flags, alpha = _columns(body, k + 2)
+    width, fields, numeric, ids, flags, alpha = _table(path, ["sample_id", "degenerate"], "a")
+    n = len(ids)
     positive = np.isfinite(alpha).all(axis=1) & (alpha > 0.0).all(axis=1)
-    totals = np.zeros(len(body))
+    totals = np.zeros(n)
     totals[positive] = list(map(_exact_sum, alpha[positive]))
-    unsorted = np.zeros(len(body), dtype=bool)
-    unsorted[1:] = np.fromiter(map(operator.le, ids[1:], ids[:-1]), bool, len(body) - 1)
+    unsorted = np.zeros(n, dtype=bool)
+    unsorted[1:] = np.fromiter(map(operator.le, ids[1:], ids[:-1]), bool, n - 1)
     _raise_first_fault(path, [
-        (~shaped, lambda i: f"expected {k + 2} fields, got {len(body[i])}"),
+        (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
         (np.array([f not in ("0", "1") for f in flags]), lambda i: "degenerate must be 0 or 1"),
         (~numeric, lambda i: "non-numeric concentration"),
         (~positive, lambda i: "concentrations must be finite and > 0"),

@@ -16,7 +16,9 @@ schemes cover the cases the downstream stages care about:
   coincide and selective classification has no operating points left.
 
 All draws come from one seeded generator in a fixed order, so a given
-configuration always produces identical files.
+configuration always produces identical files.  ``generate`` draws every
+input's members into one (n, M, K) array, ``SimulatedData.probs``; the
+per-id ``ensembles`` are views into it.
 """
 
 from __future__ import annotations
@@ -76,13 +78,20 @@ class SimulationConfig:
 
 @dataclass
 class SimulatedData:
-    """Generated dataset: ids, labels, ground-truth alphas, and ensembles."""
+    """Generated dataset: ids, labels, ground-truth alphas, and ensembles.
+
+    ``probs[i, m]`` is member ``model_ids[m]``'s probability vector for
+    ``sample_ids[i]``, an (n, M, K) array.  ``ensembles`` and ``alphas`` map
+    each sample id to its (M, K) ensemble and its (K,) concentrations, both
+    views into arrays.
+    """
 
     sample_ids: list
     model_ids: list
     labels: dict
     alphas: dict
     ensembles: dict = field(repr=False)
+    probs: np.ndarray = field(repr=False)
 
 
 def _peaked_mean(k: int, target: int, peak: float) -> np.ndarray:
@@ -94,41 +103,46 @@ def _peaked_mean(k: int, target: int, peak: float) -> np.ndarray:
 def generate(config: SimulationConfig) -> SimulatedData:
     """Draw the dataset described by ``config``, deterministically per seed."""
     rng = np.random.default_rng(config.seed)
-    width = max(1, len(str(config.n - 1)))
-    model_width = max(1, len(str(config.m - 1)))
-    sample_ids = [f"s{i:0{width}d}" for i in range(config.n)]
-    model_ids = [f"m{j:0{model_width}d}" for j in range(config.m)]
+    n, m, k = config.n, config.m, config.k
+    width = max(1, len(str(n - 1)))
+    model_width = max(1, len(str(m - 1)))
+    sample_ids = [f"s{i:0{width}d}" for i in range(n)]
+    model_ids = [f"m{j:0{model_width}d}" for j in range(m)]
 
-    labels: dict[str, int] = {}
-    alphas: dict[str, np.ndarray] = {}
-    ensembles: dict[str, np.ndarray] = {}
-    for sid in sample_ids:
+    # Each input draws its label, its alpha and then its (M, K) gamma block
+    # in turn; drawing the blocks together would reorder the seeded stream.
+    labels: list[int] = []
+    alphas = np.empty((n, k))
+    probs = np.empty((n, m, k))
+    if config.scheme == "fixed":
+        alphas[:] = config.alpha
+        mean = config.alpha / config.alpha.sum()
+    elif config.scheme == "collapse":
+        alphas[:] = config.collapse_alpha0 / k
+    else:
+        peaked = [_peaked_mean(k, target, config.peak) for target in range(k)]
+    for i in range(n):
         if config.scheme == "fixed":
-            alpha = config.alpha
-            mean = alpha / alpha.sum()
-            label = int(rng.choice(config.k, p=mean))
+            label = int(rng.choice(k, p=mean))
         elif config.scheme == "collapse":
-            alpha = np.full(config.k, config.collapse_alpha0 / config.k)
-            label = int(rng.integers(config.k))
+            label = int(rng.integers(k))
         else:
-            label = int(rng.integers(config.k))
-            wrong = int(rng.integers(config.k - 1))
+            label = int(rng.integers(k))
+            wrong = int(rng.integers(k - 1))
             if wrong >= label:
                 wrong += 1
             incorrect = bool(rng.random() < config.frac_incorrect)
             lo, hi = config.incorrect_alpha0 if incorrect else config.correct_alpha0
-            alpha0 = float(rng.uniform(lo, hi))
-            target = wrong if incorrect else label
-            alpha = alpha0 * _peaked_mean(config.k, target, config.peak)
-        draws = rng.gamma(shape=alpha, size=(config.m, config.k))
-        draws = np.maximum(draws, 1e-300)
-        ensembles[sid] = draws / draws.sum(axis=1, keepdims=True)
-        labels[sid] = label
-        alphas[sid] = np.asarray(alpha, dtype=np.float64)
+            alphas[i] = float(rng.uniform(lo, hi)) * peaked[wrong if incorrect else label]
+        rng.standard_gamma(alphas[i], size=(m, k), out=probs[i])
+        labels.append(label)
+    np.maximum(probs, 1e-300, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
     return SimulatedData(
         sample_ids=sample_ids,
         model_ids=model_ids,
-        labels=labels,
-        alphas=alphas,
-        ensembles=ensembles,
+        labels=dict(zip(sample_ids, labels)),
+        alphas=dict(zip(sample_ids, alphas)),
+        ensembles=dict(zip(sample_ids, probs)),
+        probs=probs,
     )

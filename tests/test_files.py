@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from direns import fileio
 from direns.fileio import (
     AlphaRow,
     AlphasData,
@@ -196,6 +199,28 @@ class TestPredictionsFile:
         assert np.shares_memory(data.ensembles["s1"], data.probs)
 
 
+    def test_plain_file_parse_traces_less_memory_than_the_csv_path(self, tmp_path):
+        # 25k rows, the ensemble-mle benchmark's shape.  The csv path holds
+        # one list of strings per row; the numpy parse holds arrays and the
+        # two id columns.
+        data = generate(SimulationConfig(n=500, m=50, k=7, seed=1, scheme="two_population"))
+        path = str(tmp_path / "p.csv")
+        write_predictions(path, data.sample_ids, data.model_ids, data.probs)
+
+        def traced_peak() -> int:
+            tracemalloc.start()
+            try:
+                read_predictions(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain = traced_peak()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_plain_split", lambda raw: None)
+            via_csv = traced_peak()
+        assert plain < via_csv
+
 class TestLabelsFile:
     def test_round_trip_sorted(self, tmp_path):
         out = tmp_path / "l.csv"
@@ -335,6 +360,51 @@ class TestSimulate:
             not np.array_equal(data.ensembles[sid], shifted.ensembles[sid])
             for sid in data.sample_ids
         )
+
+    # sha256 of probs, labels (int64) and alphas, each stacked in sample
+    # order, as numpy 2.4 on x86-64 draws them.  K = 1000 reaches numpy's
+    # pairwise summation in the row normalization.
+    PINNED = [
+        (dict(n=50, m=4, k=3, seed=11, scheme="fixed", alpha=np.array([3.0, 1.0, 0.5])),
+         "4c88120917273a262be4830374c4d6ef296b57bd2e73f502bb93b4b3061acf47",
+         "a0b37e77bc4c08c350b93885e04c92ae5675cdf22c5e1af721333bfcb477016e",
+         "fbdbdec22f0a0c5a395ab3062a039ff25ec2e9c611265df62b826a21b96ede8b"),
+        (dict(n=60, m=8, k=5, seed=3, scheme="two_population"),
+         "938727b16c112d2caab747405c6cdef8b425f1339185ab00f734f56f742b3440",
+         "9a51bdc26bf49b471343f4fc52246345c3b2262a94d0d069faffe622f3060cca",
+         "b23a15e6cffcf1bc1efd03720333199cf5eb5dcbbabd232172a40f02f0f5e155"),
+        (dict(n=30, m=6, k=4, seed=2, scheme="collapse"),
+         "1f31d98f937a76003e0b9b4159e52845e929ace609fd42a8a052ceec1b0589d4",
+         "93b4c81a1dd224dd4dbf8f7fb1035aeed2b60a6cd5ec52c8093832753ab097b8",
+         "06f4b299da96e7959dfecf8bdd21e08f2ac3b1e2ab772551b167b314d34163fa"),
+        (dict(n=4, m=3, k=1000, seed=9, scheme="two_population"),
+         "16ff419b18070dd435de04c37b4bb1fb8d31420e6973bc2aee19965daa6db8bc",
+         "dce15db80a067b4de03822f0be4d6be30b34c00e70f14e266bc10c18ae49e905",
+         "fcdd91715f4879573de0b6f1a88757480efcac170a8ee5e7709d27f9b9548c6d"),
+        (dict(n=200, m=1, k=10, seed=7, scheme="two_population"),
+         "afb86c791cadceb7de6e4d9464e3e2ff595929f7ecab6984c0651662c425c7c3",
+         "89eeea00496ac2bb1649177de60f4c9614eaf81f012a5b20c5a5c3a8128e0456",
+         "b5ea1a0c84ebb404a126109e53359c114237eac6113ce1ac0268604f7871d630"),
+    ]
+
+    @pytest.mark.parametrize("config, probs, labels, alphas", PINNED,
+                             ids=["fixed", "two-population", "collapse", "k1000", "m1"])
+    def test_draws_keep_their_bits(self, config, probs, labels, alphas):
+        data = generate(SimulationConfig(**config))
+
+        def digest(rows):
+            return hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest()
+
+        assert digest(data.probs) == probs
+        assert digest(np.array([data.labels[sid] for sid in data.sample_ids], dtype=np.int64)) == labels
+        assert digest(np.array([data.alphas[sid] for sid in data.sample_ids])) == alphas
+
+    def test_ensembles_are_views_of_probs(self):
+        data = generate(self.base())
+        assert data.probs.shape == (40, 12, 3)
+        for i, sid in enumerate(data.sample_ids):
+            assert data.ensembles[sid].base is data.probs
+            np.testing.assert_array_equal(data.ensembles[sid], data.probs[i])
 
     def test_ids_sort_in_numeric_order(self):
         data = generate(self.base(n=120))
