@@ -146,9 +146,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             f"{args.preds}: fitting needs at least 2 models per sample, found {m}"
         )
     # The reader has checked every row's bounds and closure, and K >= 2.
-    alpha, degenerate, _, _ = _fit(
+    refine = args.mode == "mom-mle"
+    alpha, degenerate, _, converged = _fit(
         data.probs[:, :m],
-        args.mode == "mom-mle",
+        refine,
         alpha0_cap=args.cap,
         max_iter=args.max_iter,
         eps=args.eps,
@@ -156,6 +157,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         n_threads=args.threads,
     )
     write_alphas(args.out, data.sample_ids, degenerate, alpha)
+    refined = int(np.count_nonzero(~degenerate)) if refine else 0
+    stopped = refined - int(np.count_nonzero(converged))
+    if stopped:
+        print(f"warning: {stopped} of {refined} refined rows stopped at --max-iter "
+              f"{args.max_iter} before converging", file=sys.stderr)
     return 0
 
 

@@ -21,8 +21,9 @@ and the same errors.  Checks run over whole arrays; a
 ``ValidationError`` names the earliest bad row in file order (the header
 is row 1) and the first check it fails.  Rows that miss exact closure
 within the 1e-6 tolerance are renormalized with a warning instead of
-rejected.  Floats are written with 17 significant digits so files
-round-trip bit-exactly; writes are atomic renames.
+rejected.  Floats are written as ``'%.17g' % x`` writes them, block by
+block through ``floatfmt``, so files round-trip bit-exactly; writes are
+atomic renames.
 
 Reports are JSON documents with a fixed key order, no timestamps, and a
 provenance block (input digests, settings, seed, tool version) so a rerun
@@ -46,6 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dirichlet import SIMPLEX_TOL, _exact_sum, _simplex_rows
+from .floatfmt import BLOCK, format_lines
 
 __all__ = [
     "ValidationError",
@@ -84,16 +86,17 @@ class RenormalizationWarning(UserWarning):
 
 
 def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    """``'%.17g' % x``, as the CSV writers write it."""
+    return format_lines(None, np.array([[float(x)]]))[:-1].decode("ascii")
 
 
 def atomic_write_text(path: str, text) -> None:
-    """Write a string, or an iterable of strings, via a same-directory temp file and an atomic rename."""
+    """Write a string as UTF-8, or an iterable of byte chunks, via a same-directory temp file and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines([text.encode("utf-8")] if isinstance(text, str) else text)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -375,21 +378,28 @@ def read_predictions(path: str) -> PredictionsData:
     return PredictionsData(sample_ids, model_ids, k, probs, dict(zip(sample_ids, probs)))
 
 
+class _Lines(list):
+    # A file for csv.writer that keeps each row as one string.
+    write = list.append
+
+
 def _csv_fields(values: Sequence[str]) -> list:
-    # Each value as csv.writer writes it as one field of a row of several.
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    ends = np.cumsum([writer.writerow([v, ""]) for v in values]).tolist()
-    text = buf.getvalue()
-    return [text[start:end - 2] for start, end in zip([0] + ends, ends)]
+    # Each value as csv.writer writes it as one field of a row of several,
+    # in UTF-8.
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows([v, ""] for v in values)
+    return [line[:-2].encode("utf-8") for line in lines]
 
 
 def _write_table(path: str, header: list, texts, values: np.ndarray) -> None:
-    # One line per row of the (n, V) ``values``, in one format call: the row's
-    # CSV-quoted text fields from ``texts``, then its floats in full precision.
-    line = ",".join(["%s"] * (len(header) - values.shape[1]) + ["%.17g"] * values.shape[1]) + "\n"
-    rows = (line % (*text, *row.tolist()) for text, row in zip(texts, values))
-    atomic_write_text(path, itertools.chain([",".join(header) + "\n"], rows))
+    # One line per row of the (n, V) ``values``: its leading fields, from the
+    # iterator ``texts`` of CSV bytes (None when there are none), then its
+    # numbers as '%.17g' writes them.
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    rows = max(1, BLOCK // max(values.shape[1], 1))
+    blocks = (format_lines(None if texts is None else list(itertools.islice(texts, rows)), values[i:i + rows])
+              for i in range(0, len(values), rows))
+    atomic_write_text(path, itertools.chain([(",".join(header) + "\n").encode("ascii")], blocks))
 
 
 def write_predictions(path: str, sample_ids: Sequence[str], model_ids: Sequence[str], probs) -> None:
@@ -397,8 +407,8 @@ def write_predictions(path: str, sample_ids: Sequence[str], model_ids: Sequence[
     n, m, k = np.shape(probs)
     models = _csv_fields(model_ids)
     _write_table(path, ["sample_id", "model_id"] + [f"p_{i}" for i in range(k)],
-                 ((sid, mid) for sid in _csv_fields(sample_ids) for mid in models),
-                 np.asarray(probs, dtype=np.float64).reshape(n * m, k))
+                 (sid + b"," + mid for sid in _csv_fields(sample_ids) for mid in models),
+                 np.reshape(probs, (n * m, k)))
 
 
 def _integer(text: str) -> Optional[int]:
@@ -428,8 +438,8 @@ def read_labels(path: str) -> LabelsData:
 
 def write_labels(path: str, pairs: Sequence[tuple]) -> None:
     pairs = sorted(pairs)
-    _write_table(path, ["sample_id", "label"], zip(_csv_fields([sid for sid, _ in pairs]),
-                 (str(int(label)) for _, label in pairs)), np.empty((len(pairs), 0)))
+    texts = map(b"%s,%d".__mod__, zip(_csv_fields([sid for sid, _ in pairs]), (int(label) for _, label in pairs)))
+    _write_table(path, ["sample_id", "label"], texts, np.empty((len(pairs), 0)))
 
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
@@ -472,19 +482,19 @@ def write_alphas(path: str, sample_ids: Sequence[str], degenerate, alpha: np.nda
     """Write (n, K) concentrations with their ids and degenerate flags, rows sorted by id."""
     order = sorted(range(len(sample_ids)), key=sample_ids.__getitem__)
     alpha = np.asarray(alpha, dtype=np.float64)[order]
-    flags = np.where(np.asarray(degenerate, dtype=bool), "1", "0")[order].tolist()
+    flags = np.where(np.asarray(degenerate, dtype=bool), b",1", b",0")[order].tolist()
     _write_table(path, ["sample_id", "degenerate"] + [f"a_{i}" for i in range(alpha.shape[1])],
-                 zip(_csv_fields([sample_ids[i] for i in order]), flags), alpha)
+                 map(bytes.__add__, _csv_fields([sample_ids[i] for i in order]), flags), alpha)
 
 
 def write_curve(path: str, curve) -> None:
     """Write a (P, 3) risk-coverage curve as CSV with columns coverage,risk,tau."""
-    _write_table(path, ["coverage", "risk", "tau"], itertools.repeat(()), np.asarray(curve, dtype=np.float64))
+    _write_table(path, ["coverage", "risk", "tau"], None, curve)
 
 
 def write_losses(path: str, sample_ids: Sequence[str], losses: Sequence[float]) -> None:
     """Write a losses CSV with columns sample_id,loss, one row per id."""
-    _write_table(path, ["sample_id", "loss"], zip(_csv_fields(sample_ids)), np.array(losses)[:, None])
+    _write_table(path, ["sample_id", "loss"], iter(_csv_fields(sample_ids)), np.reshape(losses, (-1, 1)))
 
 
 def write_report(path: str, document: dict) -> None:

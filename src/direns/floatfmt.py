@@ -1,0 +1,191 @@
+"""Python's ``'%.17g' % x``, computed for a block of floats at a time.
+
+The CSV writers in ``fileio`` lay out their lines with ``format_lines``.
+A finite x with 1e-280 <= |x| <= 1e280 has decimal exponent X, taken from
+log10 and corrected against the least double >= 10**X, and 17 significant
+digits D = round(|x| * 10**(16 - X)).  The product is formed in
+double-double arithmetic with an error below 1e-14 at D's scale, so D is
+exact unless the fraction lies within 1e-9 of one half.  Such near-ties,
+zeros, non-finite numbers and the rest of the range go through ``%`` one
+by one.  The digits are then laid out by ``%g``'s rules: fixed point for
+-4 <= X < 17, else ``d.ddde+XX`` with at least two exponent digits, and
+no trailing zeros or bare point in either.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+__all__ = ["BLOCK", "format_lines"]
+
+# Each number owns _SLOTS byte slots, six 8-byte words: a comma, a sign, the
+# "0.000" of a fixed-point number below 1, 17 digits each but the last
+# followed by a point, and an exponent "e+123", with spaces as padding.  A
+# table keyed by sign, exponent class and count of significant digits says
+# which slots the text keeps; the kept bytes of a block, in order, are its
+# lines.
+_TEMPLATE = b",-0.000 " + b"0." * 16 + b"0  e+000"
+_SLOTS = len(_TEMPLATE)
+_FAST = (1e-280, 1e280)
+_X0 = 300                  # table index of decimal exponent 0
+_CLASSES = 23              # fixed point for X = -4..16, then e+XX and e+XXX
+_KEYS = 2 * _CLASSES * 18  # then one fallback key per text length
+_TIE = 1e-9
+_DROP = b"\xff"
+BLOCK = 1024  # numbers per block; a block peaks at about 120 KiB
+
+
+class _Tables(NamedTuple):
+    ceil: np.ndarray     # per X: the least double >= 10**X
+    power: np.ndarray    # per X: 10**(16 - X) as hi + lo, and Dekker's 26-bit halves of hi
+    classes: np.ndarray  # per X: the key of its class
+    tail: np.ndarray     # per (X, last digit): the last word of a number's slots
+    groups: np.ndarray   # per 4-digit group: the word "d.d.d.d."
+    sig: np.ndarray      # per (group j of a 16-digit run, group): significant digits up to it
+    drop: np.ndarray     # per word, per key: _DROP in the slots the text omits
+
+
+@functools.cache
+def _format_tables() -> _Tables:
+    # Built on the first write; X is at X + _X0.
+    near, below = [], []  # 10**k for |k| <= _X0, and the rest
+    for k in range(-_X0, _X0 + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        near.append(num / den)  # correctly rounded, as is the residual below
+        a, b = near[-1].as_integer_ratio()
+        below.append((num * b - a * den) / (den * b))
+    near, below = np.array(near), np.array(below)
+    # 10**(16 - X) for the X a proven number can have; clipped beyond.
+    row = np.clip(2 * _X0 + 16 - np.arange(2 * _X0 + 1), 0, 2 * _X0)
+    hi = near[row]
+    split = hi * 134217729.0
+    high = split - (split - hi)
+
+    x = np.arange(-_X0, _X0 + 1)
+    tail = np.empty((x.size, 10, 8), dtype=np.uint8)
+    tail[:] = np.frombuffer(_TEMPLATE[-8:], np.uint8)
+    tail[:, :, 0] += np.arange(10, dtype=np.uint8)
+    tail[:, :, 4:] = np.array([b"%+04d" % v for v in x.tolist()], "S4").view(np.uint8).reshape(-1, 1, 4)
+
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)  # of each 4-digit group
+    words = np.full((10000, 8), ord("."), dtype=np.uint8)
+    words[:, ::2] = digits.T + ord("0")
+    nonzero = digits != 0
+    sig = np.where(nonzero.any(axis=0), 4 - np.argmax(nonzero[::-1], axis=0), 0).astype(np.int8)
+    sig = np.where(sig > 0, sig + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0).astype(np.int8)
+
+    slot = np.arange(_SLOTS)
+    c = np.arange(_CLASSES)[:, None, None]
+    nsig = np.arange(18)[:, None]
+    point = np.where(c < 21, c - 4, 0)  # the digit a point may follow
+    i = (slot - 8) // 2                 # the digit in slot 8 + 2i, the point in slot 9 + 2i
+    keep = ((slot == 0)
+            | (slot >= 8) & (slot <= 40) & (slot % 2 == 0)
+            & (i < np.where((c >= 4) & (c < 21), np.maximum(nsig, c - 3), nsig))  # ddd.ddd
+            | (slot % 2 == 1) & (i == point) & (nsig > point + 1) & (c >= 4)
+            | (c < 4) & (slot >= 2) & (slot < 7 - c)                              # 0.000ddd
+            | (c >= 21) & np.isin(slot, [43, 44, 46, 47]) | (c == 22) & (slot == 45))
+    keep = np.concatenate([keep.reshape(-1, _SLOTS), (keep | (slot == 1)).reshape(-1, _SLOTS),
+                           slot <= np.arange(25)[:, None]])  # then a comma and the text
+    return _Tables(
+        ceil=np.where(below > 0, np.nextafter(near, np.inf), near),
+        power=np.stack([hi, high, hi - high, below[row]]),
+        classes=18 * np.where((x >= -4) & (x <= 16), x + 4, np.where(np.abs(x) < 100, 21, 22)),
+        tail=tail.view(np.uint64).ravel(),
+        groups=words.view(np.uint64)[:, 0],
+        sig=sig,
+        drop=np.where(keep, np.uint8(0), np.uint8(_DROP[0])).view(np.uint64).T.copy(),
+    )
+
+
+def _decimal(x: np.ndarray):
+    # (D, X + _X0, proven) for each number of the flat ``x``, with D its 17
+    # significant digits as an integer and X its decimal exponent; neither
+    # means anything where ``proven`` is False.
+    tables = _format_tables()
+    ceil, (hi, hi_high, hi_low, lo) = tables.ceil, tables.power
+    a = np.abs(x)
+    proven = (a >= _FAST[0]) & (a <= _FAST[1])
+    a[~proven] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp) + _X0
+    up, down = a >= ceil[e + 1], a < ceil[e]  # log10 may miss by one near 10**X
+    e += up
+    e -= down
+    # Dekker's exact product a * hi = p + rest, plus a * lo.
+    ah = a * 134217729.0
+    ah -= ah - a
+    al = a - ah
+    high, low = hi_high[e], hi_low[e]
+    p = a * hi[e]
+    rest = ah * high
+    rest -= p
+    rest += ah * low
+    rest += al * high
+    rest += al * low
+    rest += a * lo[e]
+    d = p.astype(np.int64)  # p >= 2**53 is a whole number
+    whole = np.floor(rest)
+    rest -= whole
+    d += whole.astype(np.int64)
+    d += rest > 0.5
+    rest -= 0.5
+    proven &= np.abs(rest) >= _TIE
+    carry = d == 10 ** 17  # rounded up to the next power of ten
+    d[carry] = 10 ** 16
+    e += carry
+    return d, e, proven
+
+
+def _slots(x: np.ndarray) -> np.ndarray:
+    # The slots of each number of the flat ``x`` as (len(x), _SLOTS / 8)
+    # words, with _DROP in every slot its text omits.
+    tables = _format_tables()
+    d, e, proven = _decimal(x)
+    slots = np.empty((x.size, _SLOTS // 8), dtype=np.uint64)
+    slots[:, 0] = np.frombuffer(_TEMPLATE[:8], np.uint64)
+    d, last = np.divmod(d, 10)
+    slots[:, 5] = tables.tail[e * 10 + last]
+    nsig = np.where(last > 0, 17, 0)
+    for word, sig in zip(range(4, 0, -1), tables.sig[::-1]):
+        d, group = np.divmod(d, 10 ** 4)
+        slots[:, word] = tables.groups[group]
+        np.maximum(nsig, sig[group], out=nsig)
+    key = tables.classes[e] + nsig
+    key += _CLASSES * 18 * np.signbit(x)
+    slow = np.flatnonzero(~proven)
+    if slow.size:
+        text = [("%.17g" % v).encode("ascii") for v in x[slow].tolist()]
+        slots.view(np.uint8)[slow, 1:25] = np.frombuffer(b"".join(t.ljust(24, _DROP) for t in text),
+                                                          np.uint8).reshape(-1, 24)
+        key[slow] = _KEYS + np.fromiter(map(len, text), np.intp, len(text))
+    for word, drop in zip(slots.T, tables.drop):
+        word |= drop[key]
+    return slots
+
+
+def format_lines(texts: Optional[list], values: np.ndarray) -> bytearray:
+    """The bytes of one CSV line per row of the (R, V) ``values``.
+
+    A line holds the row's leading fields, given as CSV bytes in ``texts``
+    (None when there are none), then its numbers as ``'%.17g' % x`` writes
+    them.  Rows should come in blocks of about ``BLOCK`` numbers.
+    """
+    # Each row is laid out as its text, padded to the block's longest, the
+    # slots of its numbers and a newline; every byte not in the line is
+    # _DROP, which UTF-8 never holds.
+    rows, cols = values.shape
+    slots = _slots(values.ravel())
+    width = 0 if texts is None else max(map(len, texts))
+    block = bytearray(rows * (width + cols * _SLOTS + 1))
+    line = np.frombuffer(block, np.uint8).reshape(rows, -1)
+    text = b"".join(t.ljust(width, _DROP) for t in texts or ())
+    line[:, :width] = np.frombuffer(text, np.uint8).reshape(rows, width)
+    line[:, width:-1] = slots.view(np.uint8).reshape(rows, -1)
+    del slots
+    if texts is None and cols:
+        line[:, 0] = _DROP[0]
+    line[:, -1] = ord("\n")
+    return block.translate(None, _DROP)

@@ -96,6 +96,19 @@ class TestFitCommand:
             ll_mle = log_likelihood(mle_rows[sid].alpha, probs)
             assert ll_mle >= ll_mom - 1e-9
 
+    def test_warns_when_refinement_hits_max_iter(self, tmp_path, capsys):
+        paths = simulate(tmp_path, n=12, m=50, k=7)
+        out = tmp_path / "fits.csv"
+        capsys.readouterr()
+        assert run("fit", "--preds", paths["preds"], "--out", out, "--mode", "mom-mle") == 0
+        assert capsys.readouterr().err == (
+            "warning: 12 of 12 refined rows stopped at --max-iter 20 before converging\n")
+        assert run("fit", "--preds", paths["preds"], "--out", out, "--mode", "mom") == 0
+        assert capsys.readouterr().err == ""
+        assert run("fit", "--preds", paths["preds"], "--out", out, "--mode", "mom-mle",
+                   "--max-iter", "3000") == 0
+        assert capsys.readouterr().err == ""
+
     def test_degenerate_rows_are_flagged(self, tmp_path):
         lines = ["sample_id,model_id,p_0,p_1"]
         for m in range(3):

@@ -11,8 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from direns import fileio
+from direns import fileio, floatfmt
 from direns.fileio import (
     AlphaRow,
     AlphasData,
@@ -28,6 +30,7 @@ from direns.fileio import (
     write_alphas,
     write_curve,
     write_labels,
+    write_losses,
     write_predictions,
     write_report,
 )
@@ -48,11 +51,73 @@ GOOD_PREDS = (
 )
 
 
+def formatted(values) -> list:
+    # The writers' text for each number of ``values``, formatted as one block.
+    block = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    return bytes(floatfmt.format_lines(None, block)).decode("ascii").split("\n")[:-1]
+
+
+def percent(values) -> list:
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def edge_floats() -> list:
+    # Every power of ten a double can approximate, with its neighbours one
+    # ulp away: the notation switches at 1e-5/1e-4 and 1e16/1e17, the
+    # exponent's third digit at 1e+-100, the fast path's ends at 1e+-280.
+    values = []
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    values += [
+        2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0), 5e-324,
+        1.7976931348623157e308, np.nextafter(1.7976931348623157e308, 0.0),
+        1e-280, 1e280, 0.0, np.inf, np.nan, 0.5, 1.5, 2.5, 123456789012345678.0,
+        1000000000000000.25, 1000000000000000.75,  # exact 17-digit ties
+        1e-79, 1e-175, 1e-243,  # just below 10**X: 17 digits round up to 10**X
+        9.9999999999999999e22, 0.1, 1 / 3, 2 / 3, 99999999999999999.0, 9999999999999999.0,
+    ]
+    return values + [-v for v in values]
+
+
 class TestFormatting:
     def test_float_round_trip(self, rng):
         for _ in range(1000):
             x = float(rng.uniform(-1e6, 1e6)) * 10 ** int(rng.integers(-12, 12))
             assert float(format_float(x)) == x
+
+    def test_kernel_matches_percent_on_edges(self):
+        values = edge_floats()
+        assert formatted(values) == percent(values)
+        assert [format_float(v) for v in values] == percent(values)
+
+    def test_ties_and_carries(self):
+        assert formatted([1000000000000000.25, 1000000000000000.75, -1e-79, 1e-175, 1e-243]) == [
+            "1000000000000000.2", "1000000000000000.8", "-1e-79", "1e-175", "1e-243"]
+        # Exact ties go to the fallback; the carries are the fast path's own.
+        _, _, proven = floatfmt._decimal(np.array([1000000000000000.25, 1e-79, 1e-175, 1e-243, 1e-5, 1e17]))
+        assert proven.tolist() == [False, True, True, True, True, True]
+        _, _, proven = floatfmt._decimal(np.array([0.0, -0.0, np.inf, np.nan, 5e-324, 1e-281, 1e281]))
+        assert not proven.any()
+
+    def test_kernel_matches_percent_on_random_bit_patterns(self):
+        values = np.random.default_rng(20261018).integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64)
+        values = values.view(np.float64)
+        assert formatted(values) == percent(values)
+        # 1860 of the 2048 binary exponents lie in the fast path's range.
+        assert 0.9 < floatfmt._decimal(values)[2].mean() < 0.91
+
+    def test_kernel_matches_percent_on_probabilities(self, rng):
+        # Concentrations this small draw zeros and values below 1e-280 too.
+        values = rng.dirichlet(np.full(7, 0.05), size=20000).ravel()
+        assert formatted(values) == percent(values)
+        assert 0.95 < floatfmt._decimal(values)[2].mean() < 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_kernel_matches_percent(self, values):
+        assert formatted(values) == percent(values)
 
     def test_atomic_write_replaces_content(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -220,6 +285,85 @@ class TestPredictionsFile:
             patch.setattr(fileio, "_plain_split", lambda raw: None)
             via_csv = traced_peak()
         assert plain < via_csv
+
+QUOTED_IDS = ["a,b", 'say "hi"', "line\nbreak", "", "plain", "tab\tx", "é", "日本語", "naïve,x", 'Ω"q']
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1e-300,
+           1.7976931348623157e308, -1e300, 1e-5, 1e-4, 1e16, 1e17, 1000000000000000.25, -1.5, 2.0]
+
+
+def writer_cases() -> dict:
+    # (writer, arguments) per file: a simulated dataset, ids that need csv
+    # quoting or are not ASCII, negative losses, numbers off the fast path,
+    # and header-only files.
+    data = generate(SimulationConfig(n=40, m=6, k=5, seed=2024, scheme="two_population"))
+    alphas = np.array([data.alphas[sid] for sid in data.sample_ids])
+    rng = np.random.default_rng(5)
+    probs = rng.dirichlet([0.05, 0.3, 2.0], size=(len(QUOTED_IDS), 2))
+    curve = np.column_stack([np.linspace(1.0, 0.0, 9), rng.uniform(0, 0.5, 9), np.logspace(-9, 3, 9)])
+    n = len(data.sample_ids)
+    return {
+        "preds": (write_predictions, data.sample_ids, data.model_ids, data.probs),
+        "labels": (write_labels, list(data.labels.items())),
+        "alphas": (write_alphas, data.sample_ids, np.arange(n) % 3 == 0, alphas),
+        "curve": (write_curve, curve),
+        "losses": (write_losses, data.sample_ids, list(-np.log(alphas[:, 0]))),
+        "quoted_preds": (write_predictions, QUOTED_IDS, ["m,0", "ü"], probs),
+        "quoted_labels": (write_labels, [(sid, i) for i, sid in enumerate(QUOTED_IDS)]),
+        "quoted_alphas": (write_alphas, QUOTED_IDS, np.arange(len(QUOTED_IDS)) % 2 == 1, probs[:, 0] * 7.5),
+        "special_losses": (write_losses, [f"s{i}" for i in range(len(SPECIAL))], SPECIAL),
+        "special_curve": (write_curve, np.array(SPECIAL[:15]).reshape(5, 3)),
+        "empty_preds": (write_predictions, [], ["m0", "m1"], np.empty((0, 2, 3))),
+        "empty_labels": (write_labels, []),
+        "empty_alphas": (write_alphas, [], np.empty(0, dtype=bool), np.empty((0, 3))),
+        "empty_curve": (write_curve, np.empty((0, 3))),
+        "empty_losses": (write_losses, [], []),
+    }
+
+
+class TestWriterBytes:
+    # sha256 of each file, recorded when every line was formatted by one
+    # Python '%' call; the block formatter must give the same bytes.
+    DIGESTS = {
+        "preds": "7d07cde914474072fd4bfe418b4c6eb5b71e66c012d48b101b7de9be9a1dc60f",
+        "labels": "c8ed85dc03c3db1d948522c986d4a5fbf512a3b77681ead199013af2200c3761",
+        "alphas": "9b2f8692f8c18d4e7391438b27aca058d9f3a4ae4a665215622948724187c1b6",
+        "curve": "8f573bfed492dc797c21433f22acca0dfb57f1c20d58eba1c32e3be11e2246bb",
+        "losses": "2b8dd599c95d3c33236c8dd87b625483574629340d187753f31b6cf5a7b2b71d",
+        "quoted_preds": "bd41ca2787c965c790548e8a47218039cb68073fe80479ae7df3fd0a7261f9ec",
+        "quoted_labels": "73278840da3e514582c503c88d5475cc0dd2d71f70f50eb08e5fa999d327ece0",
+        "quoted_alphas": "a58336c8a60c0af12de8371169cd5d085bcbf7f405f45b4863896a920f523ac2",
+        "special_losses": "2151198c1bd5dd8c487a726dcc4eeac9ada8755550ebf3ca287d8d2bc41fd701",
+        "special_curve": "7e03e614385b7f1d03627fc0a68df7f9905de7cdf5e81affa53f0e754c9a8230",
+        "empty_preds": "a2ad533a26d6eb81bcf04e5f66645cd2eb743c4098595a3babfddd097e1eb682",
+        "empty_labels": "a3e0b0fdc39924eaaa4435711b9a1636f07e6d2519ee93cba8b7a85f8bd96786",
+        "empty_alphas": "43b680f88e652f3b3dd691e455ca30390beb703054848885cd716e8877bb22b2",
+        "empty_curve": "76a870de28cc538a12323ccbc5407a9d2dacaef21827596821951e3ff303d2be",
+        "empty_losses": "3a2ea3bc4c02dc1596626a51623f44eeba15b6f4925526b2279c4f3b8ad1489b",
+    }
+
+    def test_files_keep_their_bytes(self, tmp_path):
+        for name, (writer, *args) in writer_cases().items():
+            path = str(tmp_path / f"{name}.csv")
+            writer(path, *args)
+            assert sha256_of_file(path) == self.DIGESTS[name], name
+
+    def test_predictions_write_traces_no_more_than_the_line_writer(self, tmp_path):
+        # The ensemble-mle benchmark's shape.  Formatting each line with one
+        # Python '%' call peaked at 192,484 bytes here (Python 3.11, numpy
+        # 2.4), most of it the csv module's row buffer, which quoting the ids
+        # still allocates.  The first write builds the formatting tables,
+        # which stay.
+        data = generate(SimulationConfig(n=500, m=50, k=7, seed=1, scheme="two_population"))
+        path = str(tmp_path / "p.csv")
+        write_predictions(path, data.sample_ids, data.model_ids, data.probs)
+        tracemalloc.start()
+        try:
+            write_predictions(path, data.sample_ids, data.model_ids, data.probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 192_484
+
 
 class TestLabelsFile:
     def test_round_trip_sorted(self, tmp_path):
