@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dirichlet import SIMPLEX_TOL, _exact_sum, _simplex_rows
-from .floatfmt import BLOCK, format_lines
+from .floatfmt import BLOCK, format_lines, pad_fields
 
 __all__ = [
     "ValidationError",
@@ -391,13 +391,20 @@ def _csv_fields(values: Sequence[str]) -> list:
     return [line[:-2].encode("utf-8") for line in lines]
 
 
-def _write_table(path: str, header: list, texts, values: np.ndarray) -> None:
-    # One line per row of the (n, V) ``values``: its leading fields, from the
-    # iterator ``texts`` of CSV bytes (None when there are none), then its
-    # numbers as '%.17g' writes them.
+def _row_texts(fields):
+    # ``text`` for _write_table from an iterable of each row's CSV bytes.
+    fields = iter(fields)
+    return lambda lo, hi: pad_fields(list(itertools.islice(fields, hi - lo)))
+
+
+def _write_table(path: str, header: list, text, values: np.ndarray) -> None:
+    # One line per row of the (n, V) ``values``: its leading fields, which
+    # ``text(lo, hi)`` gives for rows lo..hi as format_lines takes them (None
+    # when there are none), then its numbers as '%.17g' writes them.  Blocks
+    # are asked for in order.
     values = np.ascontiguousarray(values, dtype=np.float64)
     rows = max(1, BLOCK // max(values.shape[1], 1))
-    blocks = (format_lines(None if texts is None else list(itertools.islice(texts, rows)), values[i:i + rows])
+    blocks = (format_lines(None if text is None else text(i, min(i + rows, len(values))), values[i:i + rows])
               for i in range(0, len(values), rows))
     atomic_write_text(path, itertools.chain([(",".join(header) + "\n").encode("ascii")], blocks))
 
@@ -405,9 +412,15 @@ def _write_table(path: str, header: list, texts, values: np.ndarray) -> None:
 def write_predictions(path: str, sample_ids: Sequence[str], model_ids: Sequence[str], probs) -> None:
     """Write (n, M, K) probabilities with full precision, one row per (sample, model), sample-major."""
     n, m, k = np.shape(probs)
-    models = _csv_fields(model_ids)
-    _write_table(path, ["sample_id", "model_id"] + [f"p_{i}" for i in range(k)],
-                 (sid + b"," + mid for sid in _csv_fields(sample_ids) for mid in models),
+    samples = pad_fields(_csv_fields(sample_ids))
+    models = np.column_stack([np.full(m, ord(","), np.uint8), pad_fields(_csv_fields(model_ids))])
+
+    def ids(lo: int, hi: int) -> np.ndarray:
+        # Row r is sample r // m and model r % m, laid out without a per-row object.
+        row = np.arange(lo, hi)
+        return np.concatenate([samples[row // m], models[row % m]], axis=1)
+
+    _write_table(path, ["sample_id", "model_id"] + [f"p_{i}" for i in range(k)], ids,
                  np.reshape(probs, (n * m, k)))
 
 
@@ -439,7 +452,7 @@ def read_labels(path: str) -> LabelsData:
 def write_labels(path: str, pairs: Sequence[tuple]) -> None:
     pairs = sorted(pairs)
     texts = map(b"%s,%d".__mod__, zip(_csv_fields([sid for sid, _ in pairs]), (int(label) for _, label in pairs)))
-    _write_table(path, ["sample_id", "label"], texts, np.empty((len(pairs), 0)))
+    _write_table(path, ["sample_id", "label"], _row_texts(texts), np.empty((len(pairs), 0)))
 
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
@@ -484,7 +497,7 @@ def write_alphas(path: str, sample_ids: Sequence[str], degenerate, alpha: np.nda
     alpha = np.asarray(alpha, dtype=np.float64)[order]
     flags = np.where(np.asarray(degenerate, dtype=bool), b",1", b",0")[order].tolist()
     _write_table(path, ["sample_id", "degenerate"] + [f"a_{i}" for i in range(alpha.shape[1])],
-                 map(bytes.__add__, _csv_fields([sample_ids[i] for i in order]), flags), alpha)
+                 _row_texts(map(bytes.__add__, _csv_fields([sample_ids[i] for i in order]), flags)), alpha)
 
 
 def write_curve(path: str, curve) -> None:
@@ -494,7 +507,7 @@ def write_curve(path: str, curve) -> None:
 
 def write_losses(path: str, sample_ids: Sequence[str], losses: Sequence[float]) -> None:
     """Write a losses CSV with columns sample_id,loss, one row per id."""
-    _write_table(path, ["sample_id", "loss"], iter(_csv_fields(sample_ids)), np.reshape(losses, (-1, 1)))
+    _write_table(path, ["sample_id", "loss"], _row_texts(_csv_fields(sample_ids)), np.reshape(losses, (-1, 1)))
 
 
 def write_report(path: str, document: dict) -> None:

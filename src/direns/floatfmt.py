@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-__all__ = ["BLOCK", "format_lines"]
+__all__ = ["BLOCK", "format_lines", "pad_fields"]
 
 # Each number owns _SLOTS byte slots, six 8-byte words: a comma, a sign, the
 # "0.000" of a fixed-point number below 1, 17 digits each but the last
@@ -166,23 +166,32 @@ def _slots(x: np.ndarray) -> np.ndarray:
     return slots
 
 
-def format_lines(texts: Optional[list], values: np.ndarray) -> bytearray:
+def pad_fields(fields: list) -> np.ndarray:
+    """CSV bytes, one per row, as the (R, width) text matrix ``format_lines`` takes."""
+    width = max(map(len, fields), default=0)
+    text = b"".join(f.ljust(width, _DROP) for f in fields)
+    return np.frombuffer(text, np.uint8).reshape(len(fields), width)
+
+
+def format_lines(texts: Optional[np.ndarray], values: np.ndarray) -> bytearray:
     """The bytes of one CSV line per row of the (R, V) ``values``.
 
-    A line holds the row's leading fields, given as CSV bytes in ``texts``
-    (None when there are none), then its numbers as ``'%.17g' % x`` writes
-    them.  Rows should come in blocks of about ``BLOCK`` numbers.
+    A line holds the row's leading fields, given as the CSV bytes in row r
+    of the (R, width) uint8 matrix ``texts`` (None when there are none),
+    then its numbers as ``'%.17g' % x`` writes them.  A text row may be
+    padded anywhere with 0xFF bytes, which the line omits, as
+    ``pad_fields`` pads.  Rows should come in blocks of about ``BLOCK``
+    numbers.
     """
-    # Each row is laid out as its text, padded to the block's longest, the
-    # slots of its numbers and a newline; every byte not in the line is
-    # _DROP, which UTF-8 never holds.
+    # Each row is laid out as its text, the slots of its numbers and a
+    # newline; every byte not in the line is _DROP, which UTF-8 never holds.
     rows, cols = values.shape
     slots = _slots(values.ravel())
-    width = 0 if texts is None else max(map(len, texts))
+    width = 0 if texts is None else texts.shape[1]
     block = bytearray(rows * (width + cols * _SLOTS + 1))
     line = np.frombuffer(block, np.uint8).reshape(rows, -1)
-    text = b"".join(t.ljust(width, _DROP) for t in texts or ())
-    line[:, :width] = np.frombuffer(text, np.uint8).reshape(rows, width)
+    if texts is not None:
+        line[:, :width] = texts
     line[:, width:-1] = slots.view(np.uint8).reshape(rows, -1)
     del slots
     if texts is None and cols:

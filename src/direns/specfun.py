@@ -4,8 +4,8 @@ Provides the natural log of the gamma function, the digamma function
 ``psi(x) = d/dx ln Gamma(x)``, its functional inverse, and the log of the
 multivariate Beta function.  These are the only transcendental ingredients
 needed for Dirichlet densities, closed-form evidential losses, and the
-fixed-point concentration update ``alpha_k <- psi^-1(psi(alpha_0) + mean
-log-probability)``.
+Newton steps of the maximum-likelihood fit, which use digamma and its
+derivative ``_trigamma``.
 
 ``log_gamma``, ``digamma``, ``inverse_digamma`` and ``_trigamma`` take a
 float or an array and run one elementwise implementation, so each element

@@ -1,4 +1,4 @@
-"""Moment matching and fixed-point likelihood refinement."""
+"""Moment matching and Newton likelihood refinement."""
 
 from __future__ import annotations
 
@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, special
 
 from direns.dirichlet import DirichletParams, log_likelihood, predictive_mean, sample
 from direns.estimators import (
     DEFAULT_ALPHA0_CAP,
+    DEFAULT_P_FLOOR,
     EnsembleSample,
     _fit,
     fit_batch,
@@ -17,6 +19,16 @@ from direns.estimators import (
     fit_mom,
     moments,
 )
+from direns.simulate import SimulationConfig, generate
+
+
+def two_population(n: int, m: int, seed: int) -> np.ndarray:
+    # The benchmark's ensembles: K=7, two-population scheme.
+    return generate(SimulationConfig(n=n, m=m, k=7, seed=seed, scheme="two_population")).probs
+
+
+def mean_logs(probs: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(probs, DEFAULT_P_FLOOR)).mean(axis=-2)
 
 
 def two_member() -> EnsembleSample:
@@ -155,18 +167,20 @@ class TestFitMle:
         )
 
     def test_likelihood_never_decreases_along_path(self, rng):
+        # From the moment fit, and from a start scattered by up to e^4 around
+        # the truth, where full Newton steps often lower the likelihood.
         for _ in range(100):
             k = int(rng.integers(2, 6))
             truth = rng.uniform(0.3, 20.0, size=k)
             draws = sample(DirichletParams(truth), rng_seed=int(rng.integers(1e9)), n=50)
             s = EnsembleSample(draws)
             start = fit_mom(s)
-            if start.degenerate:
-                continue
-            result = fit_mle(s, start.params, keep_path=True)
-            lls = [log_likelihood(a, draws) for a in result.alpha_path]
-            for before, after in zip(lls, lls[1:]):
-                assert after >= before - 1e-9
+            scattered = DirichletParams(truth * np.exp(rng.uniform(-4.0, 4.0, size=k)))
+            for init in ([] if start.degenerate else [start.params]) + [scattered]:
+                result = fit_mle(s, init, keep_path=True)
+                lls = [log_likelihood(a, draws) for a in result.alpha_path]
+                for before, after in zip(lls, lls[1:]):
+                    assert after >= before - 1e-9
 
     def test_idempotent_at_fixed_point(self):
         draws = sample(DirichletParams(np.array([4.0, 2.0])), rng_seed=7, n=500)
@@ -201,6 +215,67 @@ class TestFitMle:
             fit_mle(s, DirichletParams(np.array([1.0, 1.0])), max_iter=0)
         with pytest.raises(ValueError):
             fit_mle(s, DirichletParams(np.array([1.0, 1.0])), eps=0.0)
+
+
+class TestNewtonConvergence:
+    @pytest.mark.parametrize("m, seed", [(50, 7), (50, 12), (5, 7)])
+    def test_default_fit_is_stationary(self, m, seed):
+        # |g_k alpha_k| with g = psi(alpha_0) - psi(alpha) + lbar from scipy's
+        # digamma, after the default 20 steps.
+        probs = two_population(500, m, seed)
+        alpha, degenerate, _, converged = _fit(probs, True)
+        refined = ~degenerate
+        assert converged[refined].all()
+        g = special.digamma(alpha.sum(axis=1))[:, None] - special.digamma(alpha) + mean_logs(probs)
+        assert np.abs(g * alpha)[refined].max() <= 1e-10
+
+    @pytest.mark.parametrize("m, seed", [(50, 7), (5, 7), (2, 7)])
+    def test_agrees_with_scipy_root_of_the_gradient(self, m, seed):
+        # A dense Newton-type root of g(alpha) alpha = 0 in log alpha, with
+        # scipy's digamma and trigamma and the full K x K Hessian, from the
+        # moment fit of every 25th row.
+        probs = two_population(500, m, seed)
+        lbar = mean_logs(probs)
+        start, degenerate, _, _ = _fit(probs, False)
+        alpha = _fit(probs, True)[0]
+
+        for i in np.flatnonzero(~degenerate)[::25]:
+            def scaled_gradient(b, i=i):
+                a = np.exp(b)
+                return a * (special.digamma(a.sum()) - special.digamma(a) + lbar[i])
+
+            def jacobian(b, i=i):
+                a = np.exp(b)
+                g = special.digamma(a.sum()) - special.digamma(a) + lbar[i]
+                h = special.polygamma(1, a.sum()) - np.diag(special.polygamma(1, a))
+                return a[:, None] * h * a[None, :] + np.diag(g * a)
+
+            ref = optimize.root(scaled_gradient, np.log(start[i]), jac=jacobian, method="hybr",
+                                options={"xtol": 1e-12})
+            assert ref.success, ref.message
+            np.testing.assert_allclose(alpha[i], np.exp(ref.x), rtol=1e-9)
+
+    def test_two_members_converge(self):
+        # Two members give the noisiest moment starts, some with alpha_0
+        # above 1e13; nearly every row still converges within 20 steps.
+        _, degenerate, _, converged = _fit(two_population(2000, 2, 7), True)
+        refined = ~degenerate
+        assert np.count_nonzero(converged[refined]) >= 0.999 * np.count_nonzero(refined)
+
+    def test_zero_spread_class_stays_finite_and_monotone(self):
+        # Class 0 is 0.2 in every member; the others vary, so the moment fit
+        # uses them and the row is refined.  RuntimeWarnings are errors here.
+        rng = np.random.default_rng(5)
+        probs = np.column_stack([np.full(20, 0.2), 0.8 * rng.dirichlet([4.0, 2.0, 1.0], size=20)])
+        s = EnsembleSample(probs)
+        start = fit_mom(s)
+        assert not start.degenerate
+        result = fit_mle(s, start.params, keep_path=True)
+        assert result.converged
+        path = np.array(result.alpha_path)
+        assert np.isfinite(path).all() and (path > 0.0).all()
+        lls = [log_likelihood(a, probs) for a in path]
+        assert all(after >= before - 1e-9 for before, after in zip(lls, lls[1:]))
 
 
 class TestFitBatch:
