@@ -236,7 +236,7 @@ def _stratified_split(labels: np.ndarray, frac: float, seed: int) -> tuple[np.nd
         raise ValidationError(f"--cal-split must lie in (0, 1), got {frac}")
     rng = np.random.default_rng(seed)
     cal = np.zeros(labels.size, dtype=bool)
-    for label in np.unique(labels).tolist():
+    for label in np.flatnonzero(np.bincount(labels)).tolist():
         members = np.flatnonzero(labels == label)
         perm = rng.permutation(members.size)
         cal[members[perm[: int(math.floor(frac * members.size + 0.5))]]] = True

@@ -100,7 +100,7 @@ def _simplex_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in_bounds = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
     totals = np.where(in_bounds, p.sum(axis=1, where=in_bounds[:, None]), np.nan)
     far = np.flatnonzero(np.abs(totals - 1.0) > 5e-10)
-    totals[far] = list(map(_exact_sum, p[far]))
+    totals[far] = _exact_sums(p[far])
     return in_bounds, totals
 
 
@@ -177,6 +177,42 @@ def _exact_sum(row: np.ndarray) -> float:
         return math.nan
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Knuth's TwoSum: a + b rounded, and the exact error of that rounding.
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _exact_sums(a: np.ndarray) -> np.ndarray:
+    # _exact_sum of every row of an (n, K) array, bit for bit.  A TwoSum
+    # cascade over the columns gives each row's float sum s and the errors e
+    # of its additions, and a second cascade their sum c and its errors f, so
+    # the exact sum is s + c + sum(f).  r = s + c is rounded with its exact
+    # residual t.  Where every f is 0, r is the exact sum correctly rounded,
+    # as fsum rounds it.  Otherwise the sum lies within |t| + sum|f| of r,
+    # and where that is below half an ulp of r, r is still its rounding;
+    # the ulp is one-sided at a power of two, so those rows are left out.
+    # Zero, non-finite and near-overflow rows need fsum's own rules; they
+    # and every row the bound misses are summed by _exact_sum.
+    n = a.shape[0]
+    cols = np.ascontiguousarray(a.T)
+    s, c, spread = cols[0], np.zeros(n), np.zeros(n)
+    with np.errstate(all="ignore"):
+        for b in cols[1:]:
+            s, e = _two_sum(s, b)
+            c, f = _two_sum(c, e)
+            spread += np.abs(f)
+        r, t = _two_sum(s, c)
+        # 2 * spread bounds sum|f|: its float sum is off by far less than half.
+        ok = (spread == 0.0) | ((np.abs(t) + 2.0 * spread < 0.5 * np.abs(np.spacing(r)))
+                                & (np.abs(np.frexp(r)[0]) != 0.5))
+        ok &= (r != 0.0) & (np.abs(a).sum(axis=1) < 2.0**1020)
+    rest = np.flatnonzero(~ok)
+    r[rest] = list(map(_exact_sum, a[rest]))
+    return r
+
+
 def _kl_to_uniform(alpha: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
     # (n,) KL to the uniform Dirichlet, row-wise.  The terms grow like
     # alpha_0 ln alpha_0 and cancel, so a row gives NaN where a term overflows
@@ -189,7 +225,7 @@ def _kl_to_uniform(alpha: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
         terms[:, k] = log_gamma(alpha0)
         terms[:, k + 1] = -log_gamma(float(k))
         bound = 4.0 * 2.0**-52 * np.sum(np.abs(terms), axis=1)
-    kl = np.maximum(list(map(_exact_sum, terms)), 0.0)
+    kl = np.maximum(_exact_sums(terms), 0.0)
     kl[bound > 1e-6 * np.maximum(1.0, kl)] = math.nan
     return kl
 

@@ -249,7 +249,14 @@ def losses(kind: str, alpha: np.ndarray, alpha0: np.ndarray, labels, weight: flo
         raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
     if kind in _WEIGHT_NAMES:
         _check_weight(weight, _WEIGHT_NAMES[kind])
-    labels = np.array([_class_index(y, alpha.shape[1]) for y in labels], dtype=np.intp)
+    k = alpha.shape[1]
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        bad = np.flatnonzero((labels < 0) | (labels >= k))
+        if bad.size:
+            _class_index(labels[bad[0]], k)
+        labels = labels.astype(np.intp)
+    else:
+        labels = np.array([_class_index(y, k) for y in labels], dtype=np.intp)
     out = np.empty(labels.size)
     with np.errstate(all="ignore"):
         for start in range(0, out.size, _BLOCK_ROWS):

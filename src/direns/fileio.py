@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dirichlet import SIMPLEX_TOL, _exact_sum, _simplex_rows
+from .dirichlet import SIMPLEX_TOL, _exact_sums, _simplex_rows
 from .floatfmt import BLOCK, format_lines, pad_fields
 
 __all__ = [
@@ -431,13 +431,27 @@ def _integer(text: str) -> Optional[int]:
         return None
 
 
+def _digit_column(texts: list) -> Optional[np.ndarray]:
+    # The labels as int64 when every one is 1-18 ASCII digits, which int()
+    # parses as numpy does and which cannot overflow; None otherwise.
+    joined = "".join(texts)
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    if not (joined.isascii() and joined.isdigit() and lengths.min() >= 1 and lengths.max() <= 18):
+        return None
+    return np.array(texts, dtype=np.int64)
+
+
 def read_labels(path: str) -> LabelsData:
     """Parse and validate a labels file (unique ids, integer labels >= 0)."""
     _, fields, _, ids, texts, _ = _table(path, ["sample_id", "label"], None)
     n = len(ids)
-    values = list(map(_integer, texts))
-    labels = np.array(values, dtype=object)
-    integer = ~np.equal(labels, None)
+    labels = _digit_column(texts)
+    if labels is None:
+        values = list(map(_integer, texts))
+        labels = np.array(values, dtype=object)
+        integer = ~np.equal(labels, None)
+    else:
+        values, integer = labels.tolist(), np.ones(n, dtype=bool)
     rows = dict(zip(reversed(ids), range(n + 1, 1, -1)))  # each id's first row
     _raise_first_fault(path, [
         (fields != 2, lambda i: f"expected 2 fields, got {fields[i]}"),
@@ -457,8 +471,14 @@ def write_labels(path: str, pairs: Sequence[tuple]) -> None:
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
     """Labels of ``sample_ids`` in order as an int array; each must exist and lie in [0, k)."""
-    labels = np.array(list(map(data.labels.get, sample_ids)), dtype=object)
-    missing = np.equal(labels, None)
+    values = list(map(data.labels.get, sample_ids))
+    try:
+        labels = np.array(values, dtype=np.int64)
+        missing = np.zeros(labels.size, dtype=bool)
+    except (TypeError, OverflowError):
+        # A missing id (None) or a label past int64.
+        labels = np.array(values, dtype=object)
+        missing = np.equal(labels, None)
     bad = np.flatnonzero(missing | (np.where(missing, 0, labels) >= k))
     if bad.size:
         sid = sample_ids[bad[0]]
@@ -477,7 +497,7 @@ def read_alphas(path: str) -> AlphasData:
     n = len(ids)
     positive = np.isfinite(alpha).all(axis=1) & (alpha > 0.0).all(axis=1)
     totals = np.zeros(n)
-    totals[positive] = list(map(_exact_sum, alpha[positive]))
+    totals[positive] = _exact_sums(alpha[positive])
     unsorted = np.zeros(n, dtype=bool)
     unsorted[1:] = np.fromiter(map(operator.le, ids[1:], ids[:-1]), bool, n - 1)
     _raise_first_fault(path, [

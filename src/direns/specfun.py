@@ -9,10 +9,12 @@ derivative ``_trigamma``.
 
 ``log_gamma``, ``digamma``, ``inverse_digamma`` and ``_trigamma`` take a
 float or an array and run one elementwise implementation, so each element
-of an array result has the bits of the scalar call.  All functions are pure
-and raise ``ValueError`` outside their documented domains.  Accuracy
-targets: 1e-12 relative for ``log_gamma`` and 1e-10 absolute for
-``digamma`` on ``[1e-6, 1e8]``.
+of an array result has the bits of the scalar call.  None of them calls a
+scalar function per element: ``log_gamma`` and ``digamma`` are shifted
+asymptotic series, with table and Taylor-window cases for ``log_gamma``
+selected by masks.  All functions are pure and raise ``ValueError``
+outside their documented domains.  Accuracy targets: 1e-12 relative for
+``log_gamma`` and 1e-10 absolute for ``digamma`` on ``[1e-6, 1e8]``.
 """
 
 from __future__ import annotations
@@ -157,12 +159,34 @@ def _taylor_window(t, linear: float, coeffs: tuple[float, ...]):
     return t * (linear + tail)
 
 
-def _lgamma(x: float) -> float:
-    # math.lgamma, overflowing to inf (past about 2.6e305) instead of raising.
-    try:
-        return math.lgamma(x)
-    except OverflowError:
-        return math.inf
+# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of ln Gamma(z) past
+# (z - 1/2) ln z - z + ln(2 pi)/2 is sum_k of these over z^(2k - 1).  At
+# z >= 8 the first term left out is about 1e-16 of ln Gamma(8).
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+_HALF_LOG_2PI = 0.91893853320467274
+
+
+def _stirling(x):
+    # ln Gamma(x) elementwise: x < 8 is shifted to z = x + 8 with
+    # ln Gamma(x) = ln Gamma(z) - ln(x (x + 1) ... (x + 7)), then the series
+    # at z.  The leading terms are taken as z (ln z - 1) - ln(z) / 2, so the
+    # result overflows to inf only where ln Gamma itself passes the largest
+    # float (about 2.55e305).
+    small = x < 8.0
+    z = x + 8.0 * small
+    r = 1.0 / z
+    r2 = r * r
+    series = _STIRLING[-1]
+    for c in reversed(_STIRLING[:-1]):
+        series = c + r2 * series
+    with np.errstate(over="ignore"):
+        product = x
+        for j in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0):
+            product = product * (x + j)
+        lz = np.log(z)
+        out = (z * (lz - 1.0) - 0.5 * lz) + _HALF_LOG_2PI + r * series
+        return out - np.log(np.where(small, product, 1.0))
 
 
 def log_gamma(x):
@@ -170,23 +194,20 @@ def log_gamma(x):
 
     Integers up to 25 come from a table of log factorials.  The zeros of
     ln Gamma at x = 1 and x = 2 are covered by dedicated Taylor expansions
-    so the result stays accurate in relative terms there; elsewhere the
-    platform implementation already meets the target and is used directly.
-    A result past the largest float is inf.
+    so the result stays accurate in relative terms there.  Every other
+    argument takes the Stirling series with Bernoulli-number terms through
+    z^-13, at z = x + 8 for x < 8 (less the log of x (x + 1) ... (x + 7))
+    and at z = x otherwise.  A result past the largest float is inf.
     """
     x = _positive(x, "log_gamma")
     v = np.atleast_1d(x)
-    out = np.empty(v.shape)
-    general = np.ones(v.shape, dtype=bool)
+    out = _stirling(v)
     for center, linear, coeffs in _LGAMMA_WINDOWS:
         near = np.abs(v - center) <= _WINDOW_HALF_WIDTH
         if near.any():
             out[near] = _taylor_window(v[near] - center, linear, coeffs)
-            general &= ~near
     exact = (v <= _INT_TABLE_LIMIT) & (v == np.floor(v))
     out[exact] = _LGAMMA_AT_INT[v[exact].astype(np.intp)]
-    general &= ~exact
-    out[general] = list(map(_lgamma, v[general].tolist()))
     return out.reshape(x.shape) if isinstance(x, np.ndarray) else float(out[0])
 
 

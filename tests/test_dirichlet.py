@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -14,6 +14,8 @@ from direns.dirichlet import (
     SIMPLEX_TOL,
     DirichletParams,
     ProbabilityVector,
+    _exact_sum,
+    _exact_sums,
     _simplex_rows,
     class_variance,
     kl_to_uniform,
@@ -104,6 +106,38 @@ class TestSimplexCheck:
                         build(row)
                 else:
                     build(row)
+
+
+# Row entries for the exact sums: mixed signs over 1e+-30, ties at 2**-53
+# beside 1, signed zeros, subnormals, values whose sums overflow, inf and NaN.
+SUM_ENTRIES = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-30, 30)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 2.0**-53, -2.0**-53, 2.0**-54, 3 * 2.0**-53, 2.0**-52,
+                     1e16, -1e16, 5e-324, -5e-324, 2.0**1019, 1.7e308, -1.7e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def sum_rows(draw):
+    k = draw(st.integers(2, 12))
+    a = np.array(draw(st.lists(st.lists(SUM_ENTRIES, min_size=k, max_size=k), min_size=1, max_size=8)))
+    if draw(st.booleans()):
+        # Cancel each row to what its last entry adds, as 1e16 + 1 - 1e16 does.
+        with np.errstate(all="ignore"):
+            a[:, 0] = a[:, 0] - np.sum(a, axis=1)
+    return a
+
+
+class TestExactSums:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(a=sum_rows())
+    # 1 - 2**-54 is a tie that rounds up to 1, a power of two; a further
+    # -2**-200 puts the sum below the tie, so fsum gives 1 - 2**-53.
+    @example(a=np.array([[1.0, -2.0**-54, -2.0**-200], [1.0, -2.0**-54, 2.0**-200], [1.0, 2.0**-53, 0.0]]))
+    def test_equal_to_fsum_per_row(self, a):
+        assert _exact_sums(a).tobytes() == np.array([_exact_sum(row) for row in a]).tobytes()
 
 
 class TestMoments:

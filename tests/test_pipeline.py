@@ -14,15 +14,20 @@ the curve CSV and losses.csv to match it bit for bit.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from direns import dirichlet, evidential, fileio
 from direns.calibration import LabeledPrediction, calibration_report
 from direns.cli import _calibration_document, _json_float, main
 from direns.dirichlet import DirichletParams, ProbabilityVector, predictive_mean, total_variance
@@ -146,6 +151,62 @@ def test_no_command_builds_per_input_objects(tmp_path, monkeypatch):
         assert run(*argv) == 0, argv
         assert built == [], argv
     assert read_alphas(str(fits)).degenerate.sum() == 1
+
+
+def test_report_path_runs_no_per_element_python(tmp_path, monkeypatch):
+    # The report reads, the KL and the fit's likelihood check run as array
+    # kernels: no scalar log-gamma, per-row label parsing or label checks,
+    # and the per-row exact sum only where the vector one cannot certify a
+    # row, which no simulated row needs.
+    _, labels, truth = simulate(tmp_path, "--scheme", "two-population", "--n", 2000, "--m", 1, "--k", 10, "--seed", 7)
+    fitdir = tmp_path / "fit"
+    fitdir.mkdir()
+    preds, _, _ = simulate(fitdir, "--scheme", "two-population", "--n", 200, "--m", 10, "--k", 7, "--seed", 7)
+    calls = collections.Counter()
+    for module, name in ((math, "lgamma"), (fileio, "_integer"), (evidential, "_class_index"),
+                         (dirichlet, "_exact_sum")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    scored = ("--alphas", truth, "--labels", labels)
+    commands = [
+        ["fit", "--preds", preds, "--mode", "mom-mle", "--out", fitdir / "fits.csv"],
+        ["evaluate", *scored, "--out", tmp_path / "r.json"],
+        ["select", *scored, "--risk", 0.1, "--out", tmp_path / "s.json", "--curve-out", tmp_path / "c.csv"],
+        ["losses", *scored, "--loss", "mse-kl", "--lambda0", 1.0, "--epoch", 3, "--epochs", 10,
+         "--out", tmp_path / "l.csv"],
+    ]
+    for argv in commands:
+        assert run(*argv) == 0, argv
+        assert calls == {}, argv
+
+
+def test_pipeline_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma is a slow import (np.unique pulls it in) that nothing in the
+    # pipeline needs.
+    script = "\n".join([
+        "import shlex, sys",
+        "from direns.cli import main",
+        "for line in sys.stdin:",
+        "    assert main(shlex.split(line)) == 0, line",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    d = shlex.quote(str(tmp_path))
+    chain = [
+        f"simulate --scheme two-population --n 300 --m 5 --k 4 --seed 3 --preds-out {d}/p.csv "
+        f"--labels-out {d}/y.csv --alphas-out {d}/t.csv",
+        f"fit --preds {d}/p.csv --mode mom-mle --out {d}/f.csv",
+        f"evaluate --alphas {d}/f.csv --labels {d}/y.csv --out {d}/r.json",
+        f"select --alphas {d}/f.csv --labels {d}/y.csv --risk 0.1 --out {d}/s.json --curve-out {d}/c.csv",
+        f"losses --alphas {d}/f.csv --labels {d}/y.csv --loss mse-kl --lambda0 1 --out {d}/l.csv",
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], input="\n".join(chain) + "\n", env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def object_chain(alphas, labels_path):
