@@ -121,8 +121,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     data = generate(config)
     write_predictions(args.preds_out, data.sample_ids, data.model_ids, data.probs)
     write_labels(args.labels_out, list(data.labels.items()))
-    alphas = np.array([data.alphas[sid] for sid in data.sample_ids])
-    write_alphas(args.alphas_out, data.sample_ids, np.zeros(len(alphas), dtype=bool), alphas)
+    write_alphas(args.alphas_out, data.sample_ids, np.zeros(config.n, dtype=bool), data.alpha)
     return 0
 
 

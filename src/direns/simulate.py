@@ -15,10 +15,14 @@ schemes cover the cases the downstream stages care about:
   total concentration, the degenerate regime where all variances
   coincide and selective classification has no operating points left.
 
-All draws come from one seeded generator in a fixed order, so a given
-configuration always produces identical files.  ``generate`` draws every
-input's members into one (n, M, K) array, ``SimulatedData.probs``; the
-per-id ``ensembles`` are views into it.
+Each drawn quantity has its own child stream of the configuration's
+seed (``np.random.SeedSequence(seed).spawn``): the labels, the wrong
+classes, the incorrect flags, the alpha_0 scales and the gamma block.  Each
+is drawn as one whole array, so a given configuration always produces
+identical files, and row i's draws do not depend on n: the first n' rows of
+an n-row dataset are the n'-row dataset.  ``SimulatedData.alpha`` is the
+(n, K) concentration array and ``SimulatedData.probs`` the (n, M, K)
+member array; the per-id ``alphas`` and ``ensembles`` are views into them.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ class SimulationConfig:
             alpha = np.asarray(self.alpha, dtype=np.float64)
             if alpha.size != self.k or np.any(alpha <= 0.0) or not np.all(np.isfinite(alpha)):
                 raise ValueError(f"alpha must be {self.k} finite positive values")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(alpha.sum()):
+                    raise ValueError("alpha must have a finite sum")
             self.alpha = alpha
         if self.scheme == "collapse" and not (
             math.isfinite(self.collapse_alpha0) and self.collapse_alpha0 > 0.0
@@ -69,9 +76,10 @@ class SimulationConfig:
         if self.scheme == "two_population":
             if not 0.0 <= self.frac_incorrect <= 1.0:
                 raise ValueError("frac_incorrect must lie in [0, 1]")
-            for lo, hi in (self.correct_alpha0, self.incorrect_alpha0):
-                if not (0.0 < lo <= hi):
-                    raise ValueError("alpha0 ranges must satisfy 0 < lo <= hi")
+            for name, (lo, hi) in (("correct_alpha0", self.correct_alpha0),
+                                   ("incorrect_alpha0", self.incorrect_alpha0)):
+                if not (0.0 < lo <= hi and math.isfinite(hi)):
+                    raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf")
             if not 1.0 / self.k < self.peak < 1.0:
                 raise ValueError(f"peak must lie in (1/K, 1) = ({1.0 / self.k}, 1)")
 
@@ -81,9 +89,10 @@ class SimulatedData:
     """Generated dataset: ids, labels, ground-truth alphas, and ensembles.
 
     ``probs[i, m]`` is member ``model_ids[m]``'s probability vector for
-    ``sample_ids[i]``, an (n, M, K) array.  ``ensembles`` and ``alphas`` map
-    each sample id to its (M, K) ensemble and its (K,) concentrations, both
-    views into arrays.
+    ``sample_ids[i]``, an (n, M, K) array, and ``alpha[i]`` its (K,)
+    concentrations, an (n, K) array.  ``ensembles`` and ``alphas`` map each
+    sample id to its (M, K) ensemble and its (K,) concentrations, views into
+    ``probs`` and ``alpha``.
     """
 
     sample_ids: list
@@ -92,57 +101,47 @@ class SimulatedData:
     alphas: dict
     ensembles: dict = field(repr=False)
     probs: np.ndarray = field(repr=False)
-
-
-def _peaked_mean(k: int, target: int, peak: float) -> np.ndarray:
-    mean = np.full(k, (1.0 - peak) / (k - 1))
-    mean[target] = peak
-    return mean
+    alpha: np.ndarray = field(repr=False)
 
 
 def generate(config: SimulationConfig) -> SimulatedData:
     """Draw the dataset described by ``config``, deterministically per seed."""
-    rng = np.random.default_rng(config.seed)
+    label_rng, wrong_rng, flag_rng, scale_rng, gamma_rng = (
+        np.random.default_rng(child) for child in np.random.SeedSequence(config.seed).spawn(5)
+    )
     n, m, k = config.n, config.m, config.k
     width = max(1, len(str(n - 1)))
     model_width = max(1, len(str(m - 1)))
     sample_ids = [f"s{i:0{width}d}" for i in range(n)]
     model_ids = [f"m{j:0{model_width}d}" for j in range(m)]
 
-    # Each input draws its label, its alpha and then its (M, K) gamma block
-    # in turn; drawing the blocks together would reorder the seeded stream.
-    labels: list[int] = []
-    alphas = np.empty((n, k))
-    probs = np.empty((n, m, k))
     if config.scheme == "fixed":
-        alphas[:] = config.alpha
-        mean = config.alpha / config.alpha.sum()
+        labels = label_rng.choice(k, size=n, p=config.alpha / config.alpha.sum())
+        alpha = np.tile(config.alpha, (n, 1))
     elif config.scheme == "collapse":
-        alphas[:] = config.collapse_alpha0 / k
+        labels = label_rng.integers(k, size=n)
+        alpha = np.full((n, k), config.collapse_alpha0 / k)
     else:
-        peaked = [_peaked_mean(k, target, config.peak) for target in range(k)]
-    for i in range(n):
-        if config.scheme == "fixed":
-            label = int(rng.choice(k, p=mean))
-        elif config.scheme == "collapse":
-            label = int(rng.integers(k))
-        else:
-            label = int(rng.integers(k))
-            wrong = int(rng.integers(k - 1))
-            if wrong >= label:
-                wrong += 1
-            incorrect = bool(rng.random() < config.frac_incorrect)
-            lo, hi = config.incorrect_alpha0 if incorrect else config.correct_alpha0
-            alphas[i] = float(rng.uniform(lo, hi)) * peaked[wrong if incorrect else label]
-        rng.standard_gamma(alphas[i], size=(m, k), out=probs[i])
-        labels.append(label)
+        labels = label_rng.integers(k, size=n)
+        wrong = wrong_rng.integers(k - 1, size=n)
+        wrong += wrong >= labels
+        incorrect = flag_rng.random(n) < config.frac_incorrect
+        (clo, chi), (ilo, ihi) = config.correct_alpha0, config.incorrect_alpha0
+        scale = scale_rng.uniform(np.where(incorrect, ilo, clo), np.where(incorrect, ihi, chi))
+        # Each row's alpha_0 times the mean that peaks at its target class.
+        target = np.where(incorrect, wrong, labels)
+        peaked = np.where(np.arange(k) == target[:, None], config.peak, (1.0 - config.peak) / (k - 1))
+        alpha = scale[:, None] * peaked
+    probs = np.empty((n, m, k))
+    gamma_rng.standard_gamma(np.broadcast_to(alpha[:, None, :], (n, m, k)), out=probs)
     np.maximum(probs, 1e-300, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
     return SimulatedData(
         sample_ids=sample_ids,
         model_ids=model_ids,
-        labels=dict(zip(sample_ids, labels)),
-        alphas=dict(zip(sample_ids, alphas)),
+        labels=dict(zip(sample_ids, labels.tolist())),
+        alphas=dict(zip(sample_ids, alpha)),
         ensembles=dict(zip(sample_ids, probs)),
         probs=probs,
+        alpha=alpha,
     )

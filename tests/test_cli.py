@@ -5,6 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,30 @@ class TestSimulateCommand:
             "--scheme", "fixed", "--alpha", "3,oops",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--correct-alpha0", "1,inf"],
+            ["--incorrect-alpha0=1e308,inf"],
+            ["--scheme", "fixed", "--alpha", "1e308,1e308"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_range_is_one_error_line(self, tmp_path, flags):
+        # A fresh interpreter, so that stderr shows any traceback or numpy
+        # warning just as a user would see it.
+        argv = ["simulate", "--preds-out", tmp_path / "p.csv", "--labels-out", tmp_path / "l.csv",
+                "--alphas-out", tmp_path / "a.csv", "--n", "5", "--m", "4", "--k", "2",
+                "--scheme", "two-population", *flags]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "direns.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+        assert "alpha" in lines[0]
 
 
 class TestFitCommand:

@@ -232,14 +232,23 @@ class TestNewtonConvergence:
     @pytest.mark.parametrize("m, seed", [(50, 7), (5, 7), (2, 7)])
     def test_agrees_with_scipy_root_of_the_gradient(self, m, seed):
         # A dense Newton-type root of g(alpha) alpha = 0 in log alpha, with
-        # scipy's digamma and trigamma and the full K x K Hessian, from the
-        # moment fit of every 25th row.
+        # scipy's digamma and trigamma and the full K x K Hessian, for every
+        # 25th row.  hybr alone, started at the moment fit, can step far off:
+        # two members can give a moment alpha_0 of 5619 against an MLE's 6.6,
+        # and a first step to log alpha near -5900.  So a trust-region
+        # maximization of the log-likelihood from the moment fit, stopped
+        # once every |g_k alpha_k| <= 1e-2, gives hybr its start, and hybr
+        # takes that to the root.
         probs = two_population(500, m, seed)
         lbar = mean_logs(probs)
         start, degenerate, _, _ = _fit(probs, False)
         alpha = _fit(probs, True)[0]
 
         for i in np.flatnonzero(~degenerate)[::25]:
+            def negative_log_likelihood(b, i=i):
+                a = np.exp(b)
+                return special.gammaln(a).sum() - special.gammaln(a.sum()) - ((a - 1.0) * lbar[i]).sum()
+
             def scaled_gradient(b, i=i):
                 a = np.exp(b)
                 return a * (special.digamma(a.sum()) - special.digamma(a) + lbar[i])
@@ -250,7 +259,11 @@ class TestNewtonConvergence:
                 h = special.polygamma(1, a.sum()) - np.diag(special.polygamma(1, a))
                 return a[:, None] * h * a[None, :] + np.diag(g * a)
 
-            ref = optimize.root(scaled_gradient, np.log(start[i]), jac=jacobian, method="hybr",
+            peak = optimize.minimize(negative_log_likelihood, np.log(start[i]), method="trust-exact",
+                                     jac=lambda b: -scaled_gradient(b), hess=lambda b: -jacobian(b),
+                                     options={"gtol": 1e-2})
+            assert peak.success, peak.message
+            ref = optimize.root(scaled_gradient, peak.x, jac=jacobian, method="hybr",
                                 options={"xtol": 1e-12})
             assert ref.success, ref.message
             np.testing.assert_allclose(alpha[i], np.exp(ref.x), rtol=1e-9)

@@ -322,13 +322,16 @@ def writer_cases() -> dict:
 
 class TestWriterBytes:
     # sha256 of each file, recorded when every line was formatted by one
-    # Python '%' call; the block formatter must give the same bytes.
+    # Python '%' call; the block formatter must give the same bytes.  The
+    # four simulated-data files (preds, labels, alphas, losses) were
+    # recorded from a per-row '%.17g' and csv.writer rendering of the
+    # arrays that the per-quantity streams draw.
     DIGESTS = {
-        "preds": "7d07cde914474072fd4bfe418b4c6eb5b71e66c012d48b101b7de9be9a1dc60f",
-        "labels": "c8ed85dc03c3db1d948522c986d4a5fbf512a3b77681ead199013af2200c3761",
-        "alphas": "9b2f8692f8c18d4e7391438b27aca058d9f3a4ae4a665215622948724187c1b6",
+        "preds": "615150f05dcfcf54685ae77a192ce37da7e602b60c32c51cd27534e6fe66cc0e",
+        "labels": "acad63854c43d8291dc830b08ce55c7c0d35cd987febed65b672f7bb0c98a461",
+        "alphas": "8d2a6a29027cbc195cb0fcf453b674044a942d2fc6e0709b4c801c1466701ec1",
         "curve": "8f573bfed492dc797c21433f22acca0dfb57f1c20d58eba1c32e3be11e2246bb",
-        "losses": "2b8dd599c95d3c33236c8dd87b625483574629340d187753f31b6cf5a7b2b71d",
+        "losses": "dfe124c1b6cb3e270c113d2b5ef001d8440cbe4b9113abc94be3e77242930652",
         "quoted_preds": "bd41ca2787c965c790548e8a47218039cb68073fe80479ae7df3fd0a7261f9ec",
         "quoted_labels": "73278840da3e514582c503c88d5475cc0dd2d71f70f50eb08e5fa999d327ece0",
         "quoted_alphas": "a58336c8a60c0af12de8371169cd5d085bcbf7f405f45b4863896a920f523ac2",
@@ -506,29 +509,30 @@ class TestSimulate:
         )
 
     # sha256 of probs, labels (int64) and alphas, each stacked in sample
-    # order, as numpy 2.4 on x86-64 draws them.  K = 1000 reaches numpy's
-    # pairwise summation in the row normalization.
+    # order, as numpy 2.4 on x86-64 draws them from the per-quantity child
+    # streams.  K = 1000 reaches numpy's pairwise summation in the row
+    # normalization.
     PINNED = [
         (dict(n=50, m=4, k=3, seed=11, scheme="fixed", alpha=np.array([3.0, 1.0, 0.5])),
-         "4c88120917273a262be4830374c4d6ef296b57bd2e73f502bb93b4b3061acf47",
-         "a0b37e77bc4c08c350b93885e04c92ae5675cdf22c5e1af721333bfcb477016e",
+         "b7245a9983ca8cfe56af9a36d7aeffc1f0fc98320e7d883c2e4d6e826384305f",
+         "c697a7f3ec27e3a825b0731af317f17316ec3799331f92abe4c4b7887998685e",
          "fbdbdec22f0a0c5a395ab3062a039ff25ec2e9c611265df62b826a21b96ede8b"),
         (dict(n=60, m=8, k=5, seed=3, scheme="two_population"),
-         "938727b16c112d2caab747405c6cdef8b425f1339185ab00f734f56f742b3440",
-         "9a51bdc26bf49b471343f4fc52246345c3b2262a94d0d069faffe622f3060cca",
-         "b23a15e6cffcf1bc1efd03720333199cf5eb5dcbbabd232172a40f02f0f5e155"),
+         "213ad16d149418f07b99a671b7827e526c7e58f50d45d4605280fa8fd711a948",
+         "1ed4110b85d74ec8e2564805061c12a386dacbe2230173d8269404a020723bfd",
+         "7cac4e5a8d01dd6b6d5d156c1ba7abac961b3cfb525cd1c7276c17256d8a2871"),
         (dict(n=30, m=6, k=4, seed=2, scheme="collapse"),
-         "1f31d98f937a76003e0b9b4159e52845e929ace609fd42a8a052ceec1b0589d4",
-         "93b4c81a1dd224dd4dbf8f7fb1035aeed2b60a6cd5ec52c8093832753ab097b8",
+         "c1be251568b170a349dc71bbbac700c14209304071a84a284d800dfd239092b0",
+         "63e3eea3a5547cfeed6eb75bd22ea62dea9384cc8c05aeb99f4c99d5ce01b524",
          "06f4b299da96e7959dfecf8bdd21e08f2ac3b1e2ab772551b167b314d34163fa"),
         (dict(n=4, m=3, k=1000, seed=9, scheme="two_population"),
-         "16ff419b18070dd435de04c37b4bb1fb8d31420e6973bc2aee19965daa6db8bc",
-         "dce15db80a067b4de03822f0be4d6be30b34c00e70f14e266bc10c18ae49e905",
-         "fcdd91715f4879573de0b6f1a88757480efcac170a8ee5e7709d27f9b9548c6d"),
+         "313b1cecd0c98ec8e2ef40f3fb4e474e7c012ac7da229bf6b439a71765755f6b",
+         "1f53aaf97e816f6c00b55e4f934a74756c79693af2bb40090b1a318f94e5288a",
+         "e2001d1267f6e83a444bd1ee9871f05bae67f8ee26202d08408d0cbb3552c272"),
         (dict(n=200, m=1, k=10, seed=7, scheme="two_population"),
-         "afb86c791cadceb7de6e4d9464e3e2ff595929f7ecab6984c0651662c425c7c3",
-         "89eeea00496ac2bb1649177de60f4c9614eaf81f012a5b20c5a5c3a8128e0456",
-         "b5ea1a0c84ebb404a126109e53359c114237eac6113ce1ac0268604f7871d630"),
+         "515607595ffed2fd2eaac7d0bb762626daef2506c84c73b1d61cfad9eff47798",
+         "da251f08273e0bd41e3634c3fda2542588ba5c72baff4133d896c073c2daa1bb",
+         "aa88ee0f31014cead77ccc4861bb16332725416ea0cca1bb372225035cf443fe"),
     ]
 
     @pytest.mark.parametrize("config, probs, labels, alphas", PINNED,
@@ -542,6 +546,84 @@ class TestSimulate:
         assert digest(data.probs) == probs
         assert digest(np.array([data.labels[sid] for sid in data.sample_ids], dtype=np.int64)) == labels
         assert digest(np.array([data.alphas[sid] for sid in data.sample_ids])) == alphas
+
+    SCHEME_CONFIGS = {
+        "fixed": dict(scheme="fixed", alpha=np.array([3.0, 1.0, 0.5, 2.0])),
+        "two_population": dict(scheme="two_population"),
+        "collapse": dict(scheme="collapse"),
+    }
+
+    @pytest.mark.parametrize("scheme", SCHEME_CONFIGS)
+    def test_rows_do_not_depend_on_n(self, scheme):
+        # Each quantity has its own stream, so row i's draws come at the same
+        # place in every stream whatever the number of rows after it.
+        kw = dict(self.SCHEME_CONFIGS[scheme], m=1, k=1000, seed=13)
+        if scheme == "fixed":
+            kw["alpha"] = np.linspace(0.2, 5.0, 1000)
+        full = generate(self.base(n=40, **kw))
+        for n in (1, 17):
+            prefix = generate(self.base(n=n, **kw))
+            np.testing.assert_array_equal(prefix.probs, full.probs[:n])
+            np.testing.assert_array_equal(prefix.alpha, full.alpha[:n])
+            assert list(prefix.labels.values()) == list(full.labels.values())[:n]
+
+    @pytest.mark.parametrize("scheme", SCHEME_CONFIGS)
+    def test_draws_follow_the_scheme(self, scheme):
+        n, m, k = 100_000, 2, 4
+        data = generate(self.base(n=n, m=m, k=k, seed=21, **self.SCHEME_CONFIGS[scheme]))
+        labels = np.array([data.labels[sid] for sid in data.sample_ids])
+        alpha, alpha0 = data.alpha, data.alpha.sum(axis=1)
+        # Label frequencies: the predictive mean for the fixed scheme,
+        # uniform otherwise; each count within 4 standard errors.
+        p = data.alpha[0] / alpha0[0] if scheme == "fixed" else np.full(k, 1.0 / k)
+        counts = np.bincount(labels, minlength=k)
+        assert np.all(np.abs(counts - n * p) <= 4.0 * np.sqrt(n * p * (1.0 - p)))
+        if scheme == "two_population":
+            incorrect = np.argmax(alpha, axis=1) != labels
+            share = 0.3
+            assert abs(incorrect.mean() - share) <= 4.0 * np.sqrt(share * (1.0 - share) / n)
+            for rows, (lo, hi) in ((~incorrect, (50.0, 500.0)), (incorrect, (3.0, 30.0))):
+                assert lo * (1 - 1e-12) <= alpha0[rows].min() and alpha0[rows].max() <= hi * (1 + 1e-12)
+                spread = (hi - lo) / np.sqrt(12.0 * np.count_nonzero(rows))
+                assert abs(alpha0[rows].mean() - (lo + hi) / 2.0) <= 4.0 * spread
+            # Correct rows peak at the label, with the rest spread evenly.
+            peaked = np.full((n, k), 0.2 / (k - 1))
+            peaked[np.arange(n), labels] = 0.8
+            np.testing.assert_allclose((alpha / alpha0[:, None])[~incorrect], peaked[~incorrect], rtol=1e-12)
+        # Members average to alpha / alpha_0: per class, the summed error over
+        # all members is within 4 of its standard deviations.
+        mean = alpha / alpha0[:, None]
+        error = (data.probs - mean[:, None, :]).sum(axis=(0, 1))
+        variance = m * (mean * (1.0 - mean) / (alpha0[:, None] + 1.0)).sum(axis=0)
+        assert np.all(np.abs(error) <= 4.0 * np.sqrt(variance))
+
+    @pytest.mark.parametrize("scheme", SCHEME_CONFIGS)
+    def test_generator_calls_do_not_grow_with_n(self, scheme, monkeypatch):
+        # Whole-array draws: the number of Generator method calls is fixed,
+        # not a few per input.
+        real = np.random.default_rng
+        calls = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *seed: Counting(real(*seed)))
+        counts = []
+        for n in (10, 10_000):
+            calls.clear()
+            generate(self.base(n=n, k=4, **self.SCHEME_CONFIGS[scheme]))
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
 
     def test_ensembles_are_views_of_probs(self):
         data = generate(self.base())
@@ -603,3 +685,10 @@ class TestSimulate:
             self.base(peak=0.2)
         with pytest.raises(ValueError):
             self.base(correct_alpha0=(10.0, 5.0))
+        for bad in ((1.0, np.inf), (1e308, np.inf), (np.inf, np.inf), (np.nan, 5.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="correct_alpha0"):
+                self.base(correct_alpha0=bad)
+            with pytest.raises(ValueError, match="incorrect_alpha0"):
+                self.base(incorrect_alpha0=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            self.base(scheme="fixed", alpha=np.array([1e308, 1e308, 1.0]))
