@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .specfun import digamma, log_gamma, log_multivariate_beta, _trigamma
+from .specfun import digamma, log_gamma, log_multivariate_beta
 
 __all__ = [
     "DirichletParams",
@@ -39,7 +39,6 @@ __all__ = [
     "total_variance",
     "log_density",
     "kl_to_uniform",
-    "kl_to_uniform_grad",
     "sample",
     "log_likelihood",
 ]
@@ -196,6 +195,8 @@ def _exact_sums(a: np.ndarray) -> np.ndarray:
     # Zero, non-finite and near-overflow rows need fsum's own rules; they
     # and every row the bound misses are summed by _exact_sum.
     n = a.shape[0]
+    if n == 0:
+        return np.zeros(0)
     cols = np.ascontiguousarray(a.T)
     s, c, spread = cols[0], np.zeros(n), np.zeros(n)
     with np.errstate(all="ignore"):
@@ -248,16 +249,6 @@ def kl_to_uniform(d: DirichletParams) -> float:
     negative.
     """
     return float(_kl_to_uniform(d.alpha[None], np.array([d.alpha0]))[0])
-
-
-def kl_to_uniform_grad(d: DirichletParams) -> np.ndarray:
-    """Gradient of ``kl_to_uniform`` with respect to each concentration.
-
-    Component j equals ``(alpha_j - 1) psi'(alpha_j) - (alpha_0 - K) psi'(alpha_0)``.
-    """
-    a0 = d.alpha0
-    tri = _trigamma(np.append(d.alpha, a0))
-    return (d.alpha - 1.0) * tri[:-1] - (a0 - d.k) * tri[-1]
 
 
 def sample(d: DirichletParams, rng_seed: int, n: int) -> np.ndarray:

@@ -40,9 +40,7 @@ from .specfun import _trigamma, digamma, log_gamma
 
 __all__ = [
     "EnsembleSample",
-    "MomentSummary",
     "FitResult",
-    "moments",
     "fit_mom",
     "fit_mle",
     "fit_batch",
@@ -102,15 +100,6 @@ class EnsembleSample:
 
 
 @dataclass
-class MomentSummary:
-    """Empirical mean, unbiased variance, and the usable class set."""
-
-    mu: np.ndarray
-    sigma2: np.ndarray
-    valid_classes: np.ndarray
-
-
-@dataclass
 class FitResult:
     """Fitted parameters plus estimator diagnostics.
 
@@ -158,13 +147,6 @@ def _summaries(probs: np.ndarray, p_floor: float) -> tuple[np.ndarray, np.ndarra
     sigma2[np.all(probs == probs[..., :1, :], axis=-2)] = 0.0
     logs = np.maximum(probs, p_floor)
     return mu, sigma2, np.log(logs, out=logs).mean(axis=-2)
-
-
-def moments(s: SampleLike) -> MomentSummary:
-    """Per-class empirical mean and unbiased variance of an ensemble."""
-    mu, sigma2, _ = _summaries(_as_sample(s).probs, DEFAULT_P_FLOOR)
-    valid = np.flatnonzero(_class_alpha0(mu, sigma2)[1])
-    return MomentSummary(mu=mu, sigma2=sigma2, valid_classes=valid)
 
 
 def _mom_rows(mu: np.ndarray, sigma2: np.ndarray, alpha0_cap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +239,10 @@ def _check(alpha0_cap, max_iter, eps, p_floor, n_threads) -> None:
         raise ValueError("alpha0_cap must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not (eps > 0.0 and p_floor > 0.0):
-        raise ValueError("eps and p_floor must be > 0")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not 0.0 < p_floor < 1.0:
+        raise ValueError(f"p_floor must lie in (0, 1), got {p_floor}")
     if n_threads is not None and n_threads < 1:
         raise ValueError("n_threads must be >= 1")
 

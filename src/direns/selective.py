@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calibration import _arrays as _mean_labels, _metrics
-from .dirichlet import DirichletParams, ProbabilityVector, total_variance
+from .dirichlet import ProbabilityVector
 
 __all__ = [
     "ScoredSample",
@@ -39,9 +39,7 @@ __all__ = [
     "RiskCoveragePoint",
     "SubsetMetrics",
     "SelectiveReport",
-    "score",
     "calibrate_threshold",
-    "decide",
     "risk_coverage_curve",
     "variance_histograms",
     "variance_bin_edges",
@@ -113,11 +111,6 @@ class SelectiveReport:
     full_metrics: SubsetMetrics
 
 
-def score(d: DirichletParams) -> float:
-    """Abstention score of a fitted Dirichlet: its total predictive variance."""
-    return total_variance(d)
-
-
 def _arrays(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The object API's view of the array implementation: means, variances, labels.
     mean, labels = _mean_labels(samples)
@@ -167,13 +160,6 @@ def calibrate_threshold(cal: Sequence[ScoredSample], r: float = DEFAULT_TARGET_R
     """
     mean, variance, labels = _arrays(cal)
     return _threshold(variance, _wrong(mean, labels), r)
-
-
-def decide(s: ScoredSample, tau: float) -> Optional[int]:
-    """Predict the argmax mean class when variance <= tau, else abstain (None)."""
-    if s.variance <= tau:
-        return int(np.argmax(s.mean.p))
-    return None
 
 
 def _curve(variance: np.ndarray, wrong: np.ndarray) -> np.ndarray:
@@ -238,11 +224,16 @@ def _subset_metrics(mean: np.ndarray, labels: np.ndarray) -> SubsetMetrics:
 
 
 def selective_report(test: Sequence[ScoredSample], tau: float) -> SelectiveReport:
-    """Apply a threshold to a test set and compare full vs retained metrics."""
+    """Apply a threshold to a test set and compare full vs retained metrics.
+
+    Each decision predicts the argmax mean class when the variance is at
+    most tau, and abstains (None) otherwise.
+    """
     mean, variance, labels = _arrays(test)
     keep = variance <= tau
+    predicted = mean.argmax(axis=1).tolist()
     return SelectiveReport(
-        decisions=[(s.sample_id, decide(s, tau)) for s in test],
+        decisions=[(s.sample_id, p if k else None) for s, p, k in zip(test, predicted, keep.tolist())],
         retained_metrics=_subset_metrics(mean[keep], labels[keep]),
         full_metrics=_subset_metrics(mean, labels),
     )

@@ -542,6 +542,15 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [("--p-floor", "inf"), ("--p-floor", "1.5"), ("--p-floor", "1"),
+                                             ("--eps", "inf")])
+    def test_meaningless_fit_setting_is_one_error_line(self, files, capsys, flag, value):
+        argv = [a.format(**files) for a in self.FIT] + ["--mode", "mom-mle", flag, value]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert flag[2:].replace("-", "_") in lines[0]
+
     @pytest.mark.parametrize("fault", ["long field", "bad utf-8"])
     @pytest.mark.parametrize("target", ["preds", "fits", "labels"])
     def test_unreadable_csv_names_file_and_row(self, files, tmp_path, capsys, fault, target):

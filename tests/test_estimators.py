@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
 
-from direns.dirichlet import DirichletParams, log_likelihood, predictive_mean, sample
+from direns.dirichlet import DirichletParams, class_variance, log_likelihood, predictive_mean, sample
 from direns.estimators import (
     DEFAULT_ALPHA0_CAP,
     DEFAULT_P_FLOOR,
@@ -17,7 +17,6 @@ from direns.estimators import (
     fit_batch,
     fit_mle,
     fit_mom,
-    moments,
 )
 from direns.simulate import SimulationConfig, generate
 
@@ -71,26 +70,17 @@ class TestEnsembleSample:
 
 
 class TestMoments:
+    # The moment fit reproduces the ensemble's mean and unbiased variance.
     def test_hand_case(self):
-        summary = moments(two_member())
-        np.testing.assert_allclose(summary.mu, [0.7, 0.3], atol=1e-15)
-        np.testing.assert_allclose(summary.sigma2, [0.02, 0.02], atol=1e-15)
+        d = fit_mom(two_member()).params
+        np.testing.assert_allclose(predictive_mean(d).p, [0.7, 0.3], atol=1e-15)
+        np.testing.assert_allclose([class_variance(d, k) for k in range(2)], [0.02, 0.02], atol=1e-15)
 
     def test_identical_rows_have_zero_spread(self):
-        s = EnsembleSample(np.tile([0.9, 0.1], (5, 1)))
-        summary = moments(s)
-        np.testing.assert_array_equal(summary.sigma2, [0.0, 0.0])
-        assert summary.valid_classes.size == 0
-
-    def test_large_sample_matches_generator_moments(self):
-        truth = DirichletParams(np.array([3.0, 1.0, 0.5]))
-        draws = sample(truth, rng_seed=101, n=100_000)
-        summary = moments(EnsembleSample(draws))
-        mu = predictive_mean(truth).p
-        a0 = truth.alpha0
-        var = mu * (1.0 - mu) / (a0 + 1.0)
-        np.testing.assert_allclose(summary.mu, mu, rtol=0.02)
-        np.testing.assert_allclose(summary.sigma2, var, rtol=0.02)
+        # Seven equal members leave a 1e-32 residue in the float variance.
+        result = fit_mom(EnsembleSample(np.tile([0.9, 0.1], (7, 1))))
+        assert result.degenerate
+        assert result.params.alpha0 == pytest.approx(DEFAULT_ALPHA0_CAP, rel=1e-12)
 
 
 class TestFitMom:
@@ -110,7 +100,7 @@ class TestFitMom:
             s = EnsembleSample(probs)
             result = fit_mom(s)
             fitted_mean = predictive_mean(result.params).p
-            np.testing.assert_allclose(fitted_mean, moments(s).mu, atol=1e-12)
+            np.testing.assert_allclose(fitted_mean, s.probs.mean(axis=0), atol=1e-12)
 
     def test_zero_spread_is_degenerate_and_capped(self):
         s = EnsembleSample(np.tile([0.9, 0.1], (4, 1)))
@@ -150,7 +140,7 @@ class TestFitMom:
         assert np.all(result.params.alpha > 0.0)
         if not result.degenerate:
             np.testing.assert_allclose(
-                predictive_mean(result.params).p, moments(s).mu, atol=1e-12
+                predictive_mean(result.params).p, s.probs.mean(axis=0), atol=1e-12
             )
 
 
@@ -343,7 +333,8 @@ class TestFitBatch:
     def test_rejects_bad_thread_count_and_settings(self):
         s = [two_member()]
         assert fit_batch(s, "mom_then_mle", n_threads=3)[0].converged is not None
-        for bad in ({"n_threads": 0}, {"alpha0_cap": -1.0}, {"max_iter": 0}, {"eps": 0.0}):
+        for bad in ({"n_threads": 0}, {"alpha0_cap": -1.0}, {"max_iter": 0}, {"eps": 0.0}, {"eps": np.inf},
+                    {"p_floor": 0.0}, {"p_floor": 1.0}, {"p_floor": np.inf}):
             with pytest.raises(ValueError):
                 fit_batch(s, "mom", **bad)
 

@@ -1,4 +1,4 @@
-"""Evidential head: activations, closed-form losses, gradients, schedules."""
+"""Softmax cross entropy, closed-form evidential losses, and the KL schedule."""
 
 from __future__ import annotations
 
@@ -10,23 +10,14 @@ from scipy import special
 
 from direns.dirichlet import DirichletParams, class_variance, kl_to_uniform, predictive_mean
 from direns.evidential import (
-    EvidentialConfig,
-    LogitVector,
-    OneHotLabel,
-    alphas_from_evidence,
     annealed_lambda,
     ce_gradient,
     ce_loss,
     digamma_loss,
-    digamma_loss_grad,
-    evidence,
     log_evidence_penalty,
     mse_kl_loss,
-    mse_kl_loss_grad,
     mse_loss,
-    mse_loss_grad,
     softmax,
-    warmup_lambda,
 )
 
 
@@ -64,7 +55,7 @@ class TestCrossEntropy:
     def test_hand_value(self):
         p = np.array([0.25, 0.75])
         assert ce_loss(p, 1) == pytest.approx(-math.log(0.75), rel=1e-14)
-        assert ce_loss(p, OneHotLabel(0)) == pytest.approx(-math.log(0.25), rel=1e-14)
+        assert ce_loss(p, 0) == pytest.approx(-math.log(0.25), rel=1e-14)
 
     def test_nonnegative(self, rng):
         for _ in range(100):
@@ -111,83 +102,6 @@ class TestCrossEntropy:
             assert abs(float(g.sum())) <= 1e-12
 
 
-class TestEvidence:
-    def test_softplus_at_zero(self):
-        e = evidence(np.zeros(3), EvidentialConfig(activation="softplus"))
-        np.testing.assert_allclose(e, math.log(2.0), rtol=1e-15)
-
-    def test_softplus_positive_and_monotone(self):
-        z = np.linspace(-40.0, 40.0, 81)
-        e = evidence(z, EvidentialConfig(activation="softplus"))
-        assert np.all(e > 0.0)
-        assert np.all(np.diff(e) > 0.0)
-
-    def test_adaptive_reduces_to_softplus_at_unit_parameters(self):
-        cfg = EvidentialConfig(
-            activation="adaptive_softplus",
-            adaptive_beta=np.ones(4),
-            adaptive_gamma=np.ones(4),
-        )
-        z = np.array([-30.0, -1.0, 0.5, 25.0])
-        plain = evidence(z, EvidentialConfig(activation="softplus"))
-        np.testing.assert_allclose(evidence(z, cfg), plain, rtol=1e-12)
-
-    def test_adaptive_floor_is_log_beta(self):
-        cfg = EvidentialConfig(
-            activation="adaptive_softplus",
-            adaptive_beta=np.array([5.0, 5.0]),
-            adaptive_gamma=np.array([1.0, 1.0]),
-        )
-        e = evidence(np.array([-200.0, -200.0]), cfg)
-        np.testing.assert_allclose(e, math.log(5.0), rtol=1e-12)
-
-    def test_exponential_clamps_symmetrically(self):
-        cfg = EvidentialConfig(activation="exponential", clamp_bound=30.0)
-        e = evidence(np.array([50.0, -50.0]), cfg)
-        assert e[0] == math.exp(30.0)
-        assert e[1] == math.exp(-30.0)
-        inside = evidence(np.array([2.0, -2.0]), cfg)
-        np.testing.assert_allclose(inside, [math.exp(2.0), math.exp(-2.0)], rtol=1e-15)
-
-    def test_alphas_add_offset(self):
-        e = np.array([1.5, 0.0, 3.0])
-        d = alphas_from_evidence(e, delta=1)
-        np.testing.assert_array_equal(d.alpha, e + 1.0)
-
-    def test_alphas_floor_without_offset(self):
-        d = alphas_from_evidence(np.array([0.0, 2.0]), delta=0)
-        assert d.alpha[0] == 1e-6
-        assert d.alpha[1] == 2.0
-
-    def test_alphas_reject_negative_evidence(self):
-        with pytest.raises(ValueError):
-            alphas_from_evidence(np.array([-0.1, 1.0]), delta=1)
-
-
-class TestEvidentialConfigValidation:
-    def test_adaptive_parameters_required_iff_adaptive(self):
-        with pytest.raises(ValueError):
-            EvidentialConfig(activation="adaptive_softplus")
-        with pytest.raises(ValueError):
-            EvidentialConfig(activation="softplus", adaptive_beta=np.ones(2))
-        with pytest.raises(ValueError):
-            EvidentialConfig(
-                activation="adaptive_softplus",
-                adaptive_beta=np.array([0.5]),
-                adaptive_gamma=np.array([1.0]),
-            )
-
-    def test_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
-            EvidentialConfig(activation="relu")
-
-    def test_rejects_bad_scalars(self):
-        with pytest.raises(ValueError):
-            EvidentialConfig(delta=2)
-        with pytest.raises(ValueError):
-            EvidentialConfig(clamp_bound=0.0)
-
-
 class TestMseLoss:
     def test_hand_value(self):
         # (2,2), y=0: residuals 0.5 each, variances 0.05 each.
@@ -217,23 +131,6 @@ class TestMseLoss:
             var = math.fsum(class_variance(d, j) for j in range(k))
             assert mse_loss(d, y) == pytest.approx(bias + var, rel=1e-12)
 
-    def test_gradient_finite_differences(self, rng):
-        h = 1e-6
-        for _ in range(150):
-            k = int(rng.integers(2, 6))
-            alpha = rng.uniform(0.1, 100.0, size=k)
-            y = int(rng.integers(k))
-            g = mse_loss_grad(DirichletParams(alpha), y)
-            for j in range(k):
-                up = alpha.copy()
-                up[j] += h
-                down = alpha.copy()
-                down[j] -= h
-                fd = (
-                    mse_loss(DirichletParams(up), y) - mse_loss(DirichletParams(down), y)
-                ) / (2.0 * h)
-                assert g[j] == pytest.approx(fd, abs=1e-5, rel=1e-4)
-
 
 class TestDigammaLoss:
     def test_hand_value(self):
@@ -257,24 +154,6 @@ class TestDigammaLoss:
         assert all(v > 0.0 for v in losses)
         assert all(a > b for a, b in zip(losses, losses[1:]))
 
-    def test_gradient_finite_differences(self, rng):
-        h = 1e-6
-        for _ in range(150):
-            k = int(rng.integers(2, 6))
-            alpha = rng.uniform(0.1, 100.0, size=k)
-            y = int(rng.integers(k))
-            g = digamma_loss_grad(DirichletParams(alpha), y)
-            for j in range(k):
-                up = alpha.copy()
-                up[j] += h
-                down = alpha.copy()
-                down[j] -= h
-                fd = (
-                    digamma_loss(DirichletParams(up), y)
-                    - digamma_loss(DirichletParams(down), y)
-                ) / (2.0 * h)
-                assert g[j] == pytest.approx(fd, abs=1e-5, rel=1e-4)
-
 
 class TestMseKlLoss:
     def test_is_mse_plus_weighted_kl(self, rng):
@@ -294,25 +173,6 @@ class TestMseKlLoss:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             mse_kl_loss(params(2.0, 2.0), 0, -0.1)
-
-    def test_gradient_finite_differences(self, rng):
-        h = 1e-6
-        for _ in range(100):
-            k = int(rng.integers(2, 6))
-            alpha = rng.uniform(0.1, 100.0, size=k)
-            y = int(rng.integers(k))
-            lam = float(rng.uniform(0.0, 2.0))
-            g = mse_kl_loss_grad(DirichletParams(alpha), y, lam)
-            for j in range(k):
-                up = alpha.copy()
-                up[j] += h
-                down = alpha.copy()
-                down[j] -= h
-                fd = (
-                    mse_kl_loss(DirichletParams(up), y, lam)
-                    - mse_kl_loss(DirichletParams(down), y, lam)
-                ) / (2.0 * h)
-                assert g[j] == pytest.approx(fd, abs=1e-5, rel=1e-4)
 
 
 class TestPenaltiesAndSchedules:
@@ -343,17 +203,6 @@ class TestPenaltiesAndSchedules:
         with pytest.raises(ValueError):
             annealed_lambda(1.0, 4, 0.0, 0.0)
 
-    def test_warmup_saturates(self):
-        lam0, total = 0.8, 5.0
-        assert warmup_lambda(lam0, 0.0, total) == 0.0
-        assert warmup_lambda(lam0, 2.5, total) == pytest.approx(0.4, rel=1e-15)
-        assert warmup_lambda(lam0, 5.0, total) == pytest.approx(lam0, rel=1e-15)
-        assert warmup_lambda(lam0, 50.0, total) == pytest.approx(lam0, rel=1e-15)
-
-    def test_warmup_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            warmup_lambda(1.0, -0.5, 5.0)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weights_and_epochs_rejected(self, bad):
         d = params(2.0, 3.0)
@@ -361,11 +210,7 @@ class TestPenaltiesAndSchedules:
             lambda: annealed_lambda(bad, 4, 1.0, 10.0),
             lambda: annealed_lambda(1.0, 4, bad, 10.0),
             lambda: annealed_lambda(1.0, 4, 1.0, bad),
-            lambda: warmup_lambda(bad, 1.0, 10.0),
-            lambda: warmup_lambda(1.0, bad, 10.0),
-            lambda: warmup_lambda(1.0, 1.0, bad),
             lambda: mse_kl_loss(d, 0, bad),
-            lambda: mse_kl_loss_grad(d, 0, bad),
             lambda: log_evidence_penalty(d, bad),
         ]
         for call in calls:
@@ -375,15 +220,11 @@ class TestPenaltiesAndSchedules:
 
 class TestInputWrappers:
     def test_logit_vector_validation(self):
-        with pytest.raises(ValueError):
-            LogitVector(np.array([1.0]))
-        with pytest.raises(ValueError):
-            LogitVector(np.array([1.0, float("nan")]))
-
-    def test_one_hot_label_validation(self):
-        assert OneHotLabel(3).k_true == 3
-        with pytest.raises(ValueError):
-            OneHotLabel(-1)
+        for z in (np.array([1.0]), np.array([1.0, float("nan")])):
+            with pytest.raises(ValueError):
+                softmax(z)
+            with pytest.raises(ValueError):
+                ce_gradient(z, 0)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from direns.dirichlet import DirichletParams, predictive_mean, total_variance
 from direns.selective import (
     ABSTAIN_TAU,
     ScoredSample,
     calibrate_threshold,
-    decide,
     risk_coverage_curve,
-    score,
     selective_report,
     variance_bin_edges,
     variance_histograms,
@@ -53,12 +50,6 @@ def random_set(rng, n, sep=False) -> list[ScoredSample]:
             v = float(rng.uniform(0.0, 0.2))
         out.append(scored(v, label, mean=mean, sid=f"s{i:04d}"))
     return out
-
-
-class TestScore:
-    def test_score_is_total_variance(self):
-        d = DirichletParams(np.array([3.0, 1.0, 0.5]))
-        assert score(d) == total_variance(d)
 
 
 class TestCalibrateThreshold:
@@ -138,21 +129,28 @@ class TestCalibrateThreshold:
             calibrate_threshold([], 0.1)
 
 
+def decision(s: ScoredSample, tau: float):
+    [(sid, d)] = selective_report([s], tau).decisions
+    assert sid == s.sample_id
+    return d
+
+
 class TestDecide:
     def test_below_threshold_predicts_argmax(self):
-        s = scored(0.001, 0, mean=[0.7, 0.3])
-        assert decide(s, 0.002) == 0
+        s = scored(0.001, 0, mean=[0.3, 0.7])
+        assert type(decision(s, 0.002)) is int
+        assert decision(s, 0.002) == 1
 
     def test_above_threshold_abstains(self):
         s = scored(0.01, 0, mean=[0.7, 0.3])
-        assert decide(s, 0.002) is None
+        assert decision(s, 0.002) is None
 
     def test_boundary_is_inclusive(self):
         s = scored(0.002, 0, mean=[0.7, 0.3])
-        assert decide(s, 0.002) == 0
+        assert decision(s, 0.002) == 0
 
     def test_abstain_sentinel_rejects_everything(self):
-        assert decide(scored(0.0, 0), ABSTAIN_TAU) is None
+        assert decision(scored(0.0, 0), ABSTAIN_TAU) is None
 
 
 class TestRiskCoverageCurve:
