@@ -358,18 +358,7 @@ def cmd_losses(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- arg wiring
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="direns",
-        description=(
-            "Dirichlet distributions from prediction ensembles: fitting, "
-            "calibration diagnostics, and variance-based selective classification."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"direns {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="generate synthetic ensemble predictions")
+def _simulate_args(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--preds-out", required=True)
     sim.add_argument("--labels-out", required=True)
     sim.add_argument("--alphas-out", required=True, help="ground-truth concentrations")
@@ -390,7 +379,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--peak", type=float, default=0.8)
     sim.set_defaults(func=cmd_simulate)
 
-    fit = sub.add_parser("fit", help="fit per-input Dirichlet parameters")
+
+def _fit_args(fit: argparse.ArgumentParser) -> None:
     fit.add_argument("--preds", required=True)
     fit.add_argument("--out", required=True)
     fit.add_argument("--mode", choices=["mom", "mom-mle"], default="mom")
@@ -402,7 +392,8 @@ def _build_parser() -> _Parser:
     fit.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 1)")
     fit.set_defaults(func=cmd_fit)
 
-    ev = sub.add_parser("evaluate", help="calibration diagnostics report")
+
+def _evaluate_args(ev: argparse.ArgumentParser) -> None:
     src = ev.add_mutually_exclusive_group(required=True)
     src.add_argument("--alphas")
     src.add_argument("--preds", help="single-model predictions file")
@@ -412,7 +403,8 @@ def _build_parser() -> _Parser:
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_evaluate)
 
-    cal = sub.add_parser("calibrate-threshold", help="calibrate a variance threshold")
+
+def _calibrate_threshold_args(cal: argparse.ArgumentParser) -> None:
     cal.add_argument("--alphas", required=True)
     cal.add_argument("--labels", required=True)
     cal.add_argument("--risk", type=float, default=DEFAULT_TARGET_RISK)
@@ -421,7 +413,8 @@ def _build_parser() -> _Parser:
     cal.add_argument("--out", required=True)
     cal.set_defaults(func=cmd_calibrate_threshold)
 
-    sel = sub.add_parser("select", help="threshold, decide, and report")
+
+def _select_args(sel: argparse.ArgumentParser) -> None:
     sel.add_argument("--alphas", required=True)
     sel.add_argument("--labels", required=True)
     sel.add_argument("--risk", type=float, default=DEFAULT_TARGET_RISK)
@@ -434,13 +427,15 @@ def _build_parser() -> _Parser:
     sel.add_argument("--curve-out", default=None)
     sel.set_defaults(func=cmd_select)
 
-    rc = sub.add_parser("risk-coverage", help="risk-coverage curve CSV")
+
+def _risk_coverage_args(rc: argparse.ArgumentParser) -> None:
     rc.add_argument("--alphas", required=True)
     rc.add_argument("--labels", required=True)
     rc.add_argument("--out", required=True)
     rc.set_defaults(func=cmd_risk_coverage)
 
-    loss = sub.add_parser("losses", help="per-sample evidential losses")
+
+def _losses_args(loss: argparse.ArgumentParser) -> None:
     loss.add_argument("--alphas", required=True)
     loss.add_argument("--labels", required=True)
     loss.add_argument("--loss", choices=list(LOSSES), required=True)
@@ -450,11 +445,45 @@ def _build_parser() -> _Parser:
     loss.add_argument("--out", required=True)
     loss.set_defaults(func=cmd_losses)
 
+
+# Each command's help line and the builder of its arguments, in help order.
+_COMMANDS = {
+    "simulate": ("generate synthetic ensemble predictions", _simulate_args),
+    "fit": ("fit per-input Dirichlet parameters", _fit_args),
+    "evaluate": ("calibration diagnostics report", _evaluate_args),
+    "calibrate-threshold": ("calibrate a variance threshold", _calibrate_threshold_args),
+    "select": ("threshold, decide, and report", _select_args),
+    "risk-coverage": ("risk-coverage curve CSV", _risk_coverage_args),
+    "losses": ("per-sample evidential losses", _losses_args),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of every command, or of ``command`` alone.
+
+    A command parses its arguments, and reports their errors, the same way
+    in either; the one-command parser is cheaper to build.
+    """
+    parser = _Parser(
+        prog="direns",
+        description=(
+            "Dirichlet distributions from prediction ensembles: fitting, "
+            "calibration diagnostics, and variance-based selective classification."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"direns {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A leading command name needs only its own parser; help, --version, no
+    # command and an unknown one need them all.
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

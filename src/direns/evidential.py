@@ -57,6 +57,10 @@ def _logits(z) -> np.ndarray:
 
 
 def _class_index(y: int, k: int) -> int:
+    # An integral float such as 2.0 names class 2; 1.5, NaN and inf name none.
+    if not isinstance(y, (int, np.integer)):
+        if not float(y).is_integer():
+            raise ValueError(f"label {y} is not an integer")
     idx = int(y)
     if not 0 <= idx < k:
         raise ValueError(f"label {idx} out of range for K={k}")
@@ -121,7 +125,9 @@ def losses(kind: str, alpha: np.ndarray, alpha0: np.ndarray, labels, weight: flo
     """The ``kind`` loss (one of ``LOSSES``) of every row, as an (n,) array.
 
     Takes (n, K) concentrations, their (n,) exact totals (as ``read_alphas``
-    returns them) and (n,) labels in [0, K).  ``weight`` is lambda_kl for
+    returns them) and (n,) labels in [0, K).  A label is an integer or an
+    integral float such as 2.0; any other (1.5, NaN, inf) raises
+    ``ValueError``, as in the scalar losses.  ``weight`` is lambda_kl for
     ``mse-kl`` and lambda_ev for ``log-ev``; the other losses ignore it.  A
     row whose loss overflows a float gives inf or NaN.
     """

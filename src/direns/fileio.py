@@ -37,7 +37,6 @@ import hashlib
 import io
 import itertools
 import json
-import operator
 import os
 import tempfile
 import warnings
@@ -47,7 +46,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dirichlet import SIMPLEX_TOL, _exact_sums, _simplex_rows
-from .floatfmt import BLOCK, format_lines, pad_fields
+from .floatfmt import BLOCK, format_lines
 
 __all__ = [
     "ValidationError",
@@ -75,6 +74,8 @@ __all__ = [
 # Deviations beyond this get renormalized with a warning; smaller misses
 # are ordinary float rounding and are left untouched.
 RENORM_WARN_TOL = 1e-9
+# The byte that pads a text matrix for format_lines, which omits it.
+_PAD = 0xFF
 
 
 class ValidationError(Exception):
@@ -214,8 +215,9 @@ def _width(path: str, header: Optional[list], rows: int, lead: list[str], prefix
 
 def _columns(rows: list, width: int):
     # (fields, numeric, first, second, values): each row's field count,
-    # which rows have ``width`` fields that all parse, the two text columns,
-    # and the (n, width - 2) float block, NaN on rows that do not parse.
+    # which rows have ``width`` fields that all parse, the two text columns
+    # as object arrays of str, and the (n, width - 2) float block, NaN on
+    # rows that do not parse.
     n = len(rows)
     fields = np.fromiter(map(len, rows), np.intp, n)
     shaped = fields == width
@@ -232,7 +234,7 @@ def _columns(rows: list, width: int):
                 values[i] = [float(v) for v in rows[i][2:]]
             except ValueError:
                 numeric[i] = False
-    return fields, numeric, table[:, 0].tolist(), table[:, 1].tolist(), values
+    return fields, numeric, table[:, 0], table[:, 1], values
 
 
 # The bytes of a plain file: printable ASCII except the quote, and LF.  On
@@ -243,11 +245,22 @@ def _columns(rows: list, width: int):
 _PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\n"
 
 
+def _gather(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: int) -> np.ndarray:
+    # The (n, width) uint8 matrix whose row i is buf[starts[i]:starts[i] +
+    # lengths[i]] padded with ``fill``; width is the longest, and at least 1.
+    cols = np.arange(max(int(lengths.max(initial=0)), 1))
+    inside = cols < lengths[:, None]
+    out = np.full(inside.shape, fill, np.uint8)
+    out[inside] = buf[(starts[:, None] + cols)[inside]]
+    return out
+
+
 def _plain_split(raw: bytes):
     # (header fields, first, second) when ``raw`` is a plain file: only
     # _PLAIN_BYTES, the header's field count W >= 2 on every line and no
-    # field past the csv module's size limit.  first and second are the text
-    # of every data row's first two fields.  None otherwise.
+    # field past the csv module's size limit.  first and second are str
+    # arrays of every data row's first two fields, padded no wider than the
+    # file.  None otherwise.
     if not raw.endswith(b"\n"):
         raw += b"\n"
     width = raw.count(b",", 0, raw.find(b"\n")) + 1
@@ -264,14 +277,15 @@ def _plain_split(raw: bytes):
         return None
     if (np.diff(ends.ravel(), prepend=-1) - 1).max() >= csv.field_size_limit():
         return None
-    # Gather each data row's first two fields with the separator after
-    # each, and split the lot at once: fields hold no comma or newline.
-    starts = ends[:-1, -1] + 1
-    lengths = ends[1:, 1] + 1 - starts
-    offsets = np.cumsum(lengths) - lengths
-    lead = buf[np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)].tobytes()
-    fields = lead.replace(b"\n", b",").decode("ascii").split(",")
-    return raw[:ends[0, -1]].decode("ascii").split(","), fields[0:-1:2], fields[1:-1:2]
+    # A field runs from the byte after one separator to the next; a plain
+    # field holds no NUL, which a numpy str array would drop from its end.
+    starts = np.stack([ends[:-1, -1], ends[1:, 0]], axis=1) + 1
+    lengths = ends[1:, :2] - starts
+    if len(lengths) * lengths.max(axis=0, initial=0).sum() > buf.size:
+        return None
+    first, second = (_gather(buf, starts[:, j], lengths[:, j], 0).astype(np.uint32) for j in range(2))
+    return (raw[:ends[0, -1]].decode("ascii").split(","),
+            first.view(f"U{first.shape[1]}").ravel(), second.view(f"U{second.shape[1]}").ravel())
 
 
 def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
@@ -297,7 +311,9 @@ def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
 def _table(path: str, lead: list[str], prefix: Optional[str]):
     # (width, fields, numeric, first, second, values) of the data rows of a
     # file whose header _width accepts; see _columns.  A plain file parses
-    # through numpy; any other file, or one numpy rejects, through csv.reader.
+    # through numpy, its text columns as str arrays; any other file, or one
+    # numpy rejects, through csv.reader.  Either kind of text column compares
+    # with str as Python does.
     table = _plain_table(path, lead, prefix)
     if table is not None:
         return table
@@ -317,11 +333,31 @@ def _raise_first_fault(path: str, checks: list[tuple[np.ndarray, Callable[[int],
         raise ValidationError(f"{path}: row {i + 2}: {checks[order][1](i)}")
 
 
-def _index(ids: list) -> tuple[list, np.ndarray]:
-    # Sorted distinct ids, and each entry's position among them.
-    distinct = sorted(set(ids))
-    where = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.fromiter(map(where.__getitem__, ids), np.intp, len(ids))
+def _index(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Sorted distinct ids, each entry's position among them, and which
+    # entries equal an earlier one (np.unique would import numpy.ma).
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    new = np.ones(ids.size, dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    where = np.empty(ids.size, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    repeated = np.zeros(ids.size, dtype=bool)
+    repeated[order[~new]] = True
+    return ranked[new], where, repeated
+
+
+def _blocks(sids: np.ndarray, mids: np.ndarray) -> int:
+    # M when the rows come as direns writes them: blocks of M rows per
+    # sample, sample ids rising from block to block, and the same rising
+    # model ids in every block; else 0.
+    m = int(np.argmax(sids != sids[0])) or len(sids)
+    if len(sids) % m:
+        return 0
+    blocks, models = sids.reshape(-1, m), mids.reshape(-1, m)
+    ordered = ((blocks == blocks[:, :1]).all() and (blocks[1:, 0] > blocks[:-1, 0]).all()
+               and (models == models[0]).all() and (models[0, 1:] > models[0, :-1]).all())
+    return m if ordered else 0
 
 
 def read_predictions(path: str) -> PredictionsData:
@@ -338,18 +374,22 @@ def read_predictions(path: str) -> PredictionsData:
     renorm = (miss > RENORM_WARN_TOL) & (miss <= SIMPLEX_TOL)
     values[renorm] /= totals[renorm, None]
 
-    sample_ids, sidx = _index(sids)
-    model_all, midx = _index(mids)
-    key = sidx * len(model_all) + midx
-    order = np.argsort(key, kind="stable")
-    duplicate = np.zeros(len(fields), dtype=bool)
-    duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    m = _blocks(sids, mids)
+    if m:
+        # No pair repeats, and every sample has the model set of the first.
+        sample_ids, model_ids = sids[::m].tolist(), mids[:m].tolist()
+        duplicate = np.zeros(len(fields), dtype=bool)
+    else:
+        sample_ids, sidx, _ = _index(sids)
+        model_all, midx, _ = _index(mids)
+        sample_ids = sample_ids.tolist()
+        duplicate = _index(sidx * len(model_all) + midx)[2]
     _raise_first_fault(path, [
         (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
         (~numeric, lambda i: "non-numeric probability"),
         (~in_bounds, lambda i: "probabilities must lie in [0, 1]"),
         (miss > SIMPLEX_TOL, lambda i: f"probabilities sum to {float(totals[i])!r}, outside 1 +- {SIMPLEX_TOL}"),
-        (duplicate, lambda i: f"duplicate (sample_id, model_id) pair ({sids[i]!r}, {mids[i]!r})"),
+        (duplicate, lambda i: f"duplicate (sample_id, model_id) pair ({str(sids[i])!r}, {str(mids[i])!r})"),
     ])
     if renorm.any():
         warnings.warn(
@@ -358,6 +398,9 @@ def read_predictions(path: str) -> PredictionsData:
             RenormalizationWarning,
             stacklevel=2,
         )
+    if m:
+        probs = values.reshape(len(sample_ids), m, k)
+        return PredictionsData(sample_ids, model_ids, k, probs, dict(zip(sample_ids, probs)))
 
     # With no duplicates, a sample has the model set of sample 0 exactly
     # when it has as many rows and none with a model sample 0 lacks.
@@ -374,7 +417,7 @@ def read_predictions(path: str) -> PredictionsData:
         )
     probs = np.empty((len(sample_ids), int(counts[0]), k))
     probs[sidx, (np.cumsum(reference) - 1)[midx]] = values
-    model_ids = [m for m, used in zip(model_all, reference.tolist()) if used]
+    model_ids = model_all[reference].tolist()
     return PredictionsData(sample_ids, model_ids, k, probs, dict(zip(sample_ids, probs)))
 
 
@@ -391,33 +434,60 @@ def _csv_fields(values: Sequence[str]) -> list:
     return [line[:-2].encode("utf-8") for line in lines]
 
 
-def _row_texts(fields):
-    # ``text`` for _write_table from an iterable of each row's CSV bytes.
-    fields = iter(fields)
-    return lambda lo, hi: pad_fields(list(itertools.islice(fields, hi - lo)))
+def _unquoted(joined: str) -> bool:
+    # Whether values whose concatenation is ``joined`` hold none of the
+    # characters csv.writer may quote for, nor a NUL, which a numpy str
+    # array drops from the end of a value.
+    return not any(c in joined for c in ',"\r\n\0')
+
+
+def _text_matrix(values: Sequence[str]) -> np.ndarray:
+    # Each value as one CSV field in UTF-8, as the 0xFF-padded (n, width)
+    # matrix format_lines takes: whole arrays at once when no value needs
+    # quoting, else through csv.writer.
+    joined = "".join(values)
+    if _unquoted(joined):
+        chars = np.array(values, dtype=str)
+        points = chars.view(np.uint32).reshape(chars.size, chars.itemsize // 4)
+        # The UTF-8 length of each value: one byte per character, and one
+        # more from U+0080, U+0800 and U+10000 up.
+        lengths = sum((points >= first).sum(axis=1) for first in (1, 0x80, 0x800, 0x10000))
+        encoded = joined.encode("utf-8")
+    else:
+        fields = _csv_fields(values)
+        lengths = np.fromiter(map(len, fields), np.intp, len(fields))
+        encoded = b"".join(fields)
+    return _gather(np.frombuffer(encoded, np.uint8), np.cumsum(lengths) - lengths, lengths, _PAD)
+
+
+def _fields(*columns: np.ndarray) -> np.ndarray:
+    # Text matrices of consecutive fields, joined by commas.
+    comma = np.full((len(columns[0]), 1), ord(","), np.uint8)
+    return np.concatenate([part for column in columns for part in (comma, column)][1:], axis=1)
 
 
 def _write_table(path: str, header: list, text, values: np.ndarray) -> None:
     # One line per row of the (n, V) ``values``: its leading fields, which
-    # ``text(lo, hi)`` gives for rows lo..hi as format_lines takes them (None
-    # when there are none), then its numbers as '%.17g' writes them.  Blocks
-    # are asked for in order.
+    # ``text(rows)`` gives for the slice ``rows`` as format_lines takes them
+    # (``text`` is None when there are none; a text matrix's __getitem__
+    # serves), then its numbers as '%.17g' writes them.
     values = np.ascontiguousarray(values, dtype=np.float64)
-    rows = max(1, BLOCK // max(values.shape[1], 1))
-    blocks = (format_lines(None if text is None else text(i, min(i + rows, len(values))), values[i:i + rows])
-              for i in range(0, len(values), rows))
+    n = len(values)
+    step = max(1, BLOCK // max(values.shape[1], 1))
+    blocks = (format_lines(None if text is None else text(slice(i, min(i + step, n))), values[i:i + step])
+              for i in range(0, n, step))
     atomic_write_text(path, itertools.chain([(",".join(header) + "\n").encode("ascii")], blocks))
 
 
 def write_predictions(path: str, sample_ids: Sequence[str], model_ids: Sequence[str], probs) -> None:
     """Write (n, M, K) probabilities with full precision, one row per (sample, model), sample-major."""
     n, m, k = np.shape(probs)
-    samples = pad_fields(_csv_fields(sample_ids))
-    models = np.column_stack([np.full(m, ord(","), np.uint8), pad_fields(_csv_fields(model_ids))])
+    samples = _text_matrix(sample_ids)
+    models = np.column_stack([np.full(m, ord(","), np.uint8), _text_matrix(model_ids)])
 
-    def ids(lo: int, hi: int) -> np.ndarray:
+    def ids(rows: slice) -> np.ndarray:
         # Row r is sample r // m and model r % m, laid out without a per-row object.
-        row = np.arange(lo, hi)
+        row = np.arange(rows.start, rows.stop)
         return np.concatenate([samples[row // m], models[row % m]], axis=1)
 
     _write_table(path, ["sample_id", "model_id"] + [f"p_{i}" for i in range(k)], ids,
@@ -431,14 +501,18 @@ def _integer(text: str) -> Optional[int]:
         return None
 
 
-def _digit_column(texts: list) -> Optional[np.ndarray]:
+def _digit_column(texts: np.ndarray) -> Optional[np.ndarray]:
     # The labels as int64 when every one is 1-18 ASCII digits, which int()
-    # parses as numpy does and which cannot overflow; None otherwise.
-    joined = "".join(texts)
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-    if not (joined.isascii() and joined.isdigit() and lengths.min() >= 1 and lengths.max() <= 18):
+    # parses as numpy does and which cannot overflow; None otherwise, and
+    # for a csv-read column, whose labels int() parses one by one.
+    if texts.dtype.kind != "U" or texts.itemsize > 18 * 4:
         return None
-    return np.array(texts, dtype=np.int64)
+    # A plain file holds no NUL, so 0 only pads a label.
+    points = texts.view(np.uint32).reshape(texts.size, texts.itemsize // 4)
+    digits = (points >= ord("0")) & (points <= ord("9"))
+    if not ((digits | (points == 0)).all() and digits[:, 0].all()):
+        return None
+    return np.array(texts.tolist(), dtype=np.int64)
 
 
 def read_labels(path: str) -> LabelsData:
@@ -447,26 +521,29 @@ def read_labels(path: str) -> LabelsData:
     n = len(ids)
     labels = _digit_column(texts)
     if labels is None:
-        values = list(map(_integer, texts))
+        values = list(map(_integer, texts.tolist()))
         labels = np.array(values, dtype=object)
         integer = ~np.equal(labels, None)
     else:
         values, integer = labels.tolist(), np.ones(n, dtype=bool)
-    rows = dict(zip(reversed(ids), range(n + 1, 1, -1)))  # each id's first row
+    sample_ids = ids.tolist()
     _raise_first_fault(path, [
         (fields != 2, lambda i: f"expected 2 fields, got {fields[i]}"),
         (~integer, lambda i: "label must be an integer"),
         (np.where(integer, labels, 0) < 0, lambda i: "label must be nonnegative"),
-        (np.fromiter(map(rows.__getitem__, ids), np.intp, n) != np.arange(2, n + 2),
-         lambda i: f"duplicate sample_id {ids[i]!r}"),
+        (_index(ids)[2], lambda i: f"duplicate sample_id {sample_ids[i]!r}"),
     ])
-    return LabelsData(labels=dict(zip(ids, values)), rows=rows)
+    rows = dict(zip(sample_ids, range(2, n + 2)))  # ids are unique
+    return LabelsData(labels=dict(zip(sample_ids, values)), rows=rows)
 
 
 def write_labels(path: str, pairs: Sequence[tuple]) -> None:
     pairs = sorted(pairs)
-    texts = map(b"%s,%d".__mod__, zip(_csv_fields([sid for sid, _ in pairs]), (int(label) for _, label in pairs)))
-    _write_table(path, ["sample_id", "label"], _row_texts(texts), np.empty((len(pairs), 0)))
+    ids, labels = zip(*pairs) if pairs else ((), ())
+    labels = np.array(labels, dtype=np.int64).astype("S")
+    digits = labels.view(np.uint8).reshape(labels.size, labels.itemsize)
+    text = _fields(_text_matrix(ids), np.where(digits == 0, np.uint8(_PAD), digits))
+    _write_table(path, ["sample_id", "label"], text.__getitem__, np.empty((len(pairs), 0)))
 
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
@@ -499,25 +576,26 @@ def read_alphas(path: str) -> AlphasData:
     totals = np.zeros(n)
     totals[positive] = _exact_sums(alpha[positive])
     unsorted = np.zeros(n, dtype=bool)
-    unsorted[1:] = np.fromiter(map(operator.le, ids[1:], ids[:-1]), bool, n - 1)
+    unsorted[1:] = ids[1:] <= ids[:-1]
     _raise_first_fault(path, [
         (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
-        (np.array([f not in ("0", "1") for f in flags]), lambda i: "degenerate must be 0 or 1"),
+        ((flags != "0") & (flags != "1"), lambda i: "degenerate must be 0 or 1"),
         (~numeric, lambda i: "non-numeric concentration"),
         (~positive, lambda i: "concentrations must be finite and > 0"),
         (np.isnan(totals), lambda i: "concentrations sum past the largest float"),
-        (unsorted, lambda i: f"sample_id {ids[i]!r} out of sorted order"),
+        (unsorted, lambda i: f"sample_id {str(ids[i])!r} out of sorted order"),
     ])
-    return AlphasData(ids, np.array([f == "1" for f in flags]), alpha, totals)
+    return AlphasData(ids.tolist(), flags == "1", alpha, totals)
 
 
 def write_alphas(path: str, sample_ids: Sequence[str], degenerate, alpha: np.ndarray) -> None:
     """Write (n, K) concentrations with their ids and degenerate flags, rows sorted by id."""
-    order = sorted(range(len(sample_ids)), key=sample_ids.__getitem__)
+    order = np.argsort(np.array(sample_ids, dtype=object), kind="stable")
+    flags = np.where(np.asarray(degenerate, dtype=bool)[order], ord("1"), ord("0")).astype(np.uint8)
+    text = _fields(_text_matrix(sample_ids)[order], flags[:, None])
     alpha = np.asarray(alpha, dtype=np.float64)[order]
-    flags = np.where(np.asarray(degenerate, dtype=bool), b",1", b",0")[order].tolist()
     _write_table(path, ["sample_id", "degenerate"] + [f"a_{i}" for i in range(alpha.shape[1])],
-                 _row_texts(map(bytes.__add__, _csv_fields([sample_ids[i] for i in order]), flags)), alpha)
+                 text.__getitem__, alpha)
 
 
 def write_curve(path: str, curve) -> None:
@@ -527,7 +605,7 @@ def write_curve(path: str, curve) -> None:
 
 def write_losses(path: str, sample_ids: Sequence[str], losses: Sequence[float]) -> None:
     """Write a losses CSV with columns sample_id,loss, one row per id."""
-    _write_table(path, ["sample_id", "loss"], _row_texts(_csv_fields(sample_ids)), np.reshape(losses, (-1, 1)))
+    _write_table(path, ["sample_id", "loss"], _text_matrix(sample_ids).__getitem__, np.reshape(losses, (-1, 1)))
 
 
 def write_report(path: str, document: dict) -> None:

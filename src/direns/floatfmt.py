@@ -5,11 +5,11 @@ A finite x with 1e-280 <= |x| <= 1e280 has decimal exponent X, taken from
 log10 and corrected against the least double >= 10**X, and 17 significant
 digits D = round(|x| * 10**(16 - X)).  The product is formed in
 double-double arithmetic with an error below 1e-14 at D's scale, so D is
-exact unless the fraction lies within 1e-9 of one half.  Such near-ties,
-zeros, non-finite numbers and the rest of the range go through ``%`` one
-by one.  The digits are then laid out by ``%g``'s rules: fixed point for
--4 <= X < 17, else ``d.ddde+XX`` with at least two exponent digits, and
-no trailing zeros or bare point in either.
+exact unless the fraction lies within 1e-9 of one half; a zero has D = 0
+and X = 0.  Near-ties, non-finite numbers and the rest of the range go
+through ``%`` one by one.  The digits are then laid out by ``%g``'s
+rules: fixed point for -4 <= X < 17, else ``d.ddde+XX`` with at least two
+exponent digits, and no trailing zeros or bare point in either.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-__all__ = ["BLOCK", "format_lines", "pad_fields"]
+__all__ = ["BLOCK", "format_lines"]
 
 # Each number owns _SLOTS byte slots, six 8-byte words: a comma, a sign, the
 # "0.000" of a fixed-point number below 1, 17 digits each but the last
@@ -144,6 +144,12 @@ def _slots(x: np.ndarray) -> np.ndarray:
     # words, with _DROP in every slot its text omits.
     tables = _format_tables()
     d, e, proven = _decimal(x)
+    # What _decimal leaves out goes through '%' below, but for a zero: D = 0
+    # at X = 0, laid out as "0" or "-0".
+    slow = np.flatnonzero(~proven)
+    zero = x[slow] == 0.0
+    d[slow[zero]], e[slow[zero]] = 0, _X0
+    slow = slow[~zero]
     slots = np.empty((x.size, _SLOTS // 8), dtype=np.uint64)
     slots[:, 0] = np.frombuffer(_TEMPLATE[:8], np.uint64)
     d, last = np.divmod(d, 10)
@@ -155,7 +161,6 @@ def _slots(x: np.ndarray) -> np.ndarray:
         np.maximum(nsig, sig[group], out=nsig)
     key = tables.classes[e] + nsig
     key += _CLASSES * 18 * np.signbit(x)
-    slow = np.flatnonzero(~proven)
     if slow.size:
         text = [("%.17g" % v).encode("ascii") for v in x[slow].tolist()]
         slots.view(np.uint8)[slow, 1:25] = np.frombuffer(b"".join(t.ljust(24, _DROP) for t in text),
@@ -166,22 +171,14 @@ def _slots(x: np.ndarray) -> np.ndarray:
     return slots
 
 
-def pad_fields(fields: list) -> np.ndarray:
-    """CSV bytes, one per row, as the (R, width) text matrix ``format_lines`` takes."""
-    width = max(map(len, fields), default=0)
-    text = b"".join(f.ljust(width, _DROP) for f in fields)
-    return np.frombuffer(text, np.uint8).reshape(len(fields), width)
-
-
 def format_lines(texts: Optional[np.ndarray], values: np.ndarray) -> bytearray:
     """The bytes of one CSV line per row of the (R, V) ``values``.
 
     A line holds the row's leading fields, given as the CSV bytes in row r
     of the (R, width) uint8 matrix ``texts`` (None when there are none),
     then its numbers as ``'%.17g' % x`` writes them.  A text row may be
-    padded anywhere with 0xFF bytes, which the line omits, as
-    ``pad_fields`` pads.  Rows should come in blocks of about ``BLOCK``
-    numbers.
+    padded anywhere with 0xFF bytes, which the line omits.  Rows should
+    come in blocks of about ``BLOCK`` numbers.
     """
     # Each row is laid out as its text, the slots of its numbers and a
     # newline; every byte not in the line is _DROP, which UTF-8 never holds.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -13,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from direns import cli
 from direns.cli import main
 from direns.dirichlet import DirichletParams, log_likelihood, predictive_mean, total_variance
 from direns.fileio import read_alphas, read_labels, read_predictions
@@ -577,3 +581,38 @@ class TestExitCodes:
         assert run("--version") == 0
         out = capsys.readouterr().out
         assert "direns" in out
+
+
+class TestParser:
+    @staticmethod
+    def outcome(argv) -> tuple:
+        # (exit code, stdout, stderr) of main(argv).
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_one_command_parser_reads_as_the_full_one(self, command, monkeypatch):
+        # Help and usage errors: --help, a missing required argument or
+        # group (fit's --mode alone leaves --preds and --out missing), and
+        # an unknown flag, which the top-level parser reports.
+        cases = [[command, "--help"], [command], [command, "--nonsense"]]
+        alone = [self.outcome(argv) for argv in cases]
+        built = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: built())
+        assert alone == [self.outcome(argv) for argv in cases]
+        assert alone[0][0] == 0 and alone[0][1].startswith(f"usage: direns {command} ")
+        assert all(code == 1 and err.startswith("error: direns") for code, _, err in alone[1:])
+
+    @pytest.mark.parametrize("argv, built", [
+        (["losses", "--help"], 1), (["fit", "--nonsense"], 1), (["--help"], 7), (["--version"], 7),
+        ([], 7), (["nonsense"], 7), (["--version", "fit"], 7),
+    ])
+    def test_builds_the_parser_of_a_leading_command_only(self, argv, built, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+        self.outcome(argv)
+        assert len(names) == built

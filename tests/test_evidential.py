@@ -15,6 +15,7 @@ from direns.evidential import (
     ce_loss,
     digamma_loss,
     log_evidence_penalty,
+    losses,
     mse_kl_loss,
     mse_loss,
     softmax,
@@ -231,3 +232,24 @@ class TestInputWrappers:
             ce_loss(np.array([0.5, 0.5]), 2)
         with pytest.raises(ValueError):
             mse_loss(params(2.0, 2.0), 5)
+
+    @pytest.mark.parametrize("label", [1.5, 0.9, float("nan"), float("inf"), np.float64(1.5)])
+    def test_non_integer_label_rejected(self, label):
+        # int() would truncate 1.5 and 0.9 to a class and fail on nan and
+        # inf with other errors.
+        calls = [
+            lambda: ce_loss(np.array([0.25, 0.75]), label),
+            lambda: ce_gradient(np.array([0.0, 1.0]), label),
+            lambda: mse_loss(params(2.0, 2.0), label),
+            lambda: losses("mse", np.array([[2.0, 2.0]]), np.array([4.0]), np.array([label])),
+            lambda: losses("digamma", np.array([[2.0, 2.0]]), np.array([4.0]), [label]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"label {label} is not an integer"):
+                call()
+
+    def test_integral_float_label_names_its_class(self):
+        assert ce_loss(np.array([0.25, 0.75]), 1.0) == ce_loss(np.array([0.25, 0.75]), 1)
+        alpha, alpha0 = np.array([[2.0, 3.0, 5.0]]), np.array([10.0])
+        assert losses("mse", alpha, alpha0, np.array([2.0])) == losses("mse", alpha, alpha0, np.array([2]))
+        assert mse_loss(params(2.0, 3.0, 5.0), 2.0) == mse_loss(params(2.0, 3.0, 5.0), 2)

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
 import json
 import os
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from direns import fileio, floatfmt
@@ -263,6 +266,71 @@ class TestPredictionsFile:
         np.testing.assert_array_equal(data.probs, [[[0.6, 0.4], [0.8, 0.2]], [[0.5, 0.5], [0.3, 0.7]]])
         assert np.shares_memory(data.ensembles["s1"], data.probs)
 
+    ROWS = [(s, m, f"{0.1 * (3 * i + j + 1):.1f}") for i, s in enumerate(["s0", "s1", "s2"])
+            for j, m in enumerate(["m0", "m1", "m2"])]
+
+    @staticmethod
+    def preds_text(rows) -> str:
+        return "sample_id,model_id,p_0,p_1\n" + "".join(f"{s},{m},{p},{1 - float(p):.1f}\n" for s, m, p in rows)
+
+    @staticmethod
+    def outcome(path) -> tuple:
+        # The parsed fields (arrays as bytes) or the error, and the warnings.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                data = vars(read_predictions(path))
+                result = {key: (value.tobytes(), value.shape) if isinstance(value, np.ndarray) else value
+                          for key, value in data.items() if key != "ensembles"}
+                result["ensembles"] = {key: value.tobytes() for key, value in data["ensembles"].items()}
+            except ValidationError as exc:
+                result = str(exc)
+        return result, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("order, shortcut", [
+        ("as written", True),
+        ("rows reversed", False),
+        ("models falling", False),
+        ("model-major", False),
+        ("one sample", True),
+    ])
+    def test_row_order_does_not_change_what_is_read(self, tmp_path, monkeypatch, order, shortcut):
+        rows = {
+            "as written": self.ROWS,
+            "rows reversed": self.ROWS[::-1],
+            "models falling": sorted(self.ROWS, key=lambda r: (r[0], -int(r[1][1]))),
+            "model-major": sorted(self.ROWS, key=lambda r: (r[1], r[0])),
+            "one sample": self.ROWS[:3],
+        }[order]
+        path = write(tmp_path / "p.csv", self.preds_text(rows))
+        expected = write(tmp_path / "q.csv", self.preds_text(self.ROWS if order != "one sample" else rows))
+        taken = []
+        blocks = fileio._blocks
+        monkeypatch.setattr(fileio, "_blocks", lambda s, m: taken.append(blocks(s, m)) or taken[-1])
+        assert self.outcome(path) == self.outcome(expected)
+        assert bool(taken[0]) == shortcut
+        monkeypatch.setattr(fileio, "_blocks", lambda s, m: 0)
+        assert self.outcome(path) == self.outcome(expected)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("s1,m1,1.5,-0.5", "row 6: probabilities must lie in [0, 1]"),
+        ("s1,m1,x,0.5", "row 6: non-numeric probability"),
+        ("s1,m1,0.5,0.6", "row 6: probabilities sum to 1.1, outside 1 +- 1e-06"),
+        ("s1,m1,0.5,0.5,1", "row 6: expected 4 fields, got 5"),
+        ("s1,m1,0.500000001,0.5", None),
+    ])
+    def test_ordered_file_faults_read_as_in_any_order(self, tmp_path, monkeypatch, fault, message):
+        # A fault in a file laid out as direns writes it: the shortcut must
+        # report it, or renormalize, as the general path does.
+        lines = self.preds_text(self.ROWS).splitlines(keepends=True)
+        lines[5] = fault + "\n"
+        path = write(tmp_path / "p.csv", "".join(lines))
+        outcome = self.outcome(path)
+        if message is not None:
+            assert outcome[0] == f"{path}: {message}"
+        monkeypatch.setattr(fileio, "_blocks", lambda s, m: 0)
+        assert self.outcome(path) == outcome
+
 
     def test_plain_file_parse_traces_less_memory_than_the_csv_path(self, tmp_path):
         # 25k rows, the ensemble-mle benchmark's shape.  The csv path holds
@@ -366,6 +434,100 @@ class TestWriterBytes:
         finally:
             tracemalloc.stop()
         assert peak <= 192_484
+
+
+def profile_counts(call) -> collections.Counter:
+    # Events of ``call`` per function of fileio and floatfmt: each entry
+    # into it (or step of a generator), each line it runs, so that a loop
+    # over rows shows, and each C function it calls.
+    files = {fileio.__file__, floatfmt.__file__}
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_filename in files:
+            if event == "call":
+                counts["call", frame.f_code.co_name] += 1
+            elif event == "c_call":
+                counts["c_call", getattr(arg, "__qualname__", repr(arg))] += 1
+
+    def lines(frame, event, arg):
+        counts["line", frame.f_code.co_name] += event == "line"
+        return lines
+
+    sys.setprofile(profile)
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code.co_filename in files else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return counts
+
+
+ID_CHARS = ["a", "Z", "0", " ", "\t", "\x7f", "\xe9", "\u65e5", "\U0001f600"]
+QUOTING_CHARS = [",", '"', "\r", "\n", "\x00"]
+
+
+class TestTextColumns:
+    @staticmethod
+    def text_io(tmp_path, n: int) -> dict:
+        # Profile counts of every reader and writer on plain files of n inputs.
+        data = generate(SimulationConfig(n=n, m=2, k=3, seed=1, scheme="two_population"))
+        path = {name: str(tmp_path / f"{name}{n}.csv") for name in ("preds", "unordered", "labels", "alphas", "losses")}
+        write_predictions(path["preds"], data.sample_ids, data.model_ids, data.probs)
+        header, *rows = open(path["preds"]).read().splitlines(keepends=True)
+        write(tmp_path / f"unordered{n}.csv", header + "".join(rows[::-1]))
+        calls = {
+            "write_predictions": lambda: write_predictions(path["preds"], data.sample_ids, data.model_ids, data.probs),
+            "write_labels": lambda: write_labels(path["labels"], list(data.labels.items())),
+            "write_alphas": lambda: write_alphas(path["alphas"], data.sample_ids[::-1], np.arange(n) % 2 == 0,
+                                                 data.alpha[::-1]),
+            "write_losses": lambda: write_losses(path["losses"], data.sample_ids, data.alpha[:, 0]),
+            "read_predictions": lambda: read_predictions(path["preds"]),
+            "read_predictions unordered": lambda: read_predictions(path["unordered"]),
+            "read_labels": lambda: read_labels(path["labels"]),
+            "read_alphas": lambda: read_alphas(path["alphas"]),
+        }
+        return {name: profile_counts(call) for name, call in calls.items()}
+
+    def test_text_columns_cost_no_python_per_row(self, tmp_path, monkeypatch):
+        # With every write one block, no function of fileio or floatfmt may
+        # run, run a line or call a C function more often for 5,000 inputs
+        # than for 500.  A csv.writer row, str.encode or bytes.ljust per id
+        # would, as would a per-id comparison, dict lookup or list on the
+        # read side.
+        floatfmt._format_tables()
+        monkeypatch.setattr(fileio, "BLOCK", 1 << 40)
+        small, large = self.text_io(tmp_path, 500), self.text_io(tmp_path, 5000)
+        for name, counts in small.items():
+            assert large[name] == counts, name
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_array_path_writes_what_csv_writer_does(self, tmp_path, data):
+        # Ids from characters csv.writer leaves as they are, and sometimes
+        # ones it quotes (or a NUL): the bytes must be those of the
+        # csv.writer path, forced by patching the one plainness check.
+        chars = st.sampled_from(data.draw(st.sampled_from([ID_CHARS, ID_CHARS + QUOTING_CHARS])))
+        ids = data.draw(st.lists(st.text(chars, max_size=4), max_size=6))
+        models = data.draw(st.lists(st.text(chars, max_size=3), min_size=1, max_size=3))
+        n = len(ids)
+        probs = np.full((n, len(models), 2), 0.5)
+        writers = {
+            "preds": lambda path: write_predictions(path, ids, models, probs),
+            "labels": lambda path: write_labels(path, [(sid, i % 3) for i, sid in enumerate(ids)]),
+            "alphas": lambda path: write_alphas(path, ids, np.arange(n) % 2 == 0, np.ones((n, 2)) + np.arange(n)[:, None]),
+            "losses": lambda path: write_losses(path, ids, -0.25 * np.arange(n)),
+        }
+        for name, writer in writers.items():
+            path = str(tmp_path / f"{name}.csv")
+            writer(path)
+            written = open(path, "rb").read()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fileio, "_unquoted", lambda joined: False)
+                writer(path)
+            assert open(path, "rb").read() == written, name
 
 
 class TestLabelsFile:
