@@ -55,4 +55,4 @@ from .selective import (
     variance_histograms,
 )
 from .simulate import SimulationConfig, generate
-from .specfun import digamma, inverse_digamma, log_gamma, log_multivariate_beta
+from .specfun import digamma, inverse_digamma, log_gamma

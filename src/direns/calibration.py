@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import ProbabilityVector
+from .dirichlet import ProbabilityVector, _class_index, _point
 
 __all__ = [
     "LabeledPrediction",
@@ -59,13 +59,8 @@ class LabeledPrediction:
     sample_id: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mean, ProbabilityVector):
-            self.mean = ProbabilityVector(np.asarray(self.mean, dtype=np.float64))
-        self.label = int(self.label)
-        if not 0 <= self.label < self.mean.p.size:
-            raise ValueError(
-                f"label {self.label} out of range for K={self.mean.p.size}"
-            )
+        self.mean = _point(self.mean)
+        self.label = _class_index(self.label, self.mean.p.size)
         self.sample_id = str(self.sample_id)
 
 
@@ -100,14 +95,13 @@ class CalibrationReport:
 
 def confidence(p) -> float:
     """Maximum predicted class probability."""
-    probs = p.p if isinstance(p, ProbabilityVector) else np.asarray(p, dtype=np.float64)
-    return float(probs.max())
+    return float(_point(p).p.max())
 
 
 def correctness(p, label: int) -> int:
     """1 when the argmax class (lowest index on ties) equals the label."""
-    probs = p.p if isinstance(p, ProbabilityVector) else np.asarray(p, dtype=np.float64)
-    return int(int(np.argmax(probs)) == int(label))
+    probs = _point(p).p
+    return int(int(np.argmax(probs)) == _class_index(label, probs.size))
 
 
 def _bin_index(conf, n_bins: int):

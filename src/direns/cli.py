@@ -140,6 +140,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 "models present"
             )
         m = args.models_limit
+    if args.threads is not None and args.threads < 1:
+        raise ValidationError("--threads must be at least 1")
     if m < 2:
         raise ValidationError(
             f"{args.preds}: fitting needs at least 2 models per sample, found {m}"
@@ -153,7 +155,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         max_iter=args.max_iter,
         eps=args.eps,
         p_floor=args.p_floor,
-        n_threads=args.threads,
     )
     write_alphas(args.out, data.sample_ids, degenerate, alpha)
     refined = int(np.count_nonzero(~degenerate)) if refine else 0

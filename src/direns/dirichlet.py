@@ -14,11 +14,16 @@ log-likelihood of i.i.d. simplex observations.
 Everything operates on plain numpy arrays wrapped in two light containers,
 ``DirichletParams`` and ``ProbabilityVector``, which validate their
 invariants on construction.  Collections of simplex points (samples,
-ensembles) are represented as 2-D arrays with one point per row.
+ensembles) are represented as 2-D arrays with one point per row.  The
+object API elsewhere takes its points and labels through one rule each,
+``_point`` and ``_class_index``.
 
 The variances and the KL each have one row-wise implementation over (n, K)
 concentrations and their (n,) exact totals; the functions on one
-``DirichletParams`` are its n=1 views.
+``DirichletParams`` are its n=1 views.  The log-likelihood terms are
+written once, in ``_log_likelihood_terms``: the MLE's Newton steps, the
+log-likelihood, the log density and the KL (the terms at
+lbar_k = psi(alpha_k) - psi(alpha_0), less ln Gamma(K)) all take them there.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .specfun import digamma, log_gamma, log_multivariate_beta
+from .specfun import digamma, log_gamma
 
 __all__ = [
     "DirichletParams",
@@ -46,6 +51,14 @@ __all__ = [
 # How far a probability vector's sum may miss 1, here, in the ensemble
 # container and in the predictions reader, each given it by _simplex_rows.
 SIMPLEX_TOL = 1e-6
+
+# A sum of log-likelihood terms is trusted to this many units in the last
+# place of the sum of their magnitudes: the MLE accepts a Newton step that
+# lowers the likelihood by no more, and the KL is NaN where its rounding
+# could exceed 1e-6 of the result.  Near the optimum the true change is
+# below the rounding, and a strict test refuses good steps there: rows then
+# stop on a small step with |g alpha| of 2e-6 to 7e-5 instead of 1e-12.
+_LL_ROUNDING = 4 * 2.0**-52
 
 
 @dataclass
@@ -106,10 +119,21 @@ def _simplex_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 VectorLike = Union[ProbabilityVector, np.ndarray, list, tuple]
 
 
-def _as_point(p: VectorLike) -> np.ndarray:
-    if isinstance(p, ProbabilityVector):
-        return p.p
-    return ProbabilityVector(np.asarray(p, dtype=np.float64)).p
+def _point(p: VectorLike) -> ProbabilityVector:
+    # The one point rule: a ProbabilityVector is taken as it is, anything
+    # else must pass its check.
+    return p if isinstance(p, ProbabilityVector) else ProbabilityVector(p)
+
+
+def _class_index(y, k: int) -> int:
+    # The one label rule: an integer, or an integral float such as 2.0, naming
+    # a class in [0, k); 1.5, NaN and inf name none.
+    if not isinstance(y, (int, np.integer)) and not float(y).is_integer():
+        raise ValueError(f"label {y} is not an integer")
+    idx = int(y)
+    if not 0 <= idx < k:
+        raise ValueError(f"label {idx} out of range for K={k}")
+    return idx
 
 
 def predictive_mean(d: DirichletParams) -> ProbabilityVector:
@@ -157,15 +181,10 @@ def log_density(d: DirichletParams, p: VectorLike) -> float:
     """Log density at a strictly interior simplex point.
 
     Boundary points (any p_k = 0) are rejected; callers that may hold
-    boundary data are expected to clamp before evaluating.
+    boundary data are expected to clamp before evaluating.  It is the
+    log-likelihood of the one point.
     """
-    point = _as_point(p)
-    if point.size != d.k:
-        raise ValueError(f"dimension mismatch: K={d.k} vs point of size {point.size}")
-    if np.any(point <= 0.0):
-        raise ValueError("log_density requires a strictly interior point (all p_k > 0)")
-    terms = [(a - 1.0) * math.log(x) for a, x in zip(d.alpha.tolist(), point.tolist())]
-    return math.fsum(terms) - log_multivariate_beta(d.alpha)
+    return log_likelihood(d, _point(p).p)
 
 
 def _exact_sum(row: np.ndarray) -> float:
@@ -214,18 +233,42 @@ def _exact_sums(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    # Sequential by definition, so a row's sum cannot depend on other rows.
+    return np.add.accumulate(a, axis=-1)[..., -1]
+
+
+def _log_likelihood_terms(alpha: np.ndarray, alpha0: np.ndarray,
+                          lbar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The one-member Dirichlet log-likelihood of every row of (n, K) alpha,
+    # with (n,) total alpha0 and (n, K) mean logs lbar, as its terms: (n,)
+    # ln Gamma(alpha_0) and (n, K) (alpha_k - 1) lbar_k - ln Gamma(alpha_k).
+    # Also (n,) the sum of the magnitudes of every part, which bounds the
+    # rounding of any sum of the terms.
+    lg0 = log_gamma(alpha0)
+    lg = log_gamma(alpha)
+    lin = (alpha - 1.0) * lbar
+    return lg0, lin - lg, np.abs(lg0) + _row_sum(np.abs(lg) + np.abs(lin))
+
+
+def _log_likelihood_rows(alpha: np.ndarray, lbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (n,) one-member log-likelihoods, their terms summed in order, and the
+    # magnitudes that bound their rounding.
+    lg0, terms, scale = _log_likelihood_terms(alpha, _row_sum(alpha), lbar)
+    return lg0 + _row_sum(terms), scale
+
+
 def _kl_to_uniform(alpha: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
-    # (n,) KL to the uniform Dirichlet, row-wise.  The terms grow like
-    # alpha_0 ln alpha_0 and cancel, so a row gives NaN where a term overflows
-    # or where the terms' rounding, bounded by 4 ulp of their absolute sum,
-    # could exceed 1e-6 of max(1, KL).
-    k = alpha.shape[1]
-    terms = np.empty((alpha.shape[0], k + 2))
+    # (n,) KL to the uniform Dirichlet, row-wise: the log-likelihood terms at
+    # lbar_k = psi(alpha_k) - psi(alpha_0), less ln Gamma(K), summed exactly.
+    # The terms grow like alpha_0 ln alpha_0 and cancel, so a row gives NaN
+    # where a term overflows or where the terms' rounding, bounded by
+    # _LL_ROUNDING of their absolute sum, could exceed 1e-6 of max(1, KL).
+    n, k = alpha.shape
     with np.errstate(all="ignore"):
-        terms[:, :k] = -log_gamma(alpha) + (alpha - 1.0) * (digamma(alpha) - digamma(alpha0)[:, None])
-        terms[:, k] = log_gamma(alpha0)
-        terms[:, k + 1] = -log_gamma(float(k))
-        bound = 4.0 * 2.0**-52 * np.sum(np.abs(terms), axis=1)
+        lg0, terms, _ = _log_likelihood_terms(alpha, alpha0, digamma(alpha) - digamma(alpha0)[:, None])
+        terms = np.column_stack([terms, lg0, np.full(n, -log_gamma(float(k)))])
+        bound = _LL_ROUNDING * np.sum(np.abs(terms), axis=1)
     kl = np.maximum(_exact_sums(terms), 0.0)
     kl[bound > 1e-6 * np.maximum(1.0, kl)] = math.nan
     return kl
@@ -273,19 +316,18 @@ def log_likelihood(alpha: VectorLike, samples: np.ndarray) -> float:
 
     Equals ``M (ln Gamma(alpha_0) - sum_k ln Gamma(alpha_k))
     + M sum_k (alpha_k - 1) lbar_k`` with ``lbar_k`` the mean log
-    probability of class k over the M rows.
+    probability of class k over the M rows: M times the value the MLE
+    maximizes, with the same bits.
     """
     a = alpha.alpha if isinstance(alpha, DirichletParams) else DirichletParams(alpha).alpha
     mat = np.asarray(samples, dtype=np.float64)
     if mat.ndim == 1:
         mat = mat[None, :]
     if mat.shape[0] < 1:
-        raise ValueError("log_likelihood requires at least one sample")
+        raise ValueError("the log-likelihood needs at least one point")
     if mat.shape[1] != a.size:
-        raise ValueError("sample dimension does not match alpha")
+        raise ValueError(f"dimension mismatch: K={a.size} vs points of size {mat.shape[1]}")
     if np.any(mat <= 0.0):
-        raise ValueError("log_likelihood requires strictly interior points (all p_k > 0)")
-    m = mat.shape[0]
-    mean_log = np.log(mat).mean(axis=0)
-    inner = math.fsum(((a - 1.0) * mean_log).tolist())
-    return m * (inner - log_multivariate_beta(a))
+        raise ValueError("the log-likelihood needs strictly interior points (all p_k > 0)")
+    ll, _ = _log_likelihood_rows(a[None], np.log(mat).mean(axis=0)[None])
+    return mat.shape[0] * float(ll[0])

@@ -17,7 +17,9 @@ probability of class k.  Its Hessian is a diagonal plus a constant, so each
 step costs O(K) (Minka 2000, "Estimating a Dirichlet distribution").  Every
 step is halved until it keeps alpha positive and does not lower the
 likelihood beyond rounding, so the likelihood never decreases along the
-iteration; from the moment fit a row converges in a handful of steps.
+iteration; from the moment fit a row converges in a handful of steps.  The
+likelihood is ``dirichlet._log_likelihood_rows``, the value that
+``log_likelihood`` reports divided by M.
 
 Both are array kernels over (n, K) per-input summaries, and ``_fit`` is
 the one implementation that runs them: on every input of an (n, M, K)
@@ -35,8 +37,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dirichlet import SIMPLEX_TOL, DirichletParams, _simplex_rows
-from .specfun import _trigamma, digamma, log_gamma
+from .dirichlet import (SIMPLEX_TOL, _LL_ROUNDING, DirichletParams, _log_likelihood_rows, _row_sum,
+                        _simplex_rows)
+from .specfun import _trigamma, digamma
 
 __all__ = [
     "EnsembleSample",
@@ -59,11 +62,6 @@ DEFAULT_P_FLOOR = 1e-12
 # zero empirical mean; far below any statistically meaningful scale.
 _ALPHA_FLOOR = 1e-300
 
-# A Newton step may lower the log-likelihood by this many units in the last
-# place of the sum of its terms' magnitudes.  Near the optimum the true change
-# is below the rounding, and a strict test refuses good steps there: rows then
-# stop on a small step with |g alpha| of 2e-6 to 7e-5 instead of 1e-12.
-_LL_ROUNDING = 4 * 2.0**-52
 # A step not accepted after this many halvings is refused.
 _MAX_HALVINGS = 64
 
@@ -131,11 +129,6 @@ def _class_alpha0(mu: np.ndarray, sigma2: np.ndarray) -> tuple[np.ndarray, np.nd
     return per_class, np.isfinite(per_class) & (per_class > 0.0)
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    # Sequential by definition, so a row's sum cannot depend on other rows.
-    return np.add.accumulate(a, axis=-1)[..., -1]
-
-
 def _summaries(probs: np.ndarray, p_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Mean, unbiased variance and floored mean log over the members axis
     # (-2) of one (M, K) ensemble or an (n, M, K) block.  Each input reduces
@@ -157,16 +150,6 @@ def _mom_rows(mu: np.ndarray, sigma2: np.ndarray, alpha0_cap: float) -> tuple[np
     alpha0 = _row_sum(np.where(valid, per_class, 0.0)) / np.maximum(count, 1)
     alpha0[degenerate] = alpha0_cap
     return np.maximum(mu * alpha0[:, None], _ALPHA_FLOOR), degenerate
-
-
-def _log_likelihood_rows(alpha: np.ndarray, lbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per-member Dirichlet log-likelihood of every row from its mean logs,
-    # ln Gamma(alpha_0) - sum_k ln Gamma(alpha_k) + sum_k (alpha_k - 1) lbar_k,
-    # and the sum of its terms' magnitudes, which bounds its rounding error.
-    lg0 = log_gamma(_row_sum(alpha))
-    lg = log_gamma(alpha)
-    lin = (alpha - 1.0) * lbar
-    return lg0 + _row_sum(lin - lg), np.abs(lg0) + _row_sum(np.abs(lg) + np.abs(lin))
 
 
 def _newton_rows(alpha: np.ndarray, lbar: np.ndarray, ll: np.ndarray, scale: np.ndarray):
@@ -234,7 +217,7 @@ def _mle_rows(alpha: np.ndarray, lbar: np.ndarray, max_iter: int, eps: float, pa
     return alpha, used, converged
 
 
-def _check(alpha0_cap, max_iter, eps, p_floor, n_threads) -> None:
+def _check(alpha0_cap, max_iter, eps, p_floor) -> None:
     if not (math.isfinite(alpha0_cap) and alpha0_cap > 0.0):
         raise ValueError("alpha0_cap must be finite and > 0")
     if max_iter < 1:
@@ -243,12 +226,10 @@ def _check(alpha0_cap, max_iter, eps, p_floor, n_threads) -> None:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if not 0.0 < p_floor < 1.0:
         raise ValueError(f"p_floor must lie in (0, 1), got {p_floor}")
-    if n_threads is not None and n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
 
 
 def _fit(probs, mle: bool, init=None, path=None, *, alpha0_cap=DEFAULT_ALPHA0_CAP, max_iter=DEFAULT_MAX_ITER,
-         eps=DEFAULT_EPS, p_floor=DEFAULT_P_FLOOR, n_threads=None):
+         eps=DEFAULT_EPS, p_floor=DEFAULT_P_FLOOR):
     """Fit every input of an unchecked (n, M, K) block, or of a list of (M_i, K) ensembles.
 
     Returns (n, K) concentrations and (n,) degenerate flags, MLE Newton
@@ -256,7 +237,7 @@ def _fit(probs, mle: bool, init=None, path=None, *, alpha0_cap=DEFAULT_ALPHA0_CA
     moment fit, or from ``init`` (n, K); with ``mle`` the non-degenerate
     ones are refined, and ``path`` receives them after each step.
     """
-    _check(alpha0_cap, max_iter, eps, p_floor, n_threads)
+    _check(alpha0_cap, max_iter, eps, p_floor)
     if isinstance(probs, np.ndarray):
         mu, sigma2, lbar = _summaries(probs, p_floor)
     else:
@@ -333,7 +314,9 @@ def fit_batch(
     """
     if mode not in ("mom", "mom_then_mle"):
         raise ValueError('mode must be "mom" or "mom_then_mle"')
-    settings = dict(alpha0_cap=alpha0_cap, max_iter=max_iter, eps=eps, p_floor=p_floor, n_threads=n_threads)
+    if n_threads is not None and n_threads < 1:
+        raise ValueError("n_threads must be >= 1")
+    settings = dict(alpha0_cap=alpha0_cap, max_iter=max_iter, eps=eps, p_floor=p_floor)
     ensembles = [_as_sample(s) for s in samples]
     if not ensembles:
         _check(**settings)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .dirichlet import DirichletParams, ProbabilityVector, _kl_to_uniform, _variances
+from .dirichlet import DirichletParams, ProbabilityVector, _class_index, _kl_to_uniform, _point, _variances
 from .specfun import digamma
 
 __all__ = [
@@ -56,21 +56,6 @@ def _logits(z) -> np.ndarray:
     return logits
 
 
-def _class_index(y: int, k: int) -> int:
-    # An integral float such as 2.0 names class 2; 1.5, NaN and inf name none.
-    if not isinstance(y, (int, np.integer)):
-        if not float(y).is_integer():
-            raise ValueError(f"label {y} is not an integer")
-    idx = int(y)
-    if not 0 <= idx < k:
-        raise ValueError(f"label {idx} out of range for K={k}")
-    return idx
-
-
-def _point(p) -> np.ndarray:
-    return p.p if isinstance(p, ProbabilityVector) else np.asarray(p, dtype=np.float64)
-
-
 def softmax(z, T: float = 1.0) -> ProbabilityVector:
     """Temperature softmax, computed max-shifted so it never overflows."""
     if not (math.isfinite(T) and T > 0.0):
@@ -83,7 +68,7 @@ def softmax(z, T: float = 1.0) -> ProbabilityVector:
 
 def ce_loss(p, y: int) -> float:
     """Cross entropy -ln p at the true class."""
-    probs = _point(p)
+    probs = _point(p).p
     v = float(probs[_class_index(y, probs.size)])
     if v <= 0.0:
         raise ValueError("cross entropy undefined: zero probability at the true class")

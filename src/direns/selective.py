@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calibration import _arrays as _mean_labels, _metrics
-from .dirichlet import ProbabilityVector
+from .dirichlet import ProbabilityVector, _class_index, _point
 
 __all__ = [
     "ScoredSample",
@@ -62,15 +62,12 @@ class ScoredSample:
     label: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mean, ProbabilityVector):
-            self.mean = ProbabilityVector(np.asarray(self.mean, dtype=np.float64))
+        self.mean = _point(self.mean)
         self.sample_id = str(self.sample_id)
         self.variance = float(self.variance)
         if not (math.isfinite(self.variance) and self.variance >= 0.0):
             raise ValueError("variance must be finite and nonnegative")
-        self.label = int(self.label)
-        if not 0 <= self.label < self.mean.p.size:
-            raise ValueError(f"label {self.label} out of range for K={self.mean.p.size}")
+        self.label = _class_index(self.label, self.mean.p.size)
 
 
 @dataclass

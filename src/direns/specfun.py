@@ -1,11 +1,12 @@
 """Special functions on the positive real axis.
 
 Provides the natural log of the gamma function, the digamma function
-``psi(x) = d/dx ln Gamma(x)``, its functional inverse, and the log of the
-multivariate Beta function.  These are the only transcendental ingredients
-needed for Dirichlet densities, closed-form evidential losses, and the
-Newton steps of the maximum-likelihood fit, which use digamma and its
-derivative ``_trigamma``.
+``psi(x) = d/dx ln Gamma(x)`` and its functional inverse.  These are the
+only transcendental ingredients needed for Dirichlet densities (whose log
+normalizer ``dirichlet._log_likelihood_terms`` builds from ``log_gamma``),
+closed-form evidential losses, and the Newton steps of the
+maximum-likelihood fit, which use digamma and its derivative
+``_trigamma``.
 
 ``log_gamma``, ``digamma``, ``inverse_digamma`` and ``_trigamma`` take a
 float or an array and run one elementwise implementation, so each element
@@ -20,7 +21,6 @@ outside their documented domains.  Accuracy targets: 1e-12 relative for
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "digamma",
     "inverse_digamma",
     "log_gamma",
-    "log_multivariate_beta",
 ]
 
 EULER_GAMMA = 0.5772156649015329
@@ -282,14 +281,3 @@ def inverse_digamma(y):
                     break
     return float(x[0]) if shape == () else x.reshape(shape)
 
-
-def log_multivariate_beta(alpha: Iterable[float]) -> float:
-    """Log multivariate Beta: sum_k ln Gamma(alpha_k) - ln Gamma(sum_k alpha_k).
-
-    Requires at least two strictly positive components.
-    """
-    values = np.array([float(a) for a in alpha])
-    if values.size < 2:
-        raise ValueError("log_multivariate_beta requires at least 2 components")
-    values = _positive(values, "log_multivariate_beta")
-    return math.fsum(log_gamma(values).tolist()) - log_gamma(math.fsum(values.tolist()))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from direns import dirichlet
 from direns.calibration import (
     CalibrationReport,
     LabeledPrediction,
@@ -19,6 +20,9 @@ from direns.calibration import (
     metrics,
     reliability_bins,
 )
+from direns.dirichlet import ProbabilityVector
+from direns.evidential import ce_loss
+from direns.selective import ScoredSample
 
 
 def pred(p, label, sid="s"):
@@ -63,6 +67,51 @@ class TestConfidenceAndCorrectness:
         p = np.array([0.4, 0.4, 0.2])
         assert correctness(p, 0) == 1
         assert correctness(p, 1) == 0
+
+
+WRAPPERS = {
+    "LabeledPrediction": lambda p, label: LabeledPrediction(mean=p, label=label),
+    "ScoredSample": lambda p, label: ScoredSample(sample_id="s", mean=p, variance=0.1, label=label),
+}
+
+
+class TestOneLabelAndPointRule:
+    # The wrappers, confidence, correctness and ce_loss take a label and a
+    # point by the same rules as the losses.
+
+    @pytest.mark.parametrize("wrap", WRAPPERS.values(), ids=WRAPPERS.keys())
+    @pytest.mark.parametrize("label", [1.5, 1.9, float("inf"), float("nan")])
+    def test_non_integer_label_rejected(self, wrap, label):
+        # int() would truncate 1.5 and 1.9 to class 1 and overflow on inf.
+        with pytest.raises(ValueError, match=f"label {label} is not an integer"):
+            wrap(np.array([0.2, 0.5, 0.3]), label)
+
+    @pytest.mark.parametrize("wrap", WRAPPERS.values(), ids=WRAPPERS.keys())
+    def test_integral_labels_name_their_class(self, wrap):
+        for label, cls in ((2.0, 2), (np.int64(1), 1), (True, 1)):
+            got = wrap(np.array([0.2, 0.5, 0.3]), label).label
+            assert got == cls and type(got) is int
+
+    @pytest.mark.parametrize("call", [
+        lambda: ce_loss(np.array([2.0, -1.0]), 0),
+        lambda: confidence([2.0, -1.0]),
+        lambda: correctness(np.array([[0.5, 0.5], [0.5, 0.5]]), 0),
+    ], ids=["ce_loss", "confidence", "correctness"])
+    def test_points_off_the_simplex_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_a_probability_vector_is_not_checked_again(self, monkeypatch):
+        p = ProbabilityVector(np.array([0.2, 0.5, 0.3]))
+        calls = []
+        simplex_rows = dirichlet._simplex_rows
+        monkeypatch.setattr(dirichlet, "_simplex_rows", lambda rows: calls.append(1) or simplex_rows(rows))
+        assert confidence(p) == 0.5 and correctness(p, 1) == 1 and ce_loss(p, 1) == -math.log(0.5)
+        for wrap in WRAPPERS.values():
+            assert wrap(p, 1).mean is p
+        assert not calls
+        confidence([0.2, 0.5, 0.3])
+        assert calls
 
 
 class TestBinIndex:

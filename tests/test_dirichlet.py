@@ -26,7 +26,7 @@ from direns.dirichlet import (
     sample,
     total_variance,
 )
-from direns.estimators import EnsembleSample
+from direns.estimators import EnsembleSample, fit_mle, fit_mom
 from direns.fileio import ValidationError, read_predictions
 
 
@@ -338,6 +338,27 @@ class TestLogLikelihood:
         at_truth = log_likelihood(d.alpha, draws)
         assert at_truth > log_likelihood(d.alpha * 3.0, draws)
         assert at_truth > log_likelihood(d.alpha / 3.0, draws)
+
+
+class TestOneLikelihood:
+    def test_every_likelihood_reaches_the_shared_terms(self, monkeypatch):
+        # The Newton fit, the log-likelihood, the log density and the KL take
+        # their log normalizer and class terms from one function.
+        d = params(2.0, 3.0, 5.0)
+        draws = sample(d, rng_seed=1, n=20)
+        start = fit_mom(EnsembleSample(draws)).params
+        terms = dirichlet._log_likelihood_terms
+        calls = []
+        monkeypatch.setattr(dirichlet, "_log_likelihood_terms", lambda *a: calls.append(1) or terms(*a))
+        for name, call in [
+            ("fit_mle", lambda: fit_mle(EnsembleSample(draws), start)),
+            ("log_likelihood", lambda: log_likelihood(d, draws)),
+            ("log_density", lambda: log_density(d, draws[0])),
+            ("kl_to_uniform", lambda: kl_to_uniform(d)),
+        ]:
+            calls.clear()
+            call()
+            assert calls, name
 
 
 class TestCollapseRegime:

@@ -1,8 +1,9 @@
 """The row-wise closed forms against the public scalar calls, bit for bit.
 
 ``log_gamma`` on an array, the per-class and total variances, the KL to the
-uniform Dirichlet and the four evidential losses each have one row-wise
-implementation; the public scalar functions are its n=1 views.  Every row's
+uniform Dirichlet, the log-likelihood and the four evidential losses each
+have one row-wise implementation; the public scalar functions are its n=1
+views.  Every row's
 result must equal the scalar call on that row alone, in any row order and
 any split of the rows into separate calls.  The scalar values are also pinned to the
 closed forms written out one float at a time; the KL is pinned where its
@@ -22,11 +23,14 @@ from hypothesis import strategies as st
 from direns.dirichlet import (
     DirichletParams,
     _kl_to_uniform,
+    _log_likelihood_rows,
     _variances,
     class_variance,
     kl_to_uniform,
+    log_likelihood,
     total_variance,
 )
+from direns.estimators import DEFAULT_P_FLOOR, _summaries
 from direns.evidential import (
     LOSSES,
     digamma_loss,
@@ -181,6 +185,19 @@ def test_rows_equal_scalar_calls(seed, k, n, cuts):
         for name, value in ours.items():
             if np.isfinite(ref[name]).all():
                 assert bits(value) == bits(ref[name]), name
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 1000])
+def test_log_likelihood_is_m_times_the_row_value(k):
+    # The value the fit maximizes, from the mean logs the fit takes, for a
+    # block of inputs at once; log_likelihood of one input is M times its row.
+    rng = np.random.default_rng(k)
+    for m in (2, 7, 50):
+        alpha = concentrations(rng, 6, k)
+        probs = 0.5 * rng.dirichlet(np.ones(k), (6, m)) + 0.5 / k
+        rows, _ = _log_likelihood_rows(alpha, _summaries(probs, DEFAULT_P_FLOOR)[2])
+        for a, p, row in zip(alpha, probs, rows.tolist()):
+            assert bits(log_likelihood(a, p)) == bits(m * row)
 
 
 def test_array_log_gamma_matches_mpmath():
