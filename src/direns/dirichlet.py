@@ -317,7 +317,8 @@ def log_likelihood(alpha: VectorLike, samples: np.ndarray) -> float:
     Equals ``M (ln Gamma(alpha_0) - sum_k ln Gamma(alpha_k))
     + M sum_k (alpha_k - 1) lbar_k`` with ``lbar_k`` the mean log
     probability of class k over the M rows: M times the value the MLE
-    maximizes, with the same bits.
+    maximizes, with the same bits.  Every row must pass the simplex check
+    of ``ProbabilityVector``; a ``ValueError`` names the first that fails.
     """
     a = alpha.alpha if isinstance(alpha, DirichletParams) else DirichletParams(alpha).alpha
     mat = np.asarray(samples, dtype=np.float64)
@@ -327,6 +328,13 @@ def log_likelihood(alpha: VectorLike, samples: np.ndarray) -> float:
         raise ValueError("the log-likelihood needs at least one point")
     if mat.shape[1] != a.size:
         raise ValueError(f"dimension mismatch: K={a.size} vs points of size {mat.shape[1]}")
+    in_bounds, totals = _simplex_rows(mat)
+    off = np.flatnonzero(~in_bounds | (np.abs(totals - 1.0) > SIMPLEX_TOL))
+    if off.size:
+        i = int(off[0])
+        rule = (f"probabilities must sum to 1 within {SIMPLEX_TOL}" if in_bounds[i]
+                else "every probability must lie in [0, 1]")
+        raise ValueError(f"row {i} of the points is off the simplex: {rule}")
     if np.any(mat <= 0.0):
         raise ValueError("the log-likelihood needs strictly interior points (all p_k > 0)")
     ll, _ = _log_likelihood_rows(a[None], np.log(mat).mean(axis=0)[None])

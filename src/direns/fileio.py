@@ -14,10 +14,13 @@ sorted ids, a (n,) degenerate mask, (n, K) concentrations and their (n,)
 exact row sums.  The writers take the same arrays, and ``write_curve``
 the (P, 3) array of coverage, risk and tau.  A plain file (printable
 ASCII without quotes, LF line ends, the header's field count on every
-line) is split at its byte offsets and its numbers parsed by
-``np.loadtxt``; any other file, or one whose numbers numpy rejects, is
-read by the ``csv`` module and ``float()``.  Both give the same arrays
-and the same errors.  Checks run over whole arrays; a
+line) is read a chunk of whole lines at a time: each chunk is split at
+its byte offsets and its numbers parsed by ``np.loadtxt``, and the
+chunks' arrays are joined once, so the reader's memory follows the
+arrays it returns, not the size of the file.  Any other file, or one
+whose numbers numpy rejects in any chunk, is read whole by the ``csv``
+module and ``float()``.  Both give the same arrays and the same errors,
+wherever the chunks end.  Checks run over whole arrays; a
 ``ValidationError`` names the earliest bad row in file order (the header
 is row 1) and the first check it fails.  Rows that miss exact closure
 within the 1e-6 tolerance are renormalized with a warning instead of
@@ -243,6 +246,9 @@ def _columns(rows: list, width: int):
 # The other ASCII whitespace and control bytes stay out: numpy strips
 # 0x1c-0x1f around a number, and float() does not.
 _PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\n"
+# A plain file is read this many bytes at a time, so the reader holds a
+# chunk's masks and offsets, never the whole file's.
+_CHUNK = 1 << 18
 
 
 def _gather(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: int) -> np.ndarray:
@@ -255,14 +261,30 @@ def _gather(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: int)
     return out
 
 
+def _line_chunks(handle):
+    # The file's bytes as runs of whole lines, each ending in LF: what one
+    # read of _CHUNK bytes holds up to its last LF, with the part line the
+    # read before left over; a line longer than _CHUNK comes whole.  A last
+    # line without an LF gets one.
+    pending = []
+    for block in iter(lambda: handle.read(_CHUNK), b""):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, block[:cut]])
+            pending = [block[cut:]]
+        else:
+            pending.append(block)
+    tail = b"".join(pending)
+    if tail:
+        yield tail + b"\n"
+
+
 def _plain_split(raw: bytes):
-    # (header fields, first, second) when ``raw`` is a plain file: only
-    # _PLAIN_BYTES, the header's field count W >= 2 on every line and no
-    # field past the csv module's size limit.  first and second are str
-    # arrays of every data row's first two fields, padded no wider than the
-    # file.  None otherwise.
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
+    # (W, starts, lengths) when ``raw``, whole lines ending in LF, is plain:
+    # only _PLAIN_BYTES, the first line's field count W >= 2 on every line
+    # and no field past the csv module's size limit.  starts and lengths are
+    # (lines, 2): where each line's first two fields begin in ``raw`` and
+    # their sizes.  None otherwise.
     width = raw.count(b",", 0, raw.find(b"\n")) + 1
     if width < 2 or raw.translate(None, _PLAIN_BYTES):
         return None
@@ -279,33 +301,52 @@ def _plain_split(raw: bytes):
         return None
     # A field runs from the byte after one separator to the next; a plain
     # field holds no NUL, which a numpy str array would drop from its end.
-    starts = np.stack([ends[:-1, -1], ends[1:, 0]], axis=1) + 1
-    lengths = ends[1:, :2] - starts
-    if len(lengths) * lengths.max(axis=0, initial=0).sum() > buf.size:
-        return None
-    first, second = (_gather(buf, starts[:, j], lengths[:, j], 0).astype(np.uint32) for j in range(2))
-    return (raw[:ends[0, -1]].decode("ascii").split(","),
-            first.view(f"U{first.shape[1]}").ravel(), second.view(f"U{second.shape[1]}").ravel())
+    starts = np.stack([np.concatenate([[-1], ends[:-1, -1]]), ends[:, 0]], axis=1) + 1
+    return width, starts, ends[:, :2] - starts
 
 
 def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
     # _table's result for a plain file whose numbers numpy parses, else None.
+    # Each chunk of whole lines is checked, its two text columns gathered and
+    # its numbers parsed before the next is read; the parts are joined once.
+    parts, rows, longest = [], 0, np.zeros(2, np.intp)
+    header = None
     with open(path, "rb") as handle:
-        raw = handle.read()
-    plain = _plain_split(raw)
-    if plain is None:
+        # The padded text columns may hold no more bytes than the file and
+        # the LF its last line may lack.
+        limit = os.fstat(handle.fileno()).st_size + 1
+        for raw in _line_chunks(handle):
+            split = _plain_split(raw)
+            if split is None:
+                return None
+            width, starts, lengths = split
+            first_chunk = header is None
+            if first_chunk:
+                header = raw[:raw.find(b"\n")].decode("ascii").split(",")
+                starts, lengths = starts[1:], lengths[1:]
+            elif width != len(header):
+                return None
+            rows += len(lengths)
+            longest = np.maximum(longest, lengths.max(axis=0, initial=0))
+            if rows * longest.sum() > limit:
+                return None
+            if not len(lengths):
+                continue
+            buf = np.frombuffer(raw, np.uint8)
+            text = [_gather(buf, starts[:, j], lengths[:, j], 0) for j in range(2)]
+            values = np.empty((len(lengths), 0))
+            if width > 2:
+                try:
+                    values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=int(first_chunk),
+                                        usecols=range(2, width), comments=None, quotechar=None, ndmin=2)
+                except ValueError:
+                    return None
+            parts.append([t.astype(np.uint32).view(f"U{t.shape[1]}").ravel() for t in text] + [values])
+    if header is None:
         return None
-    header, first, second = plain
-    n = len(first)
-    width = _width(path, header, n, lead, prefix)
-    values = np.empty((n, 0))
-    if width > 2:
-        try:
-            values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=1, usecols=range(2, width),
-                                comments=None, quotechar=None, ndmin=2)
-        except ValueError:
-            return None
-    return width, np.full(n, width), np.ones(n, dtype=bool), first, second, values
+    width = _width(path, header, rows, lead, prefix)
+    first, second, values = (np.concatenate(column) for column in zip(*parts))
+    return width, np.full(rows, width), np.ones(rows, dtype=bool), first, second, values
 
 
 def _table(path: str, lead: list[str], prefix: Optional[str]):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,23 @@ class TestLogLikelihood:
     def test_rejects_boundary_samples(self):
         with pytest.raises(ValueError):
             log_likelihood(np.array([2.0, 2.0]), np.array([[0.0, 1.0]]))
+
+    @pytest.mark.parametrize("rows, message", [
+        # Positive but off the simplex: this returned 3.58.
+        ([[2.0, 3.0]], "row 0 of the points is off the simplex: every probability must lie in [0, 1]"),
+        ([0.2, 0.2], "row 0 of the points is off the simplex: probabilities must sum"),
+        ([[0.5, 0.5], [0.25, 0.5]], "row 1 of the points is off the simplex: probabilities must sum to 1 within 1e-06"),
+        ([[0.5, 0.5], [0.5, 0.5], [1.5, -0.5]], "row 2 of the points is off the simplex: every probability"),
+        ([[0.5, 0.5], [np.nan, 0.5]], "row 1 of the points is off the simplex: every probability"),
+        ([[0.5, 0.5 + 2e-6], [2.0, 2.0]], "row 0 of the points is off the simplex: probabilities must sum"),
+    ])
+    def test_rejects_points_off_the_simplex(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            log_likelihood(np.array([2.0, 2.0]), np.array(rows))
+
+    def test_accepts_closure_within_the_tolerance(self):
+        rows = np.array([[0.4, 0.6 + 0.9 * SIMPLEX_TOL], [0.5, 0.5 - 0.9 * SIMPLEX_TOL]])
+        assert np.isfinite(log_likelihood(np.array([2.0, 3.0]), rows))
 
     def test_maximized_near_truth(self):
         # Likelihood of the generating parameters beats scaled copies.

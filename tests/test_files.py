@@ -491,14 +491,16 @@ class TestTextColumns:
         return {name: profile_counts(call) for name, call in calls.items()}
 
     def test_text_columns_cost_no_python_per_row(self, tmp_path, monkeypatch):
-        # With every write one block, no function of fileio or floatfmt may
-        # run, run a line or call a C function more often for 5,000 inputs
-        # than for 500.  A csv.writer row, str.encode or bytes.ljust per id
-        # would, as would a per-id comparison, dict lookup or list on the
-        # read side.
+        # With every write one block and every read one chunk, no function of
+        # fileio or floatfmt may run, run a line or call a C function more
+        # often for 5,000 inputs than for 500.  A csv.writer row, str.encode
+        # or bytes.ljust per id would, as would a per-id comparison, dict
+        # lookup or list on the read side.
         floatfmt._format_tables()
         monkeypatch.setattr(fileio, "BLOCK", 1 << 40)
+        monkeypatch.setattr(fileio, "_CHUNK", 1 << 22)
         small, large = self.text_io(tmp_path, 500), self.text_io(tmp_path, 5000)
+        assert max(os.path.getsize(path) for path in tmp_path.iterdir()) < fileio._CHUNK
         for name, counts in small.items():
             assert large[name] == counts, name
 
