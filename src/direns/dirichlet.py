@@ -109,9 +109,15 @@ def _simplex_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # and their exact sums, NaN elsewhere.  A float sum of K entries in [0, 1]
     # is within K * 2**-53 of exact, so one within 5e-10 of 1 is kept: it
     # decides closure at 1e-9 (the reader's renormalization) or coarser alike.
-    in_bounds = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
-    totals = np.where(in_bounds, p.sum(axis=1, where=in_bounds[:, None]), np.nan)
-    far = np.flatnonzero(np.abs(totals - 1.0) > 5e-10)
+    # No step holds more than two masks the size of p, nor a float array
+    # of that size.
+    in_bounds = p >= 0.0
+    in_bounds &= p <= 1.0
+    in_bounds = in_bounds.all(axis=1)
+    totals = p.sum(axis=1, where=in_bounds[:, None])
+    totals[~in_bounds] = np.nan
+    miss = totals - 1.0
+    far = np.flatnonzero(np.abs(miss, out=miss) > 5e-10)
     totals[far] = _exact_sums(p[far])
     return in_bounds, totals
 
@@ -212,22 +218,24 @@ def _exact_sums(a: np.ndarray) -> np.ndarray:
     # and where that is below half an ulp of r, r is still its rounding;
     # the ulp is one-sided at a power of two, so those rows are left out.
     # Zero, non-finite and near-overflow rows need fsum's own rules; they
-    # and every row the bound misses are summed by _exact_sum.
+    # and every row the bound misses are summed by _exact_sum.  The columns
+    # are read in place, so no copy of ``a`` is made.
     n = a.shape[0]
     if n == 0:
         return np.zeros(0)
-    cols = np.ascontiguousarray(a.T)
-    s, c, spread = cols[0], np.zeros(n), np.zeros(n)
+    s, c, spread = a[:, 0], np.zeros(n), np.zeros(n)
+    size = np.abs(s)
     with np.errstate(all="ignore"):
-        for b in cols[1:]:
+        for b in a.T[1:]:
             s, e = _two_sum(s, b)
             c, f = _two_sum(c, e)
             spread += np.abs(f)
+            size += np.abs(b)
         r, t = _two_sum(s, c)
         # 2 * spread bounds sum|f|: its float sum is off by far less than half.
         ok = (spread == 0.0) | ((np.abs(t) + 2.0 * spread < 0.5 * np.abs(np.spacing(r)))
                                 & (np.abs(np.frexp(r)[0]) != 0.5))
-        ok &= (r != 0.0) & (np.abs(a).sum(axis=1) < 2.0**1020)
+        ok &= (r != 0.0) & (size < 2.0**1020)
     rest = np.flatnonzero(~ok)
     r[rest] = list(map(_exact_sum, a[rest]))
     return r

@@ -25,8 +25,11 @@ Both are array kernels over (n, K) per-input summaries, and ``_fit`` is
 the one implementation that runs them: on every input of an (n, M, K)
 block, as the CLI calls it on the predictions reader's array, or of a list
 of (M_i, K) ensembles.  ``fit_mom``, ``fit_mle`` and ``fit_batch`` are its
-views.  Each step is elementwise or reduces within one input, and each row
-stops its steps on its own, so a row's fit has the same bits in any batch.
+views.  The (n, M, K) block is summarized into (n, K) means, variances
+and mean logs a fixed number of elements at a time, so the fit holds no
+temporary the size of the block.  Each step is elementwise or reduces
+within one input, and each row stops its steps on its own, so a row's fit
+has the same bits in any batch and in any row block.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ _ALPHA_FLOOR = 1e-300
 
 # A step not accepted after this many halvings is refused.
 _MAX_HALVINGS = 64
+
+# The summaries of an (n, M, K) block are taken this many elements of it
+# at a time, so their temporaries stay this size whatever n is.
+_SUMMARY_BLOCK = 1 << 16
 
 
 @dataclass
@@ -239,7 +246,12 @@ def _fit(probs, mle: bool, init=None, path=None, *, alpha0_cap=DEFAULT_ALPHA0_CA
     """
     _check(alpha0_cap, max_iter, eps, p_floor)
     if isinstance(probs, np.ndarray):
-        mu, sigma2, lbar = _summaries(probs, p_floor)
+        n, m, k = probs.shape
+        mu, sigma2, lbar = (np.empty((n, k)) for _ in range(3))
+        step = max(1, _SUMMARY_BLOCK // max(m * k, 1))
+        for i in range(0, n, step):
+            rows = slice(i, i + step)
+            mu[rows], sigma2[rows], lbar[rows] = _summaries(probs[rows], p_floor)
     else:
         mu, sigma2, lbar = (np.stack(a) for a in zip(*(_summaries(p, p_floor) for p in probs)))
     if init is None:

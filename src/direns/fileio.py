@@ -14,19 +14,20 @@ sorted ids, a (n,) degenerate mask, (n, K) concentrations and their (n,)
 exact row sums.  The writers take the same arrays, and ``write_curve``
 the (P, 3) array of coverage, risk and tau.  A plain file (printable
 ASCII without quotes, LF line ends, the header's field count on every
-line) is read a chunk of whole lines at a time: each chunk is split at
-its byte offsets and its numbers parsed by ``np.loadtxt``, and the
-chunks' arrays are joined once, so the reader's memory follows the
-arrays it returns, not the size of the file.  Any other file, or one
-whose numbers numpy rejects in any chunk, is read whole by the ``csv``
-module and ``float()``.  Both give the same arrays and the same errors,
-wherever the chunks end.  Checks run over whole arrays; a
-``ValidationError`` names the earliest bad row in file order (the header
-is row 1) and the first check it fails.  Rows that miss exact closure
-within the 1e-6 tolerance are renormalized with a warning instead of
-rejected.  Floats are written as ``'%.17g' % x`` writes them, block by
-block through ``floatfmt``, so files round-trip bit-exactly; writes are
-atomic renames.
+line) has its lines counted first, and the arrays it returns are made at
+that size; it is then read a chunk of whole lines at a time, each chunk
+split at its byte offsets and its id columns and numbers (by
+``np.loadtxt``) written into those arrays, so the reader holds its result
+and one chunk's working set, not the file and not a second copy of any
+column.  Any other file, or one whose numbers numpy rejects in any chunk,
+is read whole by the ``csv`` module and ``float()``.  Both give the same
+arrays and the same errors, wherever the chunks end.  Checks run over
+whole arrays; a ``ValidationError`` names the earliest bad row in file
+order (the header is row 1) and the first check it fails.  Rows that miss
+exact closure within the 1e-6 tolerance are renormalized with a warning
+instead of rejected.  Floats are written as ``'%.17g' % x`` writes them,
+block by block through ``floatfmt``, so files round-trip bit-exactly;
+writes are atomic renames.
 
 Reports are JSON documents with a fixed key order, no timestamps, and a
 provenance block (input digests, settings, seed, tool version) so a rerun
@@ -261,22 +262,49 @@ def _gather(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: int)
     return out
 
 
+def _line_count(handle) -> int:
+    # The lines of the file, a last one without an LF included; the handle
+    # is left at the start.
+    lines, last = 0, b"\n"
+    for block in iter(lambda: handle.read(_CHUNK), b""):
+        lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        last = block[-1:]
+    handle.seek(0)
+    return lines + (last != b"\n")
+
+
 def _line_chunks(handle):
     # The file's bytes as runs of whole lines, each ending in LF: what one
     # read of _CHUNK bytes holds up to its last LF, with the part line the
     # read before left over; a line longer than _CHUNK comes whole.  A last
-    # line without an LF gets one.
+    # line without an LF gets one.  No run is held while the next is read.
     pending = []
     for block in iter(lambda: handle.read(_CHUNK), b""):
         cut = block.rfind(b"\n") + 1
         if cut:
-            yield b"".join([*pending, block[:cut]])
+            raw = b"".join([*pending, memoryview(block)[:cut]])
             pending = [block[cut:]]
+            del block
+            yield raw
+            del raw
         else:
             pending.append(block)
     tail = b"".join(pending)
     if tail:
         yield tail + b"\n"
+
+
+def _separators(buf: np.ndarray) -> np.ndarray:
+    # The offsets of every comma and LF in ``buf``, found a quarter of it at
+    # a time, so that each mask is a quarter of its size.
+    step = len(buf) // 4 + 1
+    parts = []
+    for i in range(0, len(buf), step):
+        part = buf[i:i + step]
+        mask = part == ord(",")
+        mask |= part == ord("\n")
+        parts.append(np.flatnonzero(mask) + i)
+    return np.concatenate(parts)
 
 
 def _plain_split(raw: bytes):
@@ -289,7 +317,7 @@ def _plain_split(raw: bytes):
     if width < 2 or raw.translate(None, _PLAIN_BYTES):
         return None
     buf = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    ends = _separators(buf)
     if ends.size % width:
         return None
     # Each line's W separators are W - 1 commas and its newline, so no line
@@ -297,7 +325,11 @@ def _plain_split(raw: bytes):
     ends = ends.reshape(-1, width)
     if not ((buf[ends[:, :-1]] == ord(",")).all() and (buf[ends[:, -1]] == ord("\n")).all()):
         return None
-    if (np.diff(ends.ravel(), prepend=-1) - 1).max() >= csv.field_size_limit():
+    # A field is shorter than its line, so only a long line can hold one
+    # past the limit.
+    limit = csv.field_size_limit()
+    if (np.diff(ends[:, -1], prepend=-1).max() > limit
+            and (np.diff(ends.ravel(), prepend=-1) - 1).max() >= limit):
         return None
     # A field runs from the byte after one separator to the next; a plain
     # field holds no NUL, which a numpy str array would drop from its end.
@@ -307,14 +339,16 @@ def _plain_split(raw: bytes):
 
 def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
     # _table's result for a plain file whose numbers numpy parses, else None.
-    # Each chunk of whole lines is checked, its two text columns gathered and
-    # its numbers parsed before the next is read; the parts are joined once.
-    parts, rows, longest = [], 0, np.zeros(2, np.intp)
-    header = None
+    # The lines are counted first, so the values are parsed into one array
+    # made at its size, and the two text columns gathered into (rows, width)
+    # byte matrices that widen when a chunk holds a longer value; each chunk
+    # of whole lines is checked and parsed before the next is read.
+    header, done, longest = None, 0, np.zeros(2, np.intp)
     with open(path, "rb") as handle:
         # The padded text columns may hold no more bytes than the file and
         # the LF its last line may lack.
         limit = os.fstat(handle.fileno()).st_size + 1
+        rows = _line_count(handle) - 1
         for raw in _line_chunks(handle):
             split = _plain_split(raw)
             if split is None:
@@ -324,29 +358,40 @@ def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
             if first_chunk:
                 header = raw[:raw.find(b"\n")].decode("ascii").split(",")
                 starts, lengths = starts[1:], lengths[1:]
+                text = [np.zeros((rows, 1), np.uint8), np.zeros((rows, 1), np.uint8)]
+                values = np.empty((rows, width - 2))
             elif width != len(header):
                 return None
-            rows += len(lengths)
             longest = np.maximum(longest, lengths.max(axis=0, initial=0))
             if rows * longest.sum() > limit:
                 return None
+            part = slice(done, done + len(lengths))
+            done = part.stop
             if not len(lengths):
                 continue
             buf = np.frombuffer(raw, np.uint8)
-            text = [_gather(buf, starts[:, j], lengths[:, j], 0) for j in range(2)]
-            values = np.empty((len(lengths), 0))
+            for j in range(2):
+                if text[j].shape[1] < longest[j]:
+                    wider = np.zeros((rows, longest[j]), np.uint8)
+                    wider[:, :text[j].shape[1]] = text[j]
+                    text[j] = wider
+                chars = _gather(buf, starts[:, j], lengths[:, j], 0)
+                text[j][part, :chars.shape[1]] = chars
             if width > 2:
                 try:
-                    values = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=int(first_chunk),
-                                        usecols=range(2, width), comments=None, quotechar=None, ndmin=2)
+                    values[part] = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=int(first_chunk),
+                                              usecols=range(2, width), comments=None, quotechar=None,
+                                              ndmin=2)
                 except ValueError:
                     return None
-            parts.append([t.astype(np.uint32).view(f"U{t.shape[1]}").ravel() for t in text] + [values])
+            # The next chunk is read with this one's arrays let go.
+            del raw, buf, split, starts, lengths
     if header is None:
         return None
     width = _width(path, header, rows, lead, prefix)
-    first, second, values = (np.concatenate(column) for column in zip(*parts))
-    return width, np.full(rows, width), np.ones(rows, dtype=bool), first, second, values
+    first, second = (t.astype(np.uint32).view(f"U{t.shape[1]}").ravel() for t in text)
+    # Every row of a plain file has the header's fields, all of them parsed.
+    return width, np.broadcast_to(width, rows), np.broadcast_to(True, rows), first, second, values
 
 
 def _table(path: str, lead: list[str], prefix: Optional[str]):
@@ -411,8 +456,11 @@ def read_predictions(path: str) -> PredictionsData:
     width, fields, numeric, sids, mids, values = _table(path, ["sample_id", "model_id"], "p")
     k = width - 2
     in_bounds, totals = _simplex_rows(values)
-    miss = np.abs(totals - 1.0)
-    renorm = (miss > RENORM_WARN_TOL) & (miss <= SIMPLEX_TOL)
+    # How far each row's sum is from 1, kept only as the two masks.
+    miss = totals - 1.0
+    np.abs(miss, out=miss)
+    renorm, unclosed = (miss > RENORM_WARN_TOL) & (miss <= SIMPLEX_TOL), miss > SIMPLEX_TOL
+    del miss
     values[renorm] /= totals[renorm, None]
 
     m = _blocks(sids, mids)
@@ -429,7 +477,7 @@ def read_predictions(path: str) -> PredictionsData:
         (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
         (~numeric, lambda i: "non-numeric probability"),
         (~in_bounds, lambda i: "probabilities must lie in [0, 1]"),
-        (miss > SIMPLEX_TOL, lambda i: f"probabilities sum to {float(totals[i])!r}, outside 1 +- {SIMPLEX_TOL}"),
+        (unclosed, lambda i: f"probabilities sum to {float(totals[i])!r}, outside 1 +- {SIMPLEX_TOL}"),
         (duplicate, lambda i: f"duplicate (sample_id, model_id) pair ({str(sids[i])!r}, {str(mids[i])!r})"),
     ])
     if renorm.any():
@@ -614,8 +662,9 @@ def read_alphas(path: str) -> AlphasData:
     width, fields, numeric, ids, flags, alpha = _table(path, ["sample_id", "degenerate"], "a")
     n = len(ids)
     positive = np.isfinite(alpha).all(axis=1) & (alpha > 0.0).all(axis=1)
-    totals = np.zeros(n)
-    totals[positive] = _exact_sums(alpha[positive])
+    # The sum of a row that is not positive is never read: that check
+    # comes first.
+    totals = _exact_sums(alpha)
     unsorted = np.zeros(n, dtype=bool)
     unsorted[1:] = ids[1:] <= ids[:-1]
     _raise_first_fault(path, [

@@ -51,30 +51,39 @@ class _Tables(NamedTuple):
 @functools.cache
 def _format_tables() -> _Tables:
     # Built on the first write; X is at X + _X0.
-    near, below = [], []  # 10**k for |k| <= _X0, and the rest
-    for k in range(-_X0, _X0 + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        near.append(num / den)  # correctly rounded, as is the residual below
-        a, b = near[-1].as_integer_ratio()
-        below.append((num * b - a * den) / (den * b))
-    near, below = np.array(near), np.array(below)
+    x = np.arange(-_X0, _X0 + 1)
+    # 10**x is num / den in Python integers, and its correctly rounded
+    # double near is m * 2**e; below is their difference (num * 2**-e - m *
+    # den) / (den * 2**-e), rounded, with the powers of two taken as shifts.
+    tens = np.multiply.accumulate(np.full(_X0 + 1, 10, dtype=object)) // 10  # 10**0 .. 10**_X0
+    num, den = tens[np.maximum(x, 0)], tens[np.maximum(-x, 0)]
+    near = (num / den).astype(np.float64)
+    mantissa, e = np.frexp(near)
+    m = (mantissa * 2.0**53).astype(np.int64).astype(object)
+    e -= 53
+    up, down = np.maximum(-e, 0).astype(object), np.maximum(e, 0).astype(object)
+    below = (((num << up) - (m << down) * den) / (den << up)).astype(np.float64)
     # 10**(16 - X) for the X a proven number can have; clipped beyond.
     row = np.clip(2 * _X0 + 16 - np.arange(2 * _X0 + 1), 0, 2 * _X0)
     hi = near[row]
     split = hi * 134217729.0
     high = split - (split - hi)
 
-    x = np.arange(-_X0, _X0 + 1)
     tail = np.empty((x.size, 10, 8), dtype=np.uint8)
     tail[:] = np.frombuffer(_TEMPLATE[-8:], np.uint8)
     tail[:, :, 0] += np.arange(10, dtype=np.uint8)
-    tail[:, :, 4:] = np.array([b"%+04d" % v for v in x.tolist()], "S4").view(np.uint8).reshape(-1, 1, 4)
+    # The exponent as '%+04d' writes it: a sign and three digits.
+    tail[:, :, 4] = np.where(x < 0, ord("-"), ord("+"))[:, None]
+    tail[:, :, 5:] = (np.abs(x)[:, None] // [100, 10, 1] % 10 + ord("0"))[:, None]
 
-    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)  # of each 4-digit group
-    words = np.full((10000, 8), ord("."), dtype=np.uint8)
-    words[:, ::2] = digits.T + ord("0")
-    nonzero = digits != 0
-    sig = np.where(nonzero.any(axis=0), 4 - np.argmax(nonzero[::-1], axis=0), 0).astype(np.int8)
+    # Per 4-digit group d0 d1 d2 d3, each d an axis: the word
+    # "d0.d1.d2.d3.", and its significant digits, 4 less its trailing zeros.
+    words = np.full((10, 10, 10, 10, 8), ord("."), dtype=np.uint8)
+    sig = np.full((10, 10, 10, 10), 4, dtype=np.int8)
+    for j in range(4):
+        words[..., 2 * j] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - j))
+        sig[(...,) + (0,) * (j + 1)] -= 1
+    sig = sig.ravel()
     sig = np.where(sig > 0, sig + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0).astype(np.int8)
 
     slot = np.arange(_SLOTS)
@@ -87,7 +96,7 @@ def _format_tables() -> _Tables:
             & (i < np.where((c >= 4) & (c < 21), np.maximum(nsig, c - 3), nsig))  # ddd.ddd
             | (slot % 2 == 1) & (i == point) & (nsig > point + 1) & (c >= 4)
             | (c < 4) & (slot >= 2) & (slot < 7 - c)                              # 0.000ddd
-            | (c >= 21) & np.isin(slot, [43, 44, 46, 47]) | (c == 22) & (slot == 45))
+            | (c >= 21) & (slot >= 43) & (slot != 45) | (c == 22) & (slot == 45))
     keep = np.concatenate([keep.reshape(-1, _SLOTS), (keep | (slot == 1)).reshape(-1, _SLOTS),
                            slot <= np.arange(25)[:, None]])  # then a comma and the text
     return _Tables(
@@ -95,7 +104,7 @@ def _format_tables() -> _Tables:
         power=np.stack([hi, high, hi - high, below[row]]),
         classes=18 * np.where((x >= -4) & (x <= 16), x + 4, np.where(np.abs(x) < 100, 21, 22)),
         tail=tail.view(np.uint64).ravel(),
-        groups=words.view(np.uint64)[:, 0],
+        groups=words.view(np.uint64).ravel(),
         sig=sig,
         drop=np.where(keep, np.uint8(0), np.uint8(_DROP[0])).view(np.uint64).T.copy(),
     )

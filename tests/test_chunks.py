@@ -143,21 +143,40 @@ def test_chunk_ends_change_nothing(tmp_path, kind, fault, error, via_csv):
                       if fault == "renormalized rows" else [])
 
 
+def traced_peak(call):
+    # The result of call() and the most memory tracemalloc saw it hold, after
+    # one untraced call has built every cache.
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n", [500, 2000])
 def test_read_predictions_memory_follows_the_arrays(tmp_path, n):
     # At the ensemble-mle benchmark's shape (M=50, K=7) and four times its
-    # inputs, the reader's traced peak stays within four times the probs it
-    # returns.  Holding the whole file with its separator masks and offsets
-    # peaked at 8.3 times (11.6 MB against 1.4 MB of probs at n=500).
+    # inputs, the reader's traced peak stays within twice the probs it
+    # returns: the probs and id columns, held once, and one chunk's working
+    # set.  Holding the whole file with its separator masks and offsets
+    # peaked at 8.3 times (11.6 MB against 1.4 MB of probs at n=500), and
+    # joining per-chunk parts at the end at 3.4 times.
     data = generate(SimulationConfig(n=n, m=50, k=7, seed=1, scheme="two_population"))
     path = str(tmp_path / "p.csv")
     write_predictions(path, data.sample_ids, data.model_ids, data.probs)
-    read_predictions(path)
-    tracemalloc.start()
-    try:
-        probs = read_predictions(path).probs
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert os.path.getsize(path) > 2 * probs.nbytes
-    assert peak <= 4 * probs.nbytes
+    data, peak = traced_peak(lambda: read_predictions(path))
+    assert os.path.getsize(path) > 2 * data.probs.nbytes
+    assert peak <= 2 * data.probs.nbytes
+
+
+def test_read_alphas_memory_follows_the_arrays(tmp_path):
+    # At the report-many benchmark's shape (n=5000, K=10) the reader's
+    # traced peak stays within three times the alphas it returns.  Taking
+    # the exact row sums on a masked and a transposed copy peaked at 5.4
+    # times (2.1 MB against 0.4 MB).
+    data = generate(SimulationConfig(n=5000, m=1, k=10, seed=1, scheme="two_population"))
+    path = str(tmp_path / "a.csv")
+    write_alphas(path, data.sample_ids, np.arange(5000) % 7 == 0, data.alpha)
+    data, peak = traced_peak(lambda: fileio.read_alphas(path))
+    assert peak <= 3 * data.alpha.nbytes

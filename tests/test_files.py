@@ -83,7 +83,68 @@ def edge_floats() -> list:
     return values + [-v for v in values]
 
 
+def reference_tables() -> floatfmt._Tables:
+    # floatfmt's tables as they were first built: one exact fraction per
+    # power of ten, an exponent text per exponent, np.isin for its slots.
+    x0, slots, classes = floatfmt._X0, floatfmt._SLOTS, floatfmt._CLASSES
+    template = floatfmt._TEMPLATE
+    near, below = [], []
+    for k in range(-x0, x0 + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        near.append(num / den)
+        a, b = near[-1].as_integer_ratio()
+        below.append((num * b - a * den) / (den * b))
+    near, below = np.array(near), np.array(below)
+    row = np.clip(2 * x0 + 16 - np.arange(2 * x0 + 1), 0, 2 * x0)
+    hi = near[row]
+    split = hi * 134217729.0
+    high = split - (split - hi)
+
+    x = np.arange(-x0, x0 + 1)
+    tail = np.empty((x.size, 10, 8), dtype=np.uint8)
+    tail[:] = np.frombuffer(template[-8:], np.uint8)
+    tail[:, :, 0] += np.arange(10, dtype=np.uint8)
+    tail[:, :, 4:] = np.array([b"%+04d" % v for v in x.tolist()], "S4").view(np.uint8).reshape(-1, 1, 4)
+
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)
+    words = np.full((10000, 8), ord("."), dtype=np.uint8)
+    words[:, ::2] = digits.T + ord("0")
+    nonzero = digits != 0
+    sig = np.where(nonzero.any(axis=0), 4 - np.argmax(nonzero[::-1], axis=0), 0).astype(np.int8)
+    sig = np.where(sig > 0, sig + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0).astype(np.int8)
+
+    slot = np.arange(slots)
+    c = np.arange(classes)[:, None, None]
+    nsig = np.arange(18)[:, None]
+    point = np.where(c < 21, c - 4, 0)
+    i = (slot - 8) // 2
+    keep = ((slot == 0)
+            | (slot >= 8) & (slot <= 40) & (slot % 2 == 0)
+            & (i < np.where((c >= 4) & (c < 21), np.maximum(nsig, c - 3), nsig))
+            | (slot % 2 == 1) & (i == point) & (nsig > point + 1) & (c >= 4)
+            | (c < 4) & (slot >= 2) & (slot < 7 - c)
+            | (c >= 21) & np.isin(slot, [43, 44, 46, 47]) | (c == 22) & (slot == 45))
+    keep = np.concatenate([keep.reshape(-1, slots), (keep | (slot == 1)).reshape(-1, slots),
+                           slot <= np.arange(25)[:, None]])
+    return floatfmt._Tables(
+        ceil=np.where(below > 0, np.nextafter(near, np.inf), near),
+        power=np.stack([hi, high, hi - high, below[row]]),
+        classes=18 * np.where((x >= -4) & (x <= 16), x + 4, np.where(np.abs(x) < 100, 21, 22)),
+        tail=tail.view(np.uint64).ravel(),
+        groups=words.view(np.uint64)[:, 0],
+        sig=sig,
+        drop=np.where(keep, np.uint8(0), np.uint8(floatfmt._DROP[0])).view(np.uint64).T.copy(),
+    )
+
+
 class TestFormatting:
+    def test_tables_equal_the_fraction_by_fraction_construction(self):
+        # Every table, bit for bit, in dtype and shape: the residuals' signs
+        # and the signed zeros included.
+        for name, got, want in zip(floatfmt._Tables._fields, floatfmt._format_tables(), reference_tables()):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
     def test_float_round_trip(self, rng):
         for _ in range(1000):
             x = float(rng.uniform(-1e6, 1e6)) * 10 ** int(rng.integers(-12, 12))
