@@ -8,9 +8,11 @@ selective classification, and evaluate closed-form evidential losses.
 Reports are deterministic JSON (no timestamps; provenance carries input
 digests, settings, seed, and version), curves are plain CSV.  Exit codes:
 0 success, 1 validation error (any out-of-range file content, flag or
-setting), 2 I/O error.  ``fit`` fits the reader's (n, M, K) array in one
-batched pass; ``--threads`` is accepted for compatibility and changes
-nothing.  No command builds per-input objects.
+setting), 2 I/O error; a setting error names its flag.  ``fit`` fits the
+reader's (n, M, K) array in one batched pass; ``--threads`` is accepted for
+compatibility and changes nothing.  No command builds per-input objects:
+ids, labels and values go from reader to writer as arrays, and sample ids
+as one list of str.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .estimators import (
     DEFAULT_P_FLOOR,
     _fit,
 )
-from .evidential import LOSSES, annealed_lambda, losses
+from .evidential import _WEIGHT_NAMES, LOSSES, annealed_lambda, losses
 from .fileio import (
     ValidationError,
+    _write_labels,
     pair_labels,
     read_alphas,
     read_labels,
@@ -43,7 +46,6 @@ from .fileio import (
     sha256_of_file,
     write_alphas,
     write_curve,
-    write_labels,
     write_losses,
     write_predictions,
     write_report,
@@ -86,6 +88,30 @@ def _provenance(inputs: dict, settings: dict, seed: Optional[int]) -> dict:
     }
 
 
+# The rule each numeric setting must meet, by flag: a test of the value and
+# what it asks.  The library checks the same settings under its own names.
+_FLAG_RULES = {
+    "--cap": (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    "--max-iter": (lambda v: v >= 1, "must be at least 1"),
+    "--eps": (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    "--p-floor": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "--bins": (lambda v: v >= 1, "must be at least 1"),
+    "--conf-threshold": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "--lambda0": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
+    "--epochs": (lambda v: math.isfinite(v) and v >= 1.0, "must be finite and at least 1"),
+    "--epoch": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
+}
+
+
+def _check_flags(args: argparse.Namespace, *flags: str) -> None:
+    # A setting outside its rule is an error that names its flag.
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        test, rule = _FLAG_RULES[flag]
+        if not test(value):
+            raise ValidationError(f"{flag} {rule}, got {value}")
+
+
 def _parse_float_list(raw: str, name: str) -> list[float]:
     try:
         return [float(part) for part in raw.split(",")]
@@ -120,7 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     data = generate(config)
     write_predictions(args.preds_out, data.sample_ids, data.model_ids, data.probs)
-    write_labels(args.labels_out, list(data.labels.items()))
+    _write_labels(args.labels_out, data.sample_ids, data.label)
     write_alphas(args.alphas_out, data.sample_ids, np.zeros(config.n, dtype=bool), data.alpha)
     return 0
 
@@ -129,6 +155,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    _check_flags(args, "--cap", "--max-iter", "--eps", "--p-floor")
     data = read_predictions(args.preds)
     m = len(data.model_ids)
     if args.models_limit is not None:
@@ -201,6 +228,7 @@ def _calibration_document(report, n_bins: int, threshold: float) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_flags(args, "--bins", "--conf-threshold")
     if args.alphas:
         mean, _, labels = _read_scored(args.alphas, args.labels, scored=False)
         inputs = {"alphas": args.alphas, "labels": args.labels}
@@ -278,6 +306,7 @@ def cmd_calibrate_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    _check_flags(args, "--bins", "--conf-threshold")
     mean, variance, labels = _read_scored(args.alphas, args.labels)
     settings: dict = {"command": "select", "bins": args.bins, "conf_threshold": args.conf_threshold}
     calinfo, cal_n, seed = None, None, None
@@ -340,6 +369,12 @@ def cmd_losses(args: argparse.Namespace) -> int:
         raise ValidationError("--epoch/--epochs apply only to --loss mse-kl")
     if (args.epoch is None) != (args.epochs is None):
         raise ValidationError("--epoch and --epochs must be given together")
+    if args.loss in _WEIGHT_NAMES:
+        _check_flags(args, "--lambda0")
+    if schedule_given:
+        _check_flags(args, "--epochs", "--epoch")
+        if args.epoch > args.epochs:
+            raise ValidationError(f"--epoch {args.epoch} exceeds --epochs {args.epochs}")
     data = read_alphas(args.alphas)
     k = data.alpha.shape[1]
     labels = pair_labels(data.sample_ids, read_labels(args.labels), k, args.labels)
@@ -351,8 +386,13 @@ def cmd_losses(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"{args.alphas}: row {bad[0] + 2}: the {args.loss} loss overflows or loses its precision in a float"
         )
-    values = values.tolist()
-    write_losses(args.out, data.sample_ids + [MEAN_ROW_ID], values + [math.fsum(values) / len(values)])
+    try:
+        mean = math.fsum(values) / values.size
+    except OverflowError:
+        raise ValidationError(f"{args.alphas}: the mean {args.loss} loss overflows a float") from None
+    # The reader's id list takes the mean row's id; nothing reads it after.
+    data.sample_ids.append(MEAN_ROW_ID)
+    write_losses(args.out, data.sample_ids, np.append(values, mean))
     return 0
 
 

@@ -104,18 +104,31 @@ class ProbabilityVector:
         self.p = p
 
 
+# _simplex_rows checks this many entries at a time, so its masks stay this
+# size whatever the row count.
+_SIMPLEX_BLOCK = 1 << 16
+
+
 def _simplex_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The one simplex check: which (n, K) rows lie in [0, 1] (NaN does not),
     # and their exact sums, NaN elsewhere.  A float sum of K entries in [0, 1]
     # is within K * 2**-53 of exact, so one within 5e-10 of 1 is kept: it
     # decides closure at 1e-9 (the reader's renormalization) or coarser alike.
-    # No step holds more than two masks the size of p, nor a float array
-    # of that size.
-    in_bounds = p >= 0.0
-    in_bounds &= p <= 1.0
-    in_bounds = in_bounds.all(axis=1)
-    totals = p.sum(axis=1, where=in_bounds[:, None])
-    totals[~in_bounds] = np.nan
+    # Rows are checked a block at a time; each row's verdict and sum are its
+    # own, so the block size changes no bit.
+    n, k = p.shape
+    in_bounds, totals = np.empty(n, dtype=bool), np.empty(n)
+    step = max(1, _SIMPLEX_BLOCK // max(k, 1))
+    for i in range(0, n, step):
+        block = p[i:i + step]
+        inside = block >= 0.0
+        inside &= block <= 1.0
+        rows = in_bounds[i:i + step]
+        np.all(inside, axis=1, out=rows)
+        del inside
+        sums = totals[i:i + step]
+        np.sum(block, axis=1, where=rows[:, None], out=sums)
+        sums[~rows] = np.nan
     miss = totals - 1.0
     far = np.flatnonzero(np.abs(miss, out=miss) > 5e-10)
     totals[far] = _exact_sums(p[far])

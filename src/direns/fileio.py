@@ -11,23 +11,26 @@ Three CSV formats move data between commands:
 Readers parse a whole file into arrays: ``read_predictions`` gives
 ``probs`` (n, M, K) in sorted sample and model order, ``read_alphas``
 sorted ids, a (n,) degenerate mask, (n, K) concentrations and their (n,)
-exact row sums.  The writers take the same arrays, and ``write_curve``
-the (P, 3) array of coverage, risk and tau.  A plain file (printable
-ASCII without quotes, LF line ends, the header's field count on every
-line) has its lines counted first, and the arrays it returns are made at
-that size; it is then read a chunk of whole lines at a time, each chunk
-split at its byte offsets and its id columns and numbers (by
-``np.loadtxt``) written into those arrays, so the reader holds its result
-and one chunk's working set, not the file and not a second copy of any
-column.  Any other file, or one whose numbers numpy rejects in any chunk,
-is read whole by the ``csv`` module and ``float()``.  Both give the same
-arrays and the same errors, wherever the chunks end.  Checks run over
-whole arrays; a ``ValidationError`` names the earliest bad row in file
-order (the header is row 1) and the first check it fails.  Rows that miss
-exact closure within the 1e-6 tolerance are renormalized with a warning
-instead of rejected.  Floats are written as ``'%.17g' % x`` writes them,
-block by block through ``floatfmt``, so files round-trip bit-exactly;
-writes are atomic renames.
+exact row sums, and ``read_labels`` the ids in sorted order as a str
+array with their labels and source rows, which ``pair_labels`` looks up
+by binary search; its per-id dicts are built only on first access.  The
+writers take the same arrays, and ``write_curve`` the (P, 3) array of
+coverage, risk and tau.  A plain file (printable ASCII without quotes,
+LF line ends, the header's field count on every line) has its lines
+counted first, and the arrays it returns are made at that size; it is
+then read a chunk of whole lines at a time, each chunk split at its byte
+offsets and its id columns and numbers (by ``np.loadtxt``) written into
+those arrays, so the reader holds its result and one chunk's working
+set, not the file and not a second copy of any column.  Any other file,
+or one whose numbers numpy rejects in any chunk, is read whole by the
+``csv`` module and ``float()``.  Both give the same arrays and the same
+errors, wherever the chunks end.  Checks run over whole arrays; a
+``ValidationError`` names the earliest bad row in file order (the header
+is row 1) and the first check it fails.  Rows that miss exact closure
+within the 1e-6 tolerance are renormalized with a warning instead of
+rejected.  Floats are written as ``'%.17g' % x`` writes them, block by
+block through ``floatfmt``, so files round-trip bit-exactly; writes are
+atomic renames.
 
 Reports are JSON documents with a fixed key order, no timestamps, and a
 provenance block (input digests, settings, seed, tool version) so a rerun
@@ -45,6 +48,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,6 +84,7 @@ __all__ = [
 RENORM_WARN_TOL = 1e-9
 # The byte that pads a text matrix for format_lines, which omits it.
 _PAD = 0xFF
+_INT64_MAX = 2**63 - 1
 
 
 class ValidationError(Exception):
@@ -133,12 +138,58 @@ class PredictionsData:
     ensembles: dict
 
 
-@dataclass
-class LabelsData:
-    """Parsed labels file: sample id to label, plus source rows for errors."""
+def _str_ids(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    # Sample ids as a str array, and how many trailing NULs each has, which a
+    # str array drops; only an id the csv module read can end in one.
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "U":
+        return ids, np.zeros(ids.size, np.intp)
+    ids = list(ids)
+    nuls = np.zeros(len(ids), np.intp)
+    if "\0" in "".join(ids):
+        nuls[:] = [len(sid) - len(sid.rstrip("\0")) for sid in ids]
+    return np.array(ids, dtype=str), nuls
 
-    labels: dict
-    rows: dict
+
+def _id_list(ids: np.ndarray, nuls: np.ndarray) -> list:
+    # The ids that _str_ids took apart, as a list of str.
+    out = ids.tolist()
+    for i in np.flatnonzero(nuls).tolist():
+        out[i] += "\0" * int(nuls[i])
+    return out
+
+
+class LabelsData:
+    """Parsed labels file, as arrays in sorted sample id order.
+
+    Entry i is the i-th smallest sample id: ``ids[i]`` as a str array holds
+    it and ``nuls[i]`` counts the trailing NULs that drops, ``label[i]`` is
+    its int64 label and ``row[i]`` its row in the file (the header is row 1).
+    A label past int64 reads as int64's largest in ``label``, and ``large``
+    maps its entry to the exact int.  ``labels`` and ``rows`` map each sample
+    id to its label and its row, in file order; each is built on first access.
+    """
+
+    def __init__(self, ids: np.ndarray, nuls: np.ndarray, label: np.ndarray, row: np.ndarray,
+                 large: dict) -> None:
+        self.ids, self.nuls, self.label, self.row, self.large = ids, nuls, label, row, large
+
+    def _in_file_order(self, values: list) -> dict:
+        # Each sample id to its entry of ``values``, a list in sorted id
+        # order, in file order.
+        order = np.empty_like(self.row)
+        order[self.row - 2] = np.arange(self.row.size)
+        return dict(zip(_id_list(self.ids[order], self.nuls[order]), map(values.__getitem__, order.tolist())))
+
+    @cached_property
+    def labels(self) -> dict:
+        values = self.label.tolist()
+        for i, value in self.large.items():
+            values[i] = value
+        return self._in_file_order(values)
+
+    @cached_property
+    def rows(self) -> dict:
+        return self._in_file_order(self.row.tolist())
 
 
 @dataclass
@@ -255,10 +306,11 @@ _CHUNK = 1 << 18
 def _gather(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, fill: int) -> np.ndarray:
     # The (n, width) uint8 matrix whose row i is buf[starts[i]:starts[i] +
     # lengths[i]] padded with ``fill``; width is the longest, and at least 1.
-    cols = np.arange(max(int(lengths.max(initial=0)), 1))
+    # A chunk's offsets fit in 32 bits, which halves the (n, width) index.
+    cols = np.arange(max(int(lengths.max(initial=0)), 1), dtype=np.int32 if buf.size < 2**31 else np.intp)
     inside = cols < lengths[:, None]
     out = np.full(inside.shape, fill, np.uint8)
-    out[inside] = buf[(starts[:, None] + cols)[inside]]
+    out[inside] = buf[(starts.astype(cols.dtype)[:, None] + cols)[inside]]
     return out
 
 
@@ -546,7 +598,11 @@ def _text_matrix(values: Sequence[str]) -> np.ndarray:
         fields = _csv_fields(values)
         lengths = np.fromiter(map(len, fields), np.intp, len(fields))
         encoded = b"".join(fields)
-    return _gather(np.frombuffer(encoded, np.uint8), np.cumsum(lengths) - lengths, lengths, _PAD)
+    # The values lie end to end, so the padded matrix takes them in order.
+    inside = np.arange(max(int(lengths.max(initial=0)), 1)) < lengths[:, None]
+    out = np.full(inside.shape, _PAD, np.uint8)
+    out[inside] = np.frombuffer(encoded, np.uint8)
+    return out
 
 
 def _fields(*columns: np.ndarray) -> np.ndarray:
@@ -607,54 +663,70 @@ def _digit_column(texts: np.ndarray) -> Optional[np.ndarray]:
 def read_labels(path: str) -> LabelsData:
     """Parse and validate a labels file (unique ids, integer labels >= 0)."""
     _, fields, _, ids, texts, _ = _table(path, ["sample_id", "label"], None)
-    n = len(ids)
-    labels = _digit_column(texts)
-    if labels is None:
-        values = list(map(_integer, texts.tolist()))
-        labels = np.array(values, dtype=object)
-        integer = ~np.equal(labels, None)
+    # Once the ids are known to be unique, ``where`` is each row's place in
+    # id order.
+    distinct, where, repeated = _index(ids)
+    label, large = _digit_column(texts), {}
+    if label is None:
+        parsed = np.array(list(map(_integer, texts.tolist())), dtype=object)
+        integer = ~np.equal(parsed, None)
+        parsed[~integer] = 0
+        past = np.flatnonzero(parsed > _INT64_MAX)
+        large = dict(zip(where[past].tolist(), parsed[past].tolist()))
+        parsed[past] = _INT64_MAX
+        label = np.maximum(parsed, -1).astype(np.int64)
     else:
-        values, integer = labels.tolist(), np.ones(n, dtype=bool)
-    sample_ids = ids.tolist()
+        integer = np.ones(len(ids), dtype=bool)
     _raise_first_fault(path, [
         (fields != 2, lambda i: f"expected 2 fields, got {fields[i]}"),
         (~integer, lambda i: "label must be an integer"),
-        (np.where(integer, labels, 0) < 0, lambda i: "label must be nonnegative"),
-        (_index(ids)[2], lambda i: f"duplicate sample_id {sample_ids[i]!r}"),
+        (label < 0, lambda i: "label must be nonnegative"),
+        (repeated, lambda i: f"duplicate sample_id {str(ids[i])!r}"),
     ])
-    rows = dict(zip(sample_ids, range(2, n + 2)))  # ids are unique
-    return LabelsData(labels=dict(zip(sample_ids, values)), rows=rows)
+    order = np.empty_like(where)
+    order[where] = np.arange(where.size)
+    return LabelsData(*_str_ids(distinct), label[order], order + 2, large)
+
+
+def _write_labels(path: str, sample_ids: Sequence[str], labels) -> None:
+    # A labels file with one row per id and label, in the order given.
+    labels = np.asarray(labels, dtype=np.int64)
+    width = max(len(str(labels.min(initial=0))), len(str(labels.max(initial=0))))
+    digits = labels.astype(f"S{width}").view(np.uint8).reshape(labels.size, width)
+    text = _fields(_text_matrix(sample_ids), np.where(digits == 0, np.uint8(_PAD), digits))
+    _write_table(path, ["sample_id", "label"], text.__getitem__, np.empty((labels.size, 0)))
 
 
 def write_labels(path: str, pairs: Sequence[tuple]) -> None:
-    pairs = sorted(pairs)
-    ids, labels = zip(*pairs) if pairs else ((), ())
-    labels = np.array(labels, dtype=np.int64).astype("S")
-    digits = labels.view(np.uint8).reshape(labels.size, labels.itemsize)
-    text = _fields(_text_matrix(ids), np.where(digits == 0, np.uint8(_PAD), digits))
-    _write_table(path, ["sample_id", "label"], text.__getitem__, np.empty((len(pairs), 0)))
+    """Write (sample_id, label) pairs as a labels file, in the order ``sorted(pairs)`` gives."""
+    ids, labels = zip(*sorted(pairs)) if pairs else ((), ())
+    _write_labels(path, ids, labels)
 
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
     """Labels of ``sample_ids`` in order as an int array; each must exist and lie in [0, k)."""
-    values = list(map(data.labels.get, sample_ids))
-    try:
-        labels = np.array(values, dtype=np.int64)
-        missing = np.zeros(labels.size, dtype=bool)
-    except (TypeError, OverflowError):
-        # A missing id (None) or a label past int64.
-        labels = np.array(values, dtype=object)
-        missing = np.equal(labels, None)
-    bad = np.flatnonzero(missing | (np.where(missing, 0, labels) >= k))
+    ids, nuls = _str_ids(sample_ids)
+    at = np.searchsorted(data.ids, ids)
+    last = data.ids.size - 1
+    # Ids that differ only in trailing NULs share a str value, in rising NUL
+    # count; an id lands on the first of them.
+    for i in np.flatnonzero(data.nuls[np.minimum(at, last)] != nuls).tolist():
+        end = np.searchsorted(data.ids, ids[i], "right")
+        at[i] += np.searchsorted(data.nuls[at[i]:end], nuls[i])
+    np.minimum(at, last, out=at)
+    missing = (data.ids[at] != ids) | (data.nuls[at] != nuls)
+    labels = data.label[at]
+    bad = np.flatnonzero(missing | (labels >= k))
     if bad.size:
-        sid = sample_ids[bad[0]]
-        if missing[bad[0]]:
+        i = bad[0]
+        sid = str(ids[i]) + "\0" * int(nuls[i])
+        if missing[i]:
             raise ValidationError(f"{path}: missing label for sample_id {sid!r}")
         raise ValidationError(
-            f"{path}: row {data.rows[sid]}: label {labels[bad[0]]} outside [0, {k}) "
-            f"for sample_id {sid!r}"
+            f"{path}: row {data.row[at[i]]}: label {data.large.get(int(at[i]), labels[i])} "
+            f"outside [0, {k}) for sample_id {sid!r}"
         )
-    return labels.astype(np.int64)
+    return labels
 
 
 def read_alphas(path: str) -> AlphasData:

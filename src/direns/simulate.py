@@ -20,15 +20,18 @@ seed (``np.random.SeedSequence(seed).spawn``): the labels, the wrong
 classes, the incorrect flags, the alpha_0 scales and the gamma block.  Each
 is drawn as one whole array, so a given configuration always produces
 identical files, and row i's draws do not depend on n: the first n' rows of
-an n-row dataset are the n'-row dataset.  ``SimulatedData.alpha`` is the
-(n, K) concentration array and ``SimulatedData.probs`` the (n, M, K)
-member array; the per-id ``alphas`` and ``ensembles`` are views into them.
+an n-row dataset are the n'-row dataset.  ``generate`` returns arrays in
+sample id order: ``SimulatedData.label`` the (n,) labels, ``.alpha`` the
+(n, K) concentrations and ``.probs`` the (n, M, K) members.  The per-id
+maps ``labels``, ``alphas`` and ``ensembles`` are built on first access,
+the last two of views into the arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -88,20 +91,32 @@ class SimulationConfig:
 class SimulatedData:
     """Generated dataset: ids, labels, ground-truth alphas, and ensembles.
 
-    ``probs[i, m]`` is member ``model_ids[m]``'s probability vector for
-    ``sample_ids[i]``, an (n, M, K) array, and ``alpha[i]`` its (K,)
-    concentrations, an (n, K) array.  ``ensembles`` and ``alphas`` map each
-    sample id to its (M, K) ensemble and its (K,) concentrations, views into
-    ``probs`` and ``alpha``.
+    ``sample_ids`` are in sorted order.  ``probs[i, m]`` is member
+    ``model_ids[m]``'s probability vector for ``sample_ids[i]``, an
+    (n, M, K) array, ``alpha[i]`` its (K,) concentrations, an (n, K) array,
+    and ``label[i]`` its label, an (n,) int array.  ``labels``, ``alphas``
+    and ``ensembles`` map each sample id to its label as an int, its (K,)
+    concentrations and its (M, K) ensemble, views into ``alpha`` and
+    ``probs``; each map is built on first access.
     """
 
     sample_ids: list
     model_ids: list
-    labels: dict
-    alphas: dict
-    ensembles: dict = field(repr=False)
+    label: np.ndarray = field(repr=False)
     probs: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
+
+    @cached_property
+    def labels(self) -> dict:
+        return dict(zip(self.sample_ids, self.label.tolist()))
+
+    @cached_property
+    def alphas(self) -> dict:
+        return dict(zip(self.sample_ids, self.alpha))
+
+    @cached_property
+    def ensembles(self) -> dict:
+        return dict(zip(self.sample_ids, self.probs))
 
 
 def generate(config: SimulationConfig) -> SimulatedData:
@@ -130,18 +145,10 @@ def generate(config: SimulationConfig) -> SimulatedData:
         scale = scale_rng.uniform(np.where(incorrect, ilo, clo), np.where(incorrect, ihi, chi))
         # Each row's alpha_0 times the mean that peaks at its target class.
         target = np.where(incorrect, wrong, labels)
-        peaked = np.where(np.arange(k) == target[:, None], config.peak, (1.0 - config.peak) / (k - 1))
-        alpha = scale[:, None] * peaked
+        alpha = np.where(np.arange(k) == target[:, None], config.peak, (1.0 - config.peak) / (k - 1))
+        alpha *= scale[:, None]
     probs = np.empty((n, m, k))
     gamma_rng.standard_gamma(np.broadcast_to(alpha[:, None, :], (n, m, k)), out=probs)
     np.maximum(probs, 1e-300, out=probs)
     probs /= probs.sum(axis=2, keepdims=True)
-    return SimulatedData(
-        sample_ids=sample_ids,
-        model_ids=model_ids,
-        labels=dict(zip(sample_ids, labels.tolist())),
-        alphas=dict(zip(sample_ids, alpha)),
-        ensembles=dict(zip(sample_ids, probs)),
-        probs=probs,
-        alpha=alpha,
-    )
+    return SimulatedData(sample_ids, model_ids, labels, probs, alpha)

@@ -418,6 +418,20 @@ class TestLossesCommand:
         )
         assert not out.exists()
 
+    def test_overflowing_mean_is_one_error_line(self, tmp_path, capsys):
+        # Every row's log-ev loss is finite, but their sum is past the
+        # largest float.
+        alphas = tmp_path / "a.csv"
+        alphas.write_text("sample_id,degenerate,a_0,a_1\n" + "".join(f"s{i:03d},0,0.25,0.25\n" for i in range(100)))
+        labels = tmp_path / "l.csv"
+        labels.write_text("sample_id,label\n" + "".join(f"s{i:03d},0\n" for i in range(100)))
+        out = tmp_path / "loss.csv"
+        code = run("losses", "--alphas", alphas, "--labels", labels, "--loss", "log-ev",
+                   "--lambda0", "1e307", "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {alphas}: the mean log-ev loss overflows a float\n"
+        assert not out.exists()
+
     def test_huge_concentrations_give_finite_mse(self, tmp_path):
         # alpha_0^2 overflows here; the variance and the loss must not.
         alphas = tmp_path / "a.csv"
@@ -552,8 +566,34 @@ class TestExitCodes:
         argv = [a.format(**files) for a in self.FIT] + ["--mode", "mom-mle", flag, value]
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
-        assert flag[2:].replace("-", "_") in lines[0]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), lines
+
+    SETTING_ERRORS = [
+        (FIT + ["--cap", "nan"], "--cap must be finite and > 0, got nan"),
+        (FIT + ["--max-iter", "0"], "--max-iter must be at least 1, got 0"),
+        (FIT + ["--eps", "0"], "--eps must be finite and > 0, got 0.0"),
+        (FIT + ["--p-floor", "2"], "--p-floor must lie in (0, 1), got 2.0"),
+        (["evaluate", *REPORT, "--bins", "0"], "--bins must be at least 1, got 0"),
+        (["select", *REPORT, "--bins", "0"], "--bins must be at least 1, got 0"),
+        (["evaluate", *REPORT, "--conf-threshold", "nan"], "--conf-threshold must lie in [0, 1], got nan"),
+        (["select", *REPORT, "--conf-threshold", "-1"], "--conf-threshold must lie in [0, 1], got -1.0"),
+        (LOSSES + ["--loss", "mse-kl", "--lambda0", "nan"], "--lambda0 must be finite and nonnegative, got nan"),
+        (LOSSES + ["--loss", "mse-kl", "--epoch", "1", "--epochs", "0"],
+         "--epochs must be finite and at least 1, got 0.0"),
+        (LOSSES + ["--loss", "mse-kl", "--epoch", "-1", "--epochs", "10"],
+         "--epoch must be finite and nonnegative, got -1.0"),
+        (LOSSES + ["--loss", "mse-kl", "--epoch", "11", "--epochs", "10"], "--epoch 11.0 exceeds --epochs 10.0"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", SETTING_ERRORS,
+                             ids=[" ".join(a for a in argv if "{" not in a) for argv, _ in SETTING_ERRORS])
+    def test_setting_error_names_its_flag(self, files, capsys, argv, message):
+        assert main([a.format(**files) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_lambda0_is_free_where_the_loss_takes_no_weight(self, files):
+        argv = [a.format(**files) for a in self.LOSSES] + ["--loss", "digamma", "--lambda0", "nan"]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("fault", ["long field", "bad utf-8"])
     @pytest.mark.parametrize("target", ["preds", "fits", "labels"])

@@ -88,6 +88,25 @@ class TestSimplexCheck:
             if abs(total - 1.0) > 5e-10:
                 assert total == math.fsum(row)
 
+    @pytest.mark.parametrize("k", [3, 50])
+    def test_block_size_changes_no_bit(self, monkeypatch, k):
+        # Rows are checked a block at a time; every verdict and sum is bitwise
+        # what one pass over the whole array gives, wherever the blocks end.
+        rng = np.random.default_rng(k)
+        p = rng.dirichlet(np.full(k, 0.3), size=200)
+        p[::7, 0] += rng.choice([2e-10, -4e-10, 9e-7, 3e-6], size=p[::7].shape[0])
+        p[3::11, 1] = rng.choice([-0.5, 1.5, np.nan, np.inf], size=p[3::11].shape[0])
+        inside = ((p >= 0.0) & (p <= 1.0)).all(axis=1)
+        sums = p.sum(axis=1, where=inside[:, None])
+        sums[~inside] = np.nan
+        far = np.flatnonzero(np.abs(sums - 1.0) > 5e-10)
+        sums[far] = dirichlet._exact_sums(p[far])
+        for rows in (1, 7, len(p)):
+            monkeypatch.setattr(dirichlet, "_SIMPLEX_BLOCK", rows * k)
+            in_bounds, totals = _simplex_rows(p)
+            assert in_bounds.tobytes() == inside.tobytes()
+            assert totals.tobytes() == sums.tobytes()
+
     def test_rows_that_sum_to_one_skip_the_exact_sum(self, monkeypatch):
         calls = []
         two_sum = dirichlet._two_sum

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_chunks import traced_peak
 
 from direns import fileio, floatfmt
 from direns.fileio import (
@@ -536,7 +537,8 @@ class TestTextColumns:
         data = generate(SimulationConfig(n=n, m=2, k=3, seed=1, scheme="two_population"))
         path = {name: str(tmp_path / f"{name}{n}.csv") for name in ("preds", "unordered", "labels", "alphas", "losses")}
         write_predictions(path["preds"], data.sample_ids, data.model_ids, data.probs)
-        header, *rows = open(path["preds"]).read().splitlines(keepends=True)
+        with open(path["preds"]) as handle:
+            header, *rows = handle.read().splitlines(keepends=True)
         write(tmp_path / f"unordered{n}.csv", header + "".join(rows[::-1]))
         calls = {
             "write_predictions": lambda: write_predictions(path["preds"], data.sample_ids, data.model_ids, data.probs),
@@ -586,11 +588,13 @@ class TestTextColumns:
         for name, writer in writers.items():
             path = str(tmp_path / f"{name}.csv")
             writer(path)
-            written = open(path, "rb").read()
+            with open(path, "rb") as handle:
+                written = handle.read()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fileio, "_unquoted", lambda joined: False)
                 writer(path)
-            assert open(path, "rb").read() == written, name
+            with open(path, "rb") as handle:
+                assert handle.read() == written, name
 
 
 class TestLabelsFile:
@@ -625,6 +629,67 @@ class TestLabelsFile:
         data = read_labels(path)
         with pytest.raises(ValidationError, match="row 2"):
             pair_labels(["s0"], data, 2, path)
+
+    @pytest.mark.parametrize("text", [
+        "sample_id,label\ns3,2\ns10,0\ns1,1\ns2,0\n",
+        'sample_id,label\r\n"b,1",3\r\na,1\r\nx\0\0,2\r\nx,0\r\n\xe9,1\r\nx\0,4\r\n',
+        "sample_id,label\ns1,99999999999999999999\ns0, 7\n",
+    ], ids=["plain", "csv path", "past int64"])
+    def test_maps_equal_the_file_in_file_order(self, tmp_path, text):
+        # labels and rows, built on first access, hold what a dict of the
+        # file's rows in file order holds: the same keys, int values and order.
+        path = str(tmp_path / "l.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        data = read_labels(path)
+        assert "labels" not in vars(data) and "rows" not in vars(data)
+        for got, expected in [(data.labels, {sid: int(label) for sid, label in rows}),
+                              (data.rows, {sid: i + 2 for i, (sid, _) in enumerate(rows)})]:
+            assert list(got.items()) == list(expected.items())
+            assert {type(v) for v in got.values()} == {int}
+        assert data.labels is data.labels
+
+    def test_pairing_tells_apart_ids_that_differ_in_trailing_nuls(self, tmp_path):
+        path = write(tmp_path / "l.csv", "sample_id,label\nx\0,1\nx,0\nx\0\0\0,2\ny,1\n")
+        data = read_labels(path)
+        ids = ["x\0\0\0", "y", "x", "x\0"]
+        np.testing.assert_array_equal(pair_labels(ids, data, 3, path), [2, 1, 0, 1])
+        for sid in ["x\0\0", "x\0\0\0\0", "y\0"]:
+            with pytest.raises(ValidationError) as info:
+                pair_labels(["x", sid], data, 3, path)
+            assert str(info.value) == f"{path}: missing label for sample_id {sid!r}"
+
+    def test_label_past_int64_is_named_exactly(self, tmp_path):
+        path = write(tmp_path / "l.csv", "sample_id,label\ns0,1\ns1,99999999999999999999\n")
+        data = read_labels(path)
+        np.testing.assert_array_equal(pair_labels(["s0"], data, 3, path), [1])
+        with pytest.raises(ValidationError) as info:
+            pair_labels(["s0", "s1"], data, 3, path)
+        assert str(info.value) == f"{path}: row 3: label 99999999999999999999 outside [0, 3) for sample_id 's1'"
+
+    def test_write_labels_memory(self, tmp_path):
+        # At the report-many benchmark's shape (n=5000) the writer's traced
+        # peak stays within 0.65 MB.  Formatting each label in 21 bytes and
+        # gathering the ids through an (n, width) index peaked at 0.87 MB.
+        data = generate(SimulationConfig(n=5000, m=1, k=10, seed=1, scheme="two_population"))
+        pairs = list(data.labels.items())[::-1]
+        _, peak = traced_peak(lambda: write_labels(str(tmp_path / "l.csv"), pairs))
+        assert peak <= 0.65e6
+
+    def test_read_and_pair_memory(self, tmp_path):
+        # At the report-many benchmark's shape (n=5000, K=10), reading a
+        # labels file and pairing its labels with the alphas' ids peaks
+        # within 0.7 MB.  Two dicts by id, and a lookup per id, peaked at
+        # 0.93 MB.
+        data = generate(SimulationConfig(n=5000, m=1, k=10, seed=1, scheme="two_population"))
+        path = str(tmp_path / "l.csv")
+        write_labels(path, list(data.labels.items()))
+        ids = data.sample_ids
+        labels, peak = traced_peak(lambda: pair_labels(ids, read_labels(path), 10, path))
+        np.testing.assert_array_equal(labels, data.label)
+        assert peak <= 0.7e6
 
 
 class TestAlphasFile:
@@ -849,6 +914,27 @@ class TestSimulate:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    def test_maps_are_built_on_first_access(self):
+        # Each map holds, in sample id order, what the per-id dicts built
+        # with the arrays held: int labels and views, not copies, of the
+        # rows of alpha and probs.
+        data = generate(self.base())
+        assert not {"labels", "alphas", "ensembles"} & set(vars(data))
+        assert list(data.labels) == list(data.alphas) == list(data.ensembles) == data.sample_ids
+        for i, sid in enumerate(data.sample_ids):
+            assert type(data.labels[sid]) is int and data.labels[sid] == data.label[i]
+            for rows, view in [(data.alpha, data.alphas[sid]), (data.probs, data.ensembles[sid])]:
+                assert view.base is rows
+                np.testing.assert_array_equal(view, rows[i])
+        assert data.alphas is data.alphas
+
+    def test_memory_follows_the_arrays(self):
+        # At the report-many benchmark's shape (n=5000, M=1, K=10), generate
+        # peaks within twice the alpha and probs it returns.  The three
+        # per-id maps and a second (n, K) array peaked at 4 times (3.2 MB).
+        data, peak = traced_peak(lambda: generate(self.base(n=5000, m=1, k=10)))
+        assert peak <= 2 * (data.alpha.nbytes + data.probs.nbytes)
 
     def test_ensembles_are_views_of_probs(self):
         data = generate(self.base())
