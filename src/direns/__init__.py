@@ -14,11 +14,8 @@ from .calibration import (
     ReliabilityBin,
     calibration_report,
     confidence,
-    confidence_histograms,
     correctness,
     ece,
-    metrics,
-    reliability_bins,
 )
 from .dirichlet import (
     DirichletParams,
@@ -37,7 +34,6 @@ from .evidential import (
     ce_gradient,
     ce_loss,
     digamma_loss,
-    log_evidence_penalty,
     losses,
     mse_kl_loss,
     mse_loss,
@@ -47,12 +43,9 @@ from .fileio import ValidationError
 from .selective import (
     RiskCoveragePoint,
     ScoredSample,
-    SelectiveReport,
     ThresholdCalibration,
     calibrate_threshold,
     risk_coverage_curve,
-    selective_report,
-    variance_histograms,
 )
 from .simulate import SimulationConfig, generate
 from .specfun import digamma, inverse_digamma, log_gamma

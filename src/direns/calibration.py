@@ -15,15 +15,15 @@ confidence histograms with the fraction of incorrect predictions above a
 confidence threshold.
 
 Each computation has one array implementation over (n, K) means and (n,)
-labels; the public functions turn their ``LabeledPrediction`` lists into
-those two arrays and call it, and the CLI calls it on whole files.
+labels, which the CLI calls on whole files; ``calibration_report`` and
+``ece`` turn their ``LabeledPrediction`` lists into those two arrays and
+call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,10 +35,7 @@ __all__ = [
     "CalibrationReport",
     "confidence",
     "correctness",
-    "reliability_bins",
     "ece",
-    "confidence_histograms",
-    "metrics",
     "calibration_report",
     "DEFAULT_BINS",
     "DEFAULT_CONFIDENCE_THRESHOLD",
@@ -50,23 +47,17 @@ DEFAULT_CONFIDENCE_THRESHOLD = 0.8
 NLL_FLOOR = 1e-12
 
 
-@dataclass
 class LabeledPrediction:
     """One predictive distribution paired with its true label."""
 
-    mean: ProbabilityVector
-    label: int
-    sample_id: str = ""
-
-    def __post_init__(self) -> None:
-        self.mean = _point(self.mean)
-        self.label = _class_index(self.label, self.mean.p.size)
-        self.sample_id = str(self.sample_id)
+    def __init__(self, mean: ProbabilityVector, label: int, sample_id: str = "") -> None:
+        self.mean = _point(mean)
+        self.label = _class_index(label, self.mean.p.size)
+        self.sample_id = str(sample_id)
 
 
-@dataclass
-class ReliabilityBin:
-    """One confidence bin of a reliability diagram."""
+class ReliabilityBin(NamedTuple):
+    """One confidence bin of a reliability diagram; an empty one has zero statistics."""
 
     lower: float
     upper: float
@@ -79,9 +70,12 @@ class ReliabilityBin:
         return self.count == 0
 
 
-@dataclass
-class CalibrationReport:
-    """Full calibration diagnostics for one prediction set."""
+class CalibrationReport(NamedTuple):
+    """Full calibration diagnostics for one prediction set.
+
+    The NLL floors the probability at the true class at ``NLL_FLOOR``, so
+    file-roundtripped zeros stay finite.
+    """
 
     bins: list
     ece: float
@@ -141,15 +135,6 @@ def _reliability(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> list[Rel
     ]
 
 
-def reliability_bins(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_BINS) -> list[ReliabilityBin]:
-    """Group predictions into B equal-width confidence bins.
-
-    Every bin is present in the output; empty ones carry zero count and
-    zero statistics and are flagged through their ``empty`` property.
-    """
-    return _reliability(*_conf_correct(*_arrays(preds)), n_bins)
-
-
 def _ece(bins: Sequence[ReliabilityBin]) -> float:
     n = sum(b.count for b in bins)
     return float(
@@ -159,7 +144,7 @@ def _ece(bins: Sequence[ReliabilityBin]) -> float:
 
 def ece(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_BINS) -> float:
     """Expected calibration error over occupied bins."""
-    return _ece(reliability_bins(preds, n_bins))
+    return _ece(_reliability(*_conf_correct(*_arrays(preds)), n_bins))
 
 
 def _histograms(
@@ -177,19 +162,6 @@ def _histograms(
         np.bincount(idx[~correct], minlength=n_bins),
         overconfident / n_incorrect if n_incorrect else 0.0,
     )
-
-
-def confidence_histograms(
-    preds: Sequence[LabeledPrediction],
-    n_bins: int = DEFAULT_BINS,
-    threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Confidence counts split by correctness, plus the high-confidence error rate.
-
-    The rate is the fraction of incorrect predictions whose confidence
-    exceeds ``threshold`` (0 when nothing is incorrect).
-    """
-    return _histograms(*_conf_correct(*_arrays(preds)), n_bins, threshold)
 
 
 def _macro_f1(pred_classes: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -211,15 +183,6 @@ def _metrics(mean: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]
     at_label = np.maximum(mean[np.arange(labels.size), labels], NLL_FLOOR)
     nll = -float(np.mean(list(map(math.log, at_label.tolist()))))
     return accuracy, macro_f1, nll
-
-
-def metrics(preds: Sequence[LabeledPrediction]) -> tuple[float, float, float]:
-    """(accuracy, macro F1, negative log-likelihood) of a prediction set.
-
-    The NLL is the mean negative log of the predicted probability at the
-    true class, floored at 1e-12 so file-roundtripped zeros stay finite.
-    """
-    return _metrics(*_arrays(preds))
 
 
 def _report(mean: np.ndarray, labels: np.ndarray, n_bins: int, threshold: float) -> CalibrationReport:

@@ -8,17 +8,16 @@ selective classification, and evaluate closed-form evidential losses.
 Reports are deterministic JSON (no timestamps; provenance carries input
 digests, settings, seed, and version), curves are plain CSV.  Exit codes:
 0 success, 1 validation error (any out-of-range file content, flag or
-setting), 2 I/O error; a setting error names its flag.  ``fit`` fits the
-reader's (n, M, K) array in one batched pass; ``--threads`` is accepted for
-compatibility and changes nothing.  No command builds per-input objects:
-ids, labels and values go from reader to writer as arrays, and sample ids
-as one list of str.
+setting), 2 I/O error; a setting error names its flag, and a command checks
+the settings it reads before it opens a file.  ``fit`` fits the reader's
+(n, M, K) array in one pass; ``--threads`` is accepted and changes nothing.
+No command builds per-input objects: ids, labels and values go from reader
+to writer as arrays, and sample ids as one list of str.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from typing import Optional, Sequence
@@ -88,30 +87,6 @@ def _provenance(inputs: dict, settings: dict, seed: Optional[int]) -> dict:
     }
 
 
-# The rule each numeric setting must meet, by flag: a test of the value and
-# what it asks.  The library checks the same settings under its own names.
-_FLAG_RULES = {
-    "--cap": (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
-    "--max-iter": (lambda v: v >= 1, "must be at least 1"),
-    "--eps": (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
-    "--p-floor": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "--bins": (lambda v: v >= 1, "must be at least 1"),
-    "--conf-threshold": (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "--lambda0": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
-    "--epochs": (lambda v: math.isfinite(v) and v >= 1.0, "must be finite and at least 1"),
-    "--epoch": (lambda v: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
-}
-
-
-def _check_flags(args: argparse.Namespace, *flags: str) -> None:
-    # A setting outside its rule is an error that names its flag.
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        test, rule = _FLAG_RULES[flag]
-        if not test(value):
-            raise ValidationError(f"{flag} {rule}, got {value}")
-
-
 def _parse_float_list(raw: str, name: str) -> list[float]:
     try:
         return [float(part) for part in raw.split(",")]
@@ -126,22 +101,76 @@ def _parse_pair(raw: str, name: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
+# The rule each setting must meet, by flag: a test of its parsed value (given
+# all the arguments, for a rule that depends on another flag) and what it
+# asks, where {k} stands for --k.  The library checks the same settings under
+# its own names.
+_FLAG_RULES = {
+    "--n": (lambda v, a: v >= 1, "must be at least 1"),
+    "--m": (lambda v, a: v >= 1, "must be at least 1"),
+    "--k": (lambda v, a: v >= 2, "must be at least 2"),
+    "--alpha": (lambda v, a: len(v) == a.k and all(0.0 < x < math.inf for x in v) and sum(v) < math.inf,
+                "must be {k} finite positive values with a finite sum"),
+    "--alpha0": (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    "--frac-incorrect": (lambda v, a: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "--correct-alpha0": (lambda v, a: 0.0 < v[0] <= v[1] < math.inf, "must satisfy 0 < lo <= hi < inf"),
+    "--incorrect-alpha0": (lambda v, a: 0.0 < v[0] <= v[1] < math.inf, "must satisfy 0 < lo <= hi < inf"),
+    "--peak": (lambda v, a: 1.0 / a.k < v < 1.0, "must lie in (1/K, 1) = (1/{k}, 1)"),
+    "--cap": (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    "--max-iter": (lambda v, a: v >= 1, "must be at least 1"),
+    "--eps": (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    "--p-floor": (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "--models-limit": (lambda v, a: v >= 2, "must be at least 2"),
+    "--threads": (lambda v, a: v >= 1, "must be at least 1"),
+    "--bins": (lambda v, a: v >= 1, "must be at least 1"),
+    "--conf-threshold": (lambda v, a: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "--cal-split": (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "--risk": (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "--tau": (lambda v, a: not math.isnan(v), "must be a number"),
+    "--lambda0": (lambda v, a: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
+    "--epochs": (lambda v, a: math.isfinite(v) and v >= 1.0, "must be finite and at least 1"),
+    "--epoch": (lambda v, a: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
+}
+
+
+def _check_flags(args: argparse.Namespace, *flags: str) -> None:
+    # A setting outside its rule is an error that names its flag; an optional
+    # setting left unset meets every rule.
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        test, rule = _FLAG_RULES[flag]
+        if value is not None and not test(value, args):
+            raise ValidationError(f"{flag} {rule.format_map(vars(args))}, got {value}")
+
+
 # ---------------------------------------------------------------- simulate
+
+
+# The flags each --scheme reads besides the sizes.
+_SCHEME_FLAGS = {
+    "fixed": ("--alpha",),
+    "collapse": ("--alpha0",),
+    "two_population": ("--frac-incorrect", "--correct-alpha0", "--incorrect-alpha0", "--peak"),
+}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scheme = args.scheme.replace("-", "_")
+    args.alpha = _parse_float_list(args.alpha, "--alpha") if args.alpha else None
+    args.correct_alpha0 = _parse_pair(args.correct_alpha0, "--correct-alpha0")
+    args.incorrect_alpha0 = _parse_pair(args.incorrect_alpha0, "--incorrect-alpha0")
+    _check_flags(args, "--n", "--m", "--k", *_SCHEME_FLAGS[scheme])
     config = SimulationConfig(
         n=args.n,
         m=args.m,
         k=args.k,
         seed=args.seed,
         scheme=scheme,
-        alpha=np.array(_parse_float_list(args.alpha, "--alpha")) if args.alpha else None,
+        alpha=None if args.alpha is None else np.array(args.alpha),
         collapse_alpha0=args.alpha0,
         frac_incorrect=args.frac_incorrect,
-        correct_alpha0=_parse_pair(args.correct_alpha0, "--correct-alpha0"),
-        incorrect_alpha0=_parse_pair(args.incorrect_alpha0, "--incorrect-alpha0"),
+        correct_alpha0=args.correct_alpha0,
+        incorrect_alpha0=args.incorrect_alpha0,
         peak=args.peak,
     )
     data = generate(config)
@@ -155,20 +184,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _check_flags(args, "--cap", "--max-iter", "--eps", "--p-floor")
+    _check_flags(args, "--cap", "--max-iter", "--eps", "--p-floor", "--models-limit", "--threads")
     data = read_predictions(args.preds)
     m = len(data.model_ids)
-    if args.models_limit is not None:
-        if args.models_limit < 2:
-            raise ValidationError("--models-limit must be at least 2")
-        if args.models_limit > m:
-            raise ValidationError(
-                f"--models-limit {args.models_limit} exceeds the {m} "
-                "models present"
-            )
-        m = args.models_limit
-    if args.threads is not None and args.threads < 1:
-        raise ValidationError("--threads must be at least 1")
+    if args.models_limit is not None and args.models_limit > m:
+        raise ValidationError(f"--models-limit {args.models_limit} exceeds the {m} models present")
+    m = args.models_limit or m
     if m < 2:
         raise ValidationError(
             f"{args.preds}: fitting needs at least 2 models per sample, found {m}"
@@ -216,7 +237,7 @@ def _calibration_document(report, n_bins: int, threshold: float) -> dict:
             "nll": float(report.nll),
             "ece": float(report.ece),
         },
-        "bins": [{**dataclasses.asdict(b), "empty": b.empty} for b in report.bins],
+        "bins": [{**b._asdict(), "empty": b.empty} for b in report.bins],
         "histograms": {
             "bin_count": n_bins,
             "confidence_threshold": threshold,
@@ -257,44 +278,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ select
 
 
-def _stratified_split(labels: np.ndarray, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # Row indices of the calibration and test sides.  Rows are in sample id
-    # order, and each label's rows are permuted in turn, lowest label first.
-    if not 0.0 < frac < 1.0:
-        raise ValidationError(f"--cal-split must lie in (0, 1), got {frac}")
-    rng = np.random.default_rng(seed)
+def _calibrated_split(args: argparse.Namespace, mean, variance, labels):
+    # (calibration rows, test rows, the threshold calibrated on the former),
+    # from a stratified split: rows are in sample id order, and each label's
+    # rows are permuted in turn, lowest label first.
+    rng = np.random.default_rng(args.seed)
     cal = np.zeros(labels.size, dtype=bool)
     for label in np.flatnonzero(np.bincount(labels)).tolist():
         members = np.flatnonzero(labels == label)
         perm = rng.permutation(members.size)
-        cal[members[perm[: int(math.floor(frac * members.size + 0.5))]]] = True
+        cal[members[perm[: int(math.floor(args.cal_split * members.size + 0.5))]]] = True
     if cal.all() or not cal.any():
         raise ValidationError(
             "the stratified split left the calibration or test side empty; "
             "adjust --cal-split or provide more samples"
         )
-    return np.flatnonzero(cal), np.flatnonzero(~cal)
-
-
-def _calibrated_split(args: argparse.Namespace, mean, variance, labels):
-    # (calibration rows, test rows, the threshold calibrated on the former).
-    cal, test = _stratified_split(labels, args.cal_split, args.seed)
-    if not 0.0 < args.risk < 1.0:
-        raise ValidationError(f"--risk must lie in (0, 1), got {args.risk}")
+    test = np.flatnonzero(~cal)
+    cal = np.flatnonzero(cal)
     return cal, test, _threshold(variance[cal], _wrong(mean[cal], labels[cal]), args.risk)
 
 
 def cmd_calibrate_threshold(args: argparse.Namespace) -> int:
+    _check_flags(args, "--cal-split", "--risk")
     cal, test, result = _calibrated_split(args, *_read_scored(args.alphas, args.labels))
     document = {
-        "threshold": {
-            "tau": _json_float(result.tau),
-            "target_risk": result.target_risk,
-            "achieved_cal_risk": result.achieved_cal_risk,
-            "cal_coverage": result.cal_coverage,
-            "cal_n": cal.size,
-            "test_n": test.size,
-        },
+        "threshold": {**result._asdict(), "tau": _json_float(result.tau), "cal_n": cal.size, "test_n": test.size},
         "provenance": _provenance(
             {"alphas": args.alphas, "labels": args.labels},
             {"command": "calibrate-threshold", "risk": args.risk, "cal_split": args.cal_split},
@@ -306,14 +314,14 @@ def cmd_calibrate_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    _check_flags(args, "--bins", "--conf-threshold")
+    # A fixed --tau skips the calibration and its settings.
+    calibration = ("--tau",) if args.tau is not None else ("--cal-split", "--risk")
+    _check_flags(args, "--bins", "--conf-threshold", *calibration)
     mean, variance, labels = _read_scored(args.alphas, args.labels)
     settings: dict = {"command": "select", "bins": args.bins, "conf_threshold": args.conf_threshold}
     calinfo, cal_n, seed = None, None, None
     if args.tau is not None:
-        tau = float(args.tau)
-        if math.isnan(tau):
-            raise ValidationError("--tau must be a number, got nan")
+        tau = args.tau
         test = np.arange(labels.size)
         settings["tau"] = _json_float(tau)
     else:
@@ -341,7 +349,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         "cal_n": cal_n,
         "test_n": test.size,
         "coverage": retained.n / test.size,
-        "retained": dataclasses.asdict(retained),
+        "retained": retained._asdict(),
         "curve_points": curve.shape[0],
         "single_point_curve": curve.shape[0] == 1,
     }

@@ -29,7 +29,6 @@ lbar_k = psi(alpha_k) - psi(alpha_0), less ln Gamma(K)) all take them there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -61,14 +60,11 @@ SIMPLEX_TOL = 1e-6
 _LL_ROUNDING = 4 * 2.0**-52
 
 
-@dataclass
 class DirichletParams:
     """Concentration parameters of a Dirichlet over K >= 2 classes."""
 
-    alpha: np.ndarray
-
-    def __post_init__(self) -> None:
-        alpha = np.asarray(self.alpha, dtype=np.float64)
+    def __init__(self, alpha: np.ndarray) -> None:
+        alpha = np.asarray(alpha, dtype=np.float64)
         if alpha.ndim != 1 or alpha.size < 2:
             raise ValueError("alpha must be a 1-D vector with at least 2 components")
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
@@ -86,14 +82,11 @@ class DirichletParams:
         return float(math.fsum(self.alpha.tolist()))
 
 
-@dataclass
 class ProbabilityVector:
     """A point on the probability simplex: p_k in [0, 1], sum_k p_k = 1."""
 
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=np.float64)
+    def __init__(self, p: np.ndarray) -> None:
+        p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("p must be a 1-D vector with at least 2 components")
         in_bounds, totals = _simplex_rows(p[None])

@@ -35,8 +35,7 @@ has the same bits in any batch and in any row block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,14 +72,11 @@ _MAX_HALVINGS = 64
 _SUMMARY_BLOCK = 1 << 16
 
 
-@dataclass
 class EnsembleSample:
     """M >= 2 probability vectors of dimension K for a single input."""
 
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
+    def __init__(self, probs: np.ndarray) -> None:
+        probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 2:
             raise ValueError("probs must be a 2-D array, one simplex point per row")
         m, k = probs.shape
@@ -104,8 +100,7 @@ class EnsembleSample:
         return int(self.probs.shape[1])
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     """Fitted parameters plus estimator diagnostics.
 
     ``degenerate`` marks a moment fit that fell back to the configured
@@ -119,7 +114,7 @@ class FitResult:
     degenerate: bool
     iterations_used: Optional[int] = None
     converged: Optional[bool] = None
-    alpha_path: Optional[list] = field(default=None, repr=False)
+    alpha_path: Optional[list] = None
 
 
 SampleLike = Union[EnsembleSample, np.ndarray, list, tuple]

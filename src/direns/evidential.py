@@ -8,11 +8,11 @@ concentrations:
                     which decomposes into a bias and a variance term;
 * ``digamma_loss``  expected cross entropy E[-sum_k y_k ln p_k], equal to
                     psi(alpha_0) - psi(alpha_true);
-* ``mse_kl_loss``   the MSE term plus a weighted KL to the uniform prior;
-* ``log_evidence_penalty``  lambda * ln(1 + alpha_0).
+* ``mse_kl_loss``   the MSE term plus a weighted KL to the uniform prior.
 
-``losses`` evaluates any of the four row-wise on whole files; the scalar
-losses above are its n=1 views.  ``softmax``, ``ce_loss`` and
+``losses`` evaluates these row-wise on whole files, and a fourth,
+``log-ev``, the total-evidence regularizer lambda * ln(1 + alpha_0); the
+scalar losses above are its n=1 views.  ``softmax``, ``ce_loss`` and
 ``ce_gradient`` give the softmax cross entropy of a logit vector and its
 gradient.  No training machinery lives here; everything is a pure
 function.
@@ -36,7 +36,6 @@ __all__ = [
     "mse_loss",
     "digamma_loss",
     "mse_kl_loss",
-    "log_evidence_penalty",
     "annealed_lambda",
 ]
 
@@ -157,11 +156,6 @@ def digamma_loss(d: DirichletParams, y: int) -> float:
 def mse_kl_loss(d: DirichletParams, y: int, lambda_kl: float) -> float:
     """MSE loss plus ``lambda_kl`` times the KL to the uniform Dirichlet."""
     return _loss_view("mse-kl", d, y, lambda_kl)
-
-
-def log_evidence_penalty(d: DirichletParams, lambda_ev: float) -> float:
-    """Total-evidence regularizer ``lambda_ev * ln(1 + alpha_0)``."""
-    return _loss_view("log-ev", d, 0, lambda_ev)
 
 
 def annealed_lambda(lambda0: float, k: int, t: float, total: float) -> float:

@@ -47,9 +47,8 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,14 +114,16 @@ def atomic_write_text(path: str, text) -> None:
 
 
 def sha256_of_file(path: str) -> str:
+    # Read into one reusable 64 KiB buffer, so no bytes object per read.
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 16)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
-@dataclass
 class PredictionsData:
     """Parsed predictions file in canonical order.
 
@@ -131,11 +132,9 @@ class PredictionsData:
     (M, K) matrix, a view into ``probs``.
     """
 
-    sample_ids: list
-    model_ids: list
-    k: int
-    probs: np.ndarray
-    ensembles: dict
+    def __init__(self, sample_ids: list, model_ids: list, k: int, probs: np.ndarray, ensembles: dict) -> None:
+        self.sample_ids, self.model_ids, self.k = sample_ids, model_ids, k
+        self.probs, self.ensembles = probs, ensembles
 
 
 def _str_ids(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -192,14 +191,12 @@ class LabelsData:
         return self._in_file_order(self.row.tolist())
 
 
-@dataclass
-class AlphaRow:
+class AlphaRow(NamedTuple):
     sample_id: str
     degenerate: bool
     alpha: np.ndarray
 
 
-@dataclass
 class AlphasData:
     """Parsed alphas file: sorted ids, (n,) degenerate mask, (n, K) concentrations.
 
@@ -208,10 +205,8 @@ class AlphasData:
     whose ``alpha`` is a view into the matrix.
     """
 
-    sample_ids: list
-    degenerate: np.ndarray
-    alpha: np.ndarray
-    alpha0: np.ndarray
+    def __init__(self, sample_ids: list, degenerate: np.ndarray, alpha: np.ndarray, alpha0: np.ndarray) -> None:
+        self.sample_ids, self.degenerate, self.alpha, self.alpha0 = sample_ids, degenerate, alpha, alpha0
 
     def __len__(self) -> int:
         return len(self.sample_ids)

@@ -14,19 +14,19 @@ value), correctness-conditioned variance histograms on log-spaced bins,
 and retained-set metrics after applying a threshold.
 
 As in ``calibration``, each computation has one array implementation
-over means, variances and labels; the public functions take
-``ScoredSample`` lists and convert.  The threshold and the curve share
-one pass over the distinct variances, and the variance histograms and
-their bin edges share one range computation.  The curve is a (P, 3)
-array of coverage, risk and tau, as ``fileio.write_curve`` takes it;
-``risk_coverage_curve`` builds its ``RiskCoveragePoint`` list from it.
+over means, variances and labels, which the ``select`` command runs;
+``calibrate_threshold`` and ``risk_coverage_curve`` take ``ScoredSample``
+lists and convert.  The threshold and the curve share one pass over the
+distinct variances, and the variance histograms and their bin edges one
+range computation.  The curve is a (P, 3) array of coverage, risk and
+tau, as ``fileio.write_curve`` takes it; ``risk_coverage_curve`` builds
+its ``RiskCoveragePoint`` list from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,12 +38,8 @@ __all__ = [
     "ThresholdCalibration",
     "RiskCoveragePoint",
     "SubsetMetrics",
-    "SelectiveReport",
     "calibrate_threshold",
     "risk_coverage_curve",
-    "variance_histograms",
-    "variance_bin_edges",
-    "selective_report",
     "DEFAULT_TARGET_RISK",
 ]
 
@@ -52,26 +48,19 @@ DEFAULT_TARGET_RISK = 0.1
 ABSTAIN_TAU = float("-inf")
 
 
-@dataclass
 class ScoredSample:
     """A labeled prediction plus its scalar abstention score."""
 
-    sample_id: str
-    mean: ProbabilityVector
-    variance: float
-    label: int
-
-    def __post_init__(self) -> None:
-        self.mean = _point(self.mean)
-        self.sample_id = str(self.sample_id)
-        self.variance = float(self.variance)
+    def __init__(self, sample_id: str, mean: ProbabilityVector, variance: float, label: int) -> None:
+        self.mean = _point(mean)
+        self.sample_id = str(sample_id)
+        self.variance = float(variance)
         if not (math.isfinite(self.variance) and self.variance >= 0.0):
             raise ValueError("variance must be finite and nonnegative")
-        self.label = _class_index(self.label, self.mean.p.size)
+        self.label = _class_index(label, self.mean.p.size)
 
 
-@dataclass
-class ThresholdCalibration:
+class ThresholdCalibration(NamedTuple):
     """A calibrated variance threshold and how it performed on the calibration set."""
 
     tau: float
@@ -80,8 +69,7 @@ class ThresholdCalibration:
     cal_coverage: float
 
 
-@dataclass
-class RiskCoveragePoint:
+class RiskCoveragePoint(NamedTuple):
     """One operating point of a risk-coverage curve."""
 
     coverage: float
@@ -89,23 +77,13 @@ class RiskCoveragePoint:
     tau_at_point: float
 
 
-@dataclass
-class SubsetMetrics:
+class SubsetMetrics(NamedTuple):
     """Metrics on a (possibly empty) subset; values are absent when n = 0."""
 
     n: int
     accuracy: Optional[float]
     macro_f1: Optional[float]
     nll: Optional[float]
-
-
-@dataclass
-class SelectiveReport:
-    """Per-sample decisions plus metrics before and after abstention."""
-
-    decisions: list
-    retained_metrics: SubsetMetrics
-    full_metrics: SubsetMetrics
 
 
 def _arrays(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,6 +155,8 @@ def risk_coverage_curve(test: Sequence[ScoredSample]) -> list[RiskCoveragePoint]
 
 def _variance_histograms(variance: np.ndarray, wrong: np.ndarray, bins: int):
     # (edges, correct counts, incorrect counts) from one range computation.
+    # Zero variances, and all when the positive ones span no range, land in
+    # the lowest bin.
     if bins < 1:
         raise ValueError("bins must be at least 1")
     positive = variance[variance > 0.0]
@@ -195,42 +175,7 @@ def _variance_histograms(variance: np.ndarray, wrong: np.ndarray, bins: int):
     return edges, np.bincount(idx[~wrong], minlength=bins), np.bincount(idx[wrong], minlength=bins)
 
 
-def variance_bin_edges(test: Sequence[ScoredSample], bins: int) -> np.ndarray:
-    """Log10-spaced bin edges spanning the positive variances of the set."""
-    variance = np.array([s.variance for s in test], dtype=np.float64)
-    return _variance_histograms(variance, np.zeros(variance.size, dtype=bool), bins)[0]
-
-
-def variance_histograms(
-    test: Sequence[ScoredSample], bins: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variance counts on log-spaced bins, split by correctness.
-
-    Zero variances land in the lowest bin, as does everything when the
-    positive variances span no range at all.
-    """
-    mean, variance, labels = _arrays(test)
-    return _variance_histograms(variance, _wrong(mean, labels), bins)[1:]
-
-
 def _subset_metrics(mean: np.ndarray, labels: np.ndarray) -> SubsetMetrics:
     if not labels.size:
-        return SubsetMetrics(n=0, accuracy=None, macro_f1=None, nll=None)
-    accuracy, macro_f1, nll = _metrics(mean, labels)
-    return SubsetMetrics(n=int(labels.size), accuracy=accuracy, macro_f1=macro_f1, nll=nll)
-
-
-def selective_report(test: Sequence[ScoredSample], tau: float) -> SelectiveReport:
-    """Apply a threshold to a test set and compare full vs retained metrics.
-
-    Each decision predicts the argmax mean class when the variance is at
-    most tau, and abstains (None) otherwise.
-    """
-    mean, variance, labels = _arrays(test)
-    keep = variance <= tau
-    predicted = mean.argmax(axis=1).tolist()
-    return SelectiveReport(
-        decisions=[(s.sample_id, p if k else None) for s, p, k in zip(test, predicted, keep.tolist())],
-        retained_metrics=_subset_metrics(mean[keep], labels[keep]),
-        full_metrics=_subset_metrics(mean, labels),
-    )
+        return SubsetMetrics(0, None, None, None)
+    return SubsetMetrics(int(labels.size), *_metrics(mean, labels))

@@ -30,7 +30,6 @@ the last two of views into the arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -41,23 +40,16 @@ __all__ = ["SimulationConfig", "SimulatedData", "generate", "SCHEMES"]
 SCHEMES = ("fixed", "two_population", "collapse")
 
 
-@dataclass
 class SimulationConfig:
     """Generator settings: sizes, seed, and the per-sample alpha scheme."""
 
-    n: int
-    m: int
-    k: int
-    seed: int
-    scheme: str = "fixed"
-    alpha: Optional[np.ndarray] = None
-    collapse_alpha0: float = 1e7
-    frac_incorrect: float = 0.3
-    correct_alpha0: tuple = (50.0, 500.0)
-    incorrect_alpha0: tuple = (3.0, 30.0)
-    peak: float = 0.8
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, m: int, k: int, seed: int, scheme: str = "fixed",
+                 alpha: Optional[np.ndarray] = None, collapse_alpha0: float = 1e7,
+                 frac_incorrect: float = 0.3, correct_alpha0: tuple = (50.0, 500.0),
+                 incorrect_alpha0: tuple = (3.0, 30.0), peak: float = 0.8) -> None:
+        self.n, self.m, self.k, self.seed, self.scheme, self.alpha = n, m, k, seed, scheme, alpha
+        self.collapse_alpha0, self.frac_incorrect, self.peak = collapse_alpha0, frac_incorrect, peak
+        self.correct_alpha0, self.incorrect_alpha0 = correct_alpha0, incorrect_alpha0
         if self.n < 1 or self.m < 1 or self.k < 2:
             raise ValueError("need n >= 1, m >= 1, k >= 2")
         if self.scheme not in SCHEMES:
@@ -87,7 +79,6 @@ class SimulationConfig:
                 raise ValueError(f"peak must lie in (1/K, 1) = ({1.0 / self.k}, 1)")
 
 
-@dataclass
 class SimulatedData:
     """Generated dataset: ids, labels, ground-truth alphas, and ensembles.
 
@@ -100,11 +91,10 @@ class SimulatedData:
     ``probs``; each map is built on first access.
     """
 
-    sample_ids: list
-    model_ids: list
-    label: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-    alpha: np.ndarray = field(repr=False)
+    def __init__(self, sample_ids: list, model_ids: list, label: np.ndarray, probs: np.ndarray,
+                 alpha: np.ndarray) -> None:
+        self.sample_ids, self.model_ids = sample_ids, model_ids
+        self.label, self.probs, self.alpha = label, probs, alpha
 
     @cached_property
     def labels(self) -> dict:

@@ -1,4 +1,8 @@
-"""Reliability binning, ECE, and prediction-set metrics."""
+"""Reliability binning, ECE, and prediction-set metrics.
+
+The bins, the confidence histograms and the metrics are checked on the
+fields of ``calibration_report``, the report that ``evaluate`` writes.
+"""
 
 from __future__ import annotations
 
@@ -14,11 +18,8 @@ from direns.calibration import (
     _bin_index,
     calibration_report,
     confidence,
-    confidence_histograms,
     correctness,
     ece,
-    metrics,
-    reliability_bins,
 )
 from direns.dirichlet import ProbabilityVector
 from direns.evidential import ce_loss
@@ -36,6 +37,23 @@ def hand_four() -> list[LabeledPrediction]:
         pred([0.65, 0.35], 0, "c"),
         pred([0.55, 0.45], 1, "d"),
     ]
+
+
+# The parts of one calibration report that each test class below reads.
+
+
+def report_bins(preds, n_bins):
+    return calibration_report(preds, n_bins).bins
+
+
+def report_histograms(preds, n_bins, threshold):
+    report = calibration_report(preds, n_bins, threshold)
+    return report.hist_correct, report.hist_incorrect, report.high_conf_error_rate
+
+
+def report_metrics(preds):
+    report = calibration_report(preds)
+    return report.accuracy, report.macro_f1, report.nll
 
 
 def brute_force_macro_f1(pred_classes, labels, k) -> float:
@@ -132,7 +150,7 @@ class TestBinIndex:
 
 class TestReliabilityBins:
     def test_hand_case_occupancy(self):
-        bins = reliability_bins(hand_four(), 10)
+        bins = report_bins(hand_four(), 10)
         assert len(bins) == 10
         counts = [b.count for b in bins]
         assert counts == [0, 0, 0, 0, 0, 1, 1, 0, 1, 1]
@@ -148,7 +166,7 @@ class TestReliabilityBins:
             p = np.maximum(p, 1e-9)
             p /= p.sum()
             preds.append(pred(p, int(rng.integers(k)), f"s{i}"))
-        bins = reliability_bins(preds, 7)
+        bins = report_bins(preds, 7)
         assert len(bins) == 7
         assert sum(b.count for b in bins) == len(preds)
         for b in bins:
@@ -168,7 +186,7 @@ class TestReliabilityBins:
         conf = probs.max(axis=1)
         correct = (probs.argmax(axis=1) == labels).astype(int)
         idx = np.array([min(max(math.ceil(c * 10), 1), 10) for c in conf.tolist()])
-        for b, got in enumerate(reliability_bins(preds, 10), start=1):
+        for b, got in enumerate(report_bins(preds, 10), start=1):
             mask = idx == b
             assert got.count == int(mask.sum())
             if got.count:
@@ -177,9 +195,9 @@ class TestReliabilityBins:
 
     def test_rejects_empty_input_and_bad_bin_count(self):
         with pytest.raises(ValueError):
-            reliability_bins([], 10)
+            report_bins([], 10)
         with pytest.raises(ValueError):
-            reliability_bins(hand_four(), 0)
+            report_bins(hand_four(), 0)
 
 
 class TestEce:
@@ -216,7 +234,7 @@ class TestEce:
 
 class TestConfidenceHistograms:
     def test_hand_case_counts_and_rate(self):
-        hist_c, hist_i, rate = confidence_histograms(hand_four(), 10, 0.8)
+        hist_c, hist_i, rate = report_histograms(hand_four(), 10, 0.8)
         assert hist_c.tolist() == [0, 0, 0, 0, 0, 0, 1, 0, 1, 1]
         assert hist_i.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
         # No incorrect prediction clears the 0.8 bar.
@@ -229,7 +247,7 @@ class TestConfidenceHistograms:
             pred([0.55, 0.45], 1, "c"),
             pred([0.9, 0.1], 0, "d"),
         ]
-        _, hist_i, rate = confidence_histograms(preds, 10, 0.8)
+        _, hist_i, rate = report_histograms(preds, 10, 0.8)
         assert int(hist_i.sum()) == 3
         assert rate == pytest.approx(2.0 / 3.0, rel=1e-15)
 
@@ -240,19 +258,19 @@ class TestConfidenceHistograms:
             p = np.maximum(p, 1e-9)
             p /= p.sum()
             preds.append(pred(p, int(rng.integers(4)), f"s{i}"))
-        hist_c, hist_i, _ = confidence_histograms(preds, 10, 0.8)
+        hist_c, hist_i, _ = report_histograms(preds, 10, 0.8)
         n_correct = sum(correctness(q.mean.p, q.label) for q in preds)
         assert int(hist_c.sum()) == n_correct
         assert int(hist_i.sum()) == len(preds) - n_correct
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            confidence_histograms(hand_four(), 10, 1.5)
+            report_histograms(hand_four(), 10, 1.5)
 
 
 class TestMetrics:
     def test_hand_accuracy_and_nll(self):
-        accuracy, _, nll = metrics(hand_four())
+        accuracy, _, nll = report_metrics(hand_four())
         assert accuracy == 0.75
         expected_nll = -(
             math.log(0.95) + math.log(0.85) + math.log(0.65) + math.log(0.45)
@@ -269,7 +287,7 @@ class TestMetrics:
                 p = np.maximum(p, 1e-9)
                 p /= p.sum()
                 preds.append(pred(p, int(rng.integers(k)), f"s{i}"))
-            _, macro_f1, _ = metrics(preds)
+            _, macro_f1, _ = report_metrics(preds)
             pred_classes = [int(np.argmax(q.mean.p)) for q in preds]
             labels = [q.label for q in preds]
             assert macro_f1 == pytest.approx(
@@ -284,22 +302,22 @@ class TestMetrics:
             pred([0.8, 0.1, 0.1], 0, "b"),
             pred([0.7, 0.2, 0.1], 1, "c"),
         ]
-        _, macro_f1, _ = metrics(preds)
+        _, macro_f1, _ = report_metrics(preds)
         assert macro_f1 == pytest.approx((0.8 + 0.0) / 2.0, rel=1e-12)
 
     def test_nll_floor_keeps_zero_probability_finite(self):
         p = pred([1.0, 0.0], 1, "a")
-        _, _, nll = metrics([p])
+        _, _, nll = report_metrics([p])
         assert nll == pytest.approx(-math.log(1e-12), rel=1e-12)
 
     def test_nll_orders_prediction_quality(self):
         sharp = [pred([0.99, 0.01], 0, "a")]
         blunt = [pred([0.6, 0.4], 0, "a")]
-        assert metrics(sharp)[2] < metrics(blunt)[2]
+        assert report_metrics(sharp)[2] < report_metrics(blunt)[2]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            metrics([])
+            report_metrics([])
 
 
 class TestCalibrationReport:
@@ -307,11 +325,10 @@ class TestCalibrationReport:
         preds = hand_four()
         report = calibration_report(preds, 10, 0.8)
         assert isinstance(report, CalibrationReport)
-        assert report.ece == pytest.approx(ece(preds, 10), abs=0)
-        accuracy, macro_f1, nll = metrics(preds)
-        assert report.accuracy == accuracy
-        assert report.macro_f1 == macro_f1
-        assert report.nll == nll
+        assert report.ece == ece(preds, 10)
+        assert report.accuracy == 0.75
+        assert report.macro_f1 == pytest.approx(brute_force_macro_f1([0, 0, 0, 0], [0, 0, 0, 1], 2), rel=1e-12)
+        assert report.nll == pytest.approx(-math.log(0.95 * 0.85 * 0.65 * 0.45) / 4.0, rel=1e-12)
         assert len(report.bins) == 10
 
     def test_label_out_of_range_rejected(self):

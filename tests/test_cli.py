@@ -526,6 +526,8 @@ class TestExitCodes:
         return {**paths, "fits": str(tmp / "fits.csv"), "tmp": str(tmp)}
 
     FIT = ["fit", "--preds", "{preds}", "--out", "{tmp}/o.csv"]
+    MISSING_FIT = ["fit", "--preds", "{tmp}/missing.csv", "--out", "{tmp}/o.csv"]
+    MISSING_REPORT = ["--alphas", "{tmp}/missing.csv", "--labels", "{labels}", "--out", "{tmp}/o.json"]
     REPORT = ["--alphas", "{fits}", "--labels", "{labels}", "--out", "{tmp}/o.json"]
     LOSSES = ["losses", "--alphas", "{fits}", "--labels", "{labels}", "--out", "{tmp}/o.csv"]
     SIMULATE = [
@@ -583,6 +585,30 @@ class TestExitCodes:
         (LOSSES + ["--loss", "mse-kl", "--epoch", "-1", "--epochs", "10"],
          "--epoch must be finite and nonnegative, got -1.0"),
         (LOSSES + ["--loss", "mse-kl", "--epoch", "11", "--epochs", "10"], "--epoch 11.0 exceeds --epochs 10.0"),
+        # Every setting is checked before any file is opened: these inputs
+        # do not exist.
+        (MISSING_FIT + ["--threads", "0"], "--threads must be at least 1, got 0"),
+        (MISSING_FIT + ["--models-limit", "1"], "--models-limit must be at least 2, got 1"),
+        (["select", *MISSING_REPORT, "--risk", "2"], "--risk must lie in (0, 1), got 2.0"),
+        (["select", *MISSING_REPORT, "--cal-split", "1"], "--cal-split must lie in (0, 1), got 1.0"),
+        (["select", *MISSING_REPORT, "--tau", "nan"], "--tau must be a number, got nan"),
+        (["calibrate-threshold", *MISSING_REPORT, "--risk", "0"], "--risk must lie in (0, 1), got 0.0"),
+        (["calibrate-threshold", *MISSING_REPORT, "--cal-split", "-0.5"], "--cal-split must lie in (0, 1), got -0.5"),
+        # simulate names its flags, not the generator's parameters.
+        (SIMULATE + ["--n", "0"], "--n must be at least 1, got 0"),
+        (SIMULATE + ["--n", "10", "--m", "0"], "--m must be at least 1, got 0"),
+        (SIMULATE + ["--n", "10", "--k", "1"], "--k must be at least 2, got 1"),
+        (SIMULATE + ["--n", "10", "--scheme", "collapse", "--alpha0", "0"], "--alpha0 must be finite and > 0, got 0.0"),
+        (SIMULATE + ["--n", "10", "--frac-incorrect", "2"], "--frac-incorrect must lie in [0, 1], got 2.0"),
+        (SIMULATE + ["--n", "10", "--correct-alpha0", "1,inf"],
+         "--correct-alpha0 must satisfy 0 < lo <= hi < inf, got (1.0, inf)"),
+        (SIMULATE + ["--n", "10", "--incorrect-alpha0", "5,3"],
+         "--incorrect-alpha0 must satisfy 0 < lo <= hi < inf, got (5.0, 3.0)"),
+        (SIMULATE + ["--n", "10", "--peak", "0.1"], "--peak must lie in (1/K, 1) = (1/3, 1), got 0.1"),
+        (SIMULATE + ["--n", "10", "--scheme", "fixed", "--alpha", "1,2"],
+         "--alpha must be 3 finite positive values with a finite sum, got [1.0, 2.0]"),
+        (SIMULATE + ["--n", "10", "--scheme", "fixed", "--alpha", "1e308,1e308,1"],
+         "--alpha must be 3 finite positive values with a finite sum, got [1e+308, 1e+308, 1.0]"),
     ]
 
     @pytest.mark.parametrize("argv, message", SETTING_ERRORS,
@@ -594,6 +620,15 @@ class TestExitCodes:
     def test_lambda0_is_free_where_the_loss_takes_no_weight(self, files):
         argv = [a.format(**files) for a in self.LOSSES] + ["--loss", "digamma", "--lambda0", "nan"]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["select", *REPORT, "--tau", "0.1", "--risk", "2", "--cal-split", "0"],
+        SIMULATE + ["--n", "10", "--scheme", "collapse", "--peak", "0.1", "--frac-incorrect", "2"],
+        SIMULATE + ["--n", "10", "--scheme", "fixed", "--alpha", "1,2,3", "--alpha0", "nan"],
+    ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    def test_settings_a_command_does_not_read_are_free(self, files, argv):
+        # select --tau skips the calibration, and each --scheme reads its own flags.
+        assert main([a.format(**files) for a in argv]) == 0
 
     @pytest.mark.parametrize("fault", ["long field", "bad utf-8"])
     @pytest.mark.parametrize("target", ["preds", "fits", "labels"])

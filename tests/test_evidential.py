@@ -14,7 +14,6 @@ from direns.evidential import (
     ce_gradient,
     ce_loss,
     digamma_loss,
-    log_evidence_penalty,
     losses,
     mse_kl_loss,
     mse_loss,
@@ -24,6 +23,11 @@ from direns.evidential import (
 
 def params(*alpha: float) -> DirichletParams:
     return DirichletParams(np.array(alpha, dtype=float))
+
+
+def log_evidence_penalty(d: DirichletParams, weight: float) -> float:
+    # The log-ev loss of one Dirichlet, which takes no label.
+    return float(losses("log-ev", d.alpha[None], np.array([d.alpha0]), [0], weight)[0])
 
 
 class TestSoftmax:

@@ -197,6 +197,23 @@ class TestFormatting:
         expected = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         assert sha256_of_file(str(target)) == expected
 
+    @pytest.mark.parametrize("size", [0, 1, 1 << 16, (1 << 20) + 1])
+    def test_sha256_of_every_size(self, tmp_path, size):
+        # Empty, one byte, exactly one read buffer, and a last partial read.
+        data = np.random.default_rng(size).bytes(size)
+        target = tmp_path / "x.bin"
+        target.write_bytes(data)
+        assert sha256_of_file(str(target)) == hashlib.sha256(data).hexdigest()
+
+    def test_sha256_memory(self, tmp_path):
+        # One 64 KiB buffer, whatever the file's size; reads of 1 MiB held
+        # a megabyte beside the caller's arrays.
+        target = tmp_path / "x.bin"
+        target.write_bytes(bytes(1 << 20))
+        digest, peak = traced_peak(lambda: sha256_of_file(str(target)))
+        assert digest == hashlib.sha256(bytes(1 << 20)).hexdigest()
+        assert peak < 128 * 1024, peak
+
 
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path):

@@ -6,10 +6,14 @@ and ``losses`` every row's loss in one call; no command builds per-input
 objects.  These tests rebuild the same numbers through the public scalar
 chain, ``fit_mom``/``fit_mle`` on each input alone, per-row
 ``DirichletParams`` -> ``predictive_mean``/``total_variance`` ->
-``LabeledPrediction``/``ScoredSample`` -> the report functions, or
-``DirichletParams`` -> ``mse_loss``/``digamma_loss``/``mse_kl_loss``/
-``log_evidence_penalty``, and require fits.csv, report.json, select.json,
-the curve CSV and losses.csv to match it bit for bit.
+``LabeledPrediction``/``ScoredSample`` -> ``calibration_report``,
+``calibrate_threshold`` and ``risk_coverage_curve``, or
+``DirichletParams`` -> ``mse_loss``/``digamma_loss``/``mse_kl_loss``, and
+require fits.csv, report.json, select.json, the curve CSV and losses.csv to
+match it bit for bit.  Those views run the CLI's own array code, so each
+report test also holds the outputs to ``test_oracle.py``'s independent
+reference, which alone checks the parts no view computes: the variance
+histograms, the retained set and the log-ev loss.
 """
 
 from __future__ import annotations
@@ -26,30 +30,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_oracle import check_evaluate, check_losses, check_select, walkthrough
 
 from direns import dirichlet, evidential, fileio
 from direns.calibration import LabeledPrediction, calibration_report
 from direns.cli import _calibration_document, _json_float, main
 from direns.dirichlet import DirichletParams, ProbabilityVector, predictive_mean, total_variance
 from direns.estimators import EnsembleSample, FitResult, fit_mle, fit_mom
-from direns.evidential import (
-    LOSSES,
-    annealed_lambda,
-    digamma_loss,
-    log_evidence_penalty,
-    mse_kl_loss,
-    mse_loss,
-)
-from direns.fileio import read_alphas, read_labels, read_predictions
-from direns.selective import (
-    RiskCoveragePoint,
-    ScoredSample,
-    calibrate_threshold,
-    risk_coverage_curve,
-    selective_report,
-    variance_bin_edges,
-    variance_histograms,
-)
+from direns.evidential import LOSSES, annealed_lambda, digamma_loss, mse_kl_loss, mse_loss
+from direns.fileio import AlphaRow, read_alphas, read_labels, read_predictions
+from direns.selective import RiskCoveragePoint, ScoredSample, calibrate_threshold, risk_coverage_curve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -113,7 +103,7 @@ def test_fits_match_per_input_fits(dataset, mode, limit, tmp_path):
 
 PER_INPUT_TYPES = (
     EnsembleSample, DirichletParams, FitResult, ProbabilityVector,
-    LabeledPrediction, ScoredSample, RiskCoveragePoint,
+    LabeledPrediction, ScoredSample, RiskCoveragePoint, AlphaRow,
 )
 
 
@@ -127,10 +117,17 @@ def test_no_command_builds_per_input_objects(tmp_path, monkeypatch):
     single_preds, single_labels, _ = simulate(single, "--scheme", "two-population", "--n", 40, "--m", 1, "--k", 3, "--seed", 3)
     built = []
     for cls in PER_INPUT_TYPES:
-        def counting(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+        # A NamedTuple is made by its __new__, any other class set up by its __init__.
+        if issubclass(cls, tuple):
+            def counting(cls_, *args, _new=cls.__new__, **kwargs):
+                built.append(cls_.__name__)
+                return _new(cls_, *args, **kwargs)
+            monkeypatch.setattr(cls, "__new__", staticmethod(counting))
+        else:
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
 
     fits = tmp_path / "fits.csv"
     scored = ("--alphas", fits, "--labels", labels)
@@ -209,6 +206,16 @@ def test_pipeline_leaves_numpy_ma_unimported(tmp_path):
     assert done.stdout.strip() == "False"
 
 
+def test_cli_leaves_dataclasses_unimported():
+    # No direns type is a dataclass, and nothing else the CLI imports needs
+    # the module, whose class generation slowed every process's start.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", "import sys, direns.cli; print('dataclasses' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def object_chain(alphas, labels_path):
     """Per-row objects built through the public scalar API."""
     labels = read_labels(str(labels_path)).labels
@@ -252,6 +259,7 @@ def test_evaluate_matches_object_api(dataset):
     expected = _calibration_document(calibration_report(preds, 12, 0.7), 12, 0.7)
     for key, value in expected.items():
         same(doc[key], value)
+    check_evaluate(tmp, alphas, labels, 12, 0.7)
 
 
 def test_select_threshold_and_curves_match_object_api(dataset):
@@ -266,17 +274,12 @@ def test_select_threshold_and_curves_match_object_api(dataset):
     cal, test = split(scored, 0.5, 9)
     threshold = calibrate_threshold(cal, 0.2)
     points = risk_coverage_curve(test)
-    retained = selective_report(test, threshold.tau).retained_metrics
 
     doc = json.loads(out.read_text())
     test_preds = [LabeledPrediction(s.mean, s.label, s.sample_id) for s in test]
     expected = _calibration_document(calibration_report(test_preds, 10, 0.8), 10, 0.8)
-    hist_correct, hist_incorrect = variance_histograms(test, 10)
-    expected["histograms"]["variance"] = {
-        "edges": variance_bin_edges(test, 10).tolist(),
-        "correct": hist_correct.tolist(),
-        "incorrect": hist_incorrect.tolist(),
-    }
+    # No view computes the variance histograms; check_select below checks them.
+    del doc["histograms"]["variance"]
     for key, value in expected.items():
         same(doc[key], value)
     block = {
@@ -289,14 +292,12 @@ def test_select_threshold_and_curves_match_object_api(dataset):
     }
     same({key: doc["selective"][key] for key in block}, block)
     same(json.loads(threshold_out.read_text())["threshold"], block)
-    same(doc["selective"]["coverage"], retained.n / len(test))
-    same(doc["selective"]["retained"], {"n": retained.n, "accuracy": retained.accuracy,
-                                       "macro_f1": retained.macro_f1, "nll": retained.nll})
     same(doc["selective"]["curve_points"], len(points))
 
     for path, expected_points in ((curve, points), (full_curve, risk_coverage_curve(scored))):
         rows = [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
         same(rows, [[p.coverage, p.risk, p.tau_at_point] for p in expected_points])
+    check_select(tmp, alphas, labels, 0.2, 0.5, 9, 10, 0.8)
 
 
 @pytest.mark.parametrize("loss, flags", [
@@ -318,7 +319,7 @@ def test_losses_match_object_api(dataset, loss, flags):
         "mse": mse_loss,
         "digamma": digamma_loss,
         "mse-kl": lambda d, y: mse_kl_loss(d, y, lam),
-        "log-ev": lambda d, y: log_evidence_penalty(d, lam),
+        "log-ev": lambda d, y: lam * math.log1p(d.alpha0),
     }[loss]
     by_id = read_labels(str(labels)).labels
     values = [scalar(DirichletParams(row.alpha), by_id[row.sample_id]) for row in rows]
@@ -327,13 +328,7 @@ def test_losses_match_object_api(dataset, loss, flags):
     lines = out.read_text().splitlines()
     assert lines[0] == "sample_id,loss"
     assert [f"{sid},{float(v)!r}" for sid, v in (line.split(",") for line in lines[1:])] == expected
-
-
-def _walkthrough() -> list[list[str]]:
-    text = README.read_text(encoding="utf-8")
-    block = text.split("## CLI walkthrough", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in lines if line.startswith("direns ")]
+    check_losses(tmp, alphas, labels, loss, flags)
 
 
 def _format_headers() -> dict[str, str]:
@@ -353,7 +348,7 @@ WALKTHROUGH_FILES = {
 
 
 def test_readme_walkthrough_runs_and_writes_the_documented_headers(tmp_path, monkeypatch):
-    commands = _walkthrough()
+    commands = walkthrough()
     assert [argv[0] for argv in commands] == ["simulate", "fit", "evaluate", "select", "losses"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:

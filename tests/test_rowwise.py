@@ -34,7 +34,6 @@ from direns.estimators import DEFAULT_P_FLOOR, _summaries
 from direns.evidential import (
     LOSSES,
     digamma_loss,
-    log_evidence_penalty,
     losses,
     mse_kl_loss,
     mse_loss,
@@ -53,7 +52,8 @@ SCALAR_LOSS = {
     "mse": lambda d, y: mse_loss(d, y),
     "digamma": lambda d, y: digamma_loss(d, y),
     "mse-kl": lambda d, y: mse_kl_loss(d, y, WEIGHT),
-    "log-ev": lambda d, y: log_evidence_penalty(d, WEIGHT),
+    # The one loss with no scalar function: its n=1 call.
+    "log-ev": lambda d, y: float(losses("log-ev", d.alpha[None], np.array([d.alpha0]), [y], WEIGHT)[0]),
 }
 
 

@@ -1,4 +1,9 @@
-"""Variance thresholding, risk-coverage sweeps, and abstention reports."""
+"""Variance thresholding, risk-coverage sweeps, and abstention reports.
+
+The variance histograms are checked on ``_variance_histograms``, the code
+``select`` runs; the decisions and the retained set on ``select --tau``'s
+report, which ``test_oracle.py``'s reference checks in full as well.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from test_oracle import check_select_tau, load, write_dataset
 
 from direns.selective import (
     ABSTAIN_TAU,
     ScoredSample,
+    _variance_histograms,
     calibrate_threshold,
     risk_coverage_curve,
-    selective_report,
-    variance_bin_edges,
-    variance_histograms,
 )
 
 
@@ -129,28 +133,56 @@ class TestCalibrateThreshold:
             calibrate_threshold([], 0.1)
 
 
-def decision(s: ScoredSample, tau: float):
-    [(sid, d)] = selective_report([s], tau).decisions
-    assert sid == s.sample_id
-    return d
+def write_scored(tmp_path, samples: list[ScoredSample]):
+    """Alphas and labels files whose rows have the samples' means and labels,
+    and their variances up to rounding: a Dirichlet with mean mu and total
+    alpha_0 has total variance (1 - sum_k mu_k^2) / (alpha_0 + 1)."""
+    rows = []
+    for s in samples:
+        mu = s.mean.p
+        rows.append((mu * ((1.0 - float(mu @ mu)) / s.variance - 1.0)).tolist())
+    return write_dataset(tmp_path, rows, [s.label for s in samples])[:2]
+
+
+def selective_block(tmp_path, samples: list[ScoredSample], tau: float) -> dict:
+    """The ``selective`` block of ``select --tau`` on the samples, after the
+    whole report has matched the reference."""
+    alphas, labels = write_scored(tmp_path, samples)
+    check_select_tau(tmp_path, alphas, labels, tau, 10, 0.8)
+    return load(tmp_path / "select-tau.json")["selective"]
+
+
+def computed_variance(tmp_path, s: ScoredSample) -> float:
+    # The variance select computes for the one sample, as its curve reports it.
+    alphas, labels = write_scored(tmp_path, [s])
+    check_select_tau(tmp_path, alphas, labels, math.inf, 10, 0.8)
+    return float((tmp_path / "curve-tau.csv").read_text().splitlines()[1].split(",")[2])
 
 
 class TestDecide:
-    def test_below_threshold_predicts_argmax(self):
-        s = scored(0.001, 0, mean=[0.3, 0.7])
-        assert type(decision(s, 0.002)) is int
-        assert decision(s, 0.002) == 1
+    def test_below_threshold_predicts_argmax(self, tmp_path):
+        # Kept, and scored by its argmax class 1, not its label 0.
+        block = selective_block(tmp_path, [scored(0.001, 0, mean=[0.3, 0.7])], 0.002)
+        assert block["retained"]["n"] == 1
+        assert block["retained"]["accuracy"] == 0.0
+        block = selective_block(tmp_path, [scored(0.001, 1, mean=[0.3, 0.7])], 0.002)
+        assert block["retained"]["accuracy"] == 1.0
 
-    def test_above_threshold_abstains(self):
-        s = scored(0.01, 0, mean=[0.7, 0.3])
-        assert decision(s, 0.002) is None
+    def test_above_threshold_abstains(self, tmp_path):
+        block = selective_block(tmp_path, [scored(0.01, 0, mean=[0.7, 0.3])], 0.002)
+        assert block["retained"]["n"] == 0
+        assert block["coverage"] == 0.0
 
-    def test_boundary_is_inclusive(self):
+    def test_boundary_is_inclusive(self, tmp_path):
         s = scored(0.002, 0, mean=[0.7, 0.3])
-        assert decision(s, 0.002) == 0
+        variance = computed_variance(tmp_path, s)
+        assert selective_block(tmp_path, [s], variance)["retained"]["n"] == 1
+        assert selective_block(tmp_path, [s], math.nextafter(variance, 0.0))["retained"]["n"] == 0
 
-    def test_abstain_sentinel_rejects_everything(self):
-        assert decision(scored(0.0, 0), ABSTAIN_TAU) is None
+    def test_abstain_sentinel_rejects_everything(self, tmp_path):
+        block = selective_block(tmp_path, [scored(1e-12, 0)], ABSTAIN_TAU)
+        assert block["tau"] == "-inf"
+        assert block["retained"]["n"] == 0
 
 
 class TestRiskCoverageCurve:
@@ -196,11 +228,19 @@ class TestRiskCoverageCurve:
             risk_coverage_curve([])
 
 
+def variance_histograms(samples: list[ScoredSample], bins: int):
+    # (edges, correct counts, incorrect counts) of the samples, from the
+    # code select runs.
+    variance = np.array([s.variance for s in samples])
+    wrong = np.array([int(np.argmax(s.mean.p)) != s.label for s in samples])
+    return _variance_histograms(variance, wrong, bins)
+
+
 class TestVarianceHistograms:
     def test_counts_conserved(self):
         rng = np.random.default_rng(3)
         samples = random_set(rng, 200)
-        hist_c, hist_i = variance_histograms(samples, 10)
+        _, hist_c, hist_i = variance_histograms(samples, 10)
         n_correct = sum(1 for s in samples if np.argmax(s.mean.p) == s.label)
         assert int(hist_c.sum()) == n_correct
         assert int(hist_i.sum()) == len(samples) - n_correct
@@ -208,51 +248,54 @@ class TestVarianceHistograms:
     def test_separated_populations_occupy_disjoint_bins(self):
         rng = np.random.default_rng(4)
         samples = random_set(rng, 400, sep=True)
-        hist_c, hist_i = variance_histograms(samples, 10)
+        _, hist_c, hist_i = variance_histograms(samples, 10)
         top_correct = max(i for i, c in enumerate(hist_c) if c > 0)
         low_incorrect = min(i for i, c in enumerate(hist_i) if c > 0)
         assert top_correct < low_incorrect
 
     def test_identical_variances_fall_into_one_bin(self):
         samples = [scored(0.01, 0, sid=f"s{i}") for i in range(6)]
-        hist_c, hist_i = variance_histograms(samples, 8)
+        _, hist_c, hist_i = variance_histograms(samples, 8)
         assert hist_c[0] == 6
         assert int(hist_c.sum() + hist_i.sum()) == 6
 
     def test_zero_variances_are_binned(self):
         samples = [scored(0.0, 0, sid="a"), scored(0.5, 0, sid="b")]
-        hist_c, _ = variance_histograms(samples, 4)
+        _, hist_c, _ = variance_histograms(samples, 4)
         assert int(hist_c.sum()) == 2
 
     def test_edges_are_increasing(self):
         rng = np.random.default_rng(5)
         samples = random_set(rng, 50)
-        edges = variance_bin_edges(samples, 10)
+        edges, _, _ = variance_histograms(samples, 10)
         assert len(edges) == 11
         assert all(a < b for a, b in zip(edges, edges[1:]))
 
 
 class TestSelectiveReport:
-    def test_hand_case(self):
-        report = selective_report(hand_four(), 0.002)
-        kept = [d for _, d in report.decisions if d is not None]
-        assert kept == [0, 0]
-        assert report.retained_metrics.n == 2
-        assert report.retained_metrics.accuracy == 1.0
-        assert report.full_metrics.n == 4
-        assert report.full_metrics.accuracy == 0.75
+    # select.json's selective block at a fixed threshold.
+    def test_hand_case(self, tmp_path):
+        block = selective_block(tmp_path, hand_four(), 0.005)
+        assert block["retained"]["n"] == 2
+        assert block["retained"]["accuracy"] == 1.0
+        assert block["coverage"] == 0.5
+        assert block["test_n"] == 4
+        assert load(tmp_path / "select-tau.json")["metrics"]["accuracy"] == 0.75
 
-    def test_abstain_everything(self):
-        report = selective_report(hand_four(), ABSTAIN_TAU)
-        assert all(d is None for _, d in report.decisions)
-        assert report.retained_metrics.n == 0
-        assert report.retained_metrics.accuracy is None
+    def test_abstain_everything(self, tmp_path):
+        block = selective_block(tmp_path, hand_four(), ABSTAIN_TAU)
+        assert block["retained"] == {"n": 0, "accuracy": None, "macro_f1": None, "nll": None}
+        assert block["coverage"] == 0.0
 
-    def test_keep_everything(self):
-        report = selective_report(hand_four(), math.inf)
-        assert all(d is not None for _, d in report.decisions)
-        assert report.retained_metrics.n == 4
+    def test_keep_everything(self, tmp_path):
+        block = selective_block(tmp_path, hand_four(), math.inf)
+        assert block["retained"]["n"] == 4
+        assert block["coverage"] == 1.0
 
-    def test_decision_order_matches_input(self):
-        report = selective_report(hand_four(), 0.002)
-        assert [sid for sid, _ in report.decisions] == ["a", "b", "c", "d"]
+    def test_decision_order_matches_input(self, tmp_path):
+        # The decisions follow the rows, not their order in the file: the
+        # rows in reverse give the same block, which keeps the two
+        # lowest-variance rows.
+        block = selective_block(tmp_path, hand_four(), 0.005)
+        assert selective_block(tmp_path, hand_four()[::-1], 0.005) == block
+        assert block["retained"]["n"] == 2
