@@ -8,11 +8,14 @@ selective classification, and evaluate closed-form evidential losses.
 Reports are deterministic JSON (no timestamps; provenance carries input
 digests, settings, seed, and version), curves are plain CSV.  Exit codes:
 0 success, 1 validation error (any out-of-range file content, flag or
-setting), 2 I/O error; a setting error names its flag, and a command checks
-the settings it reads before it opens a file.  ``fit`` fits the reader's
-(n, M, K) array in one pass; ``--threads`` is accepted and changes nothing.
-No command builds per-input objects: ids, labels and values go from reader
-to writer as arrays, and sample ids as one list of str.
+setting), 2 I/O error, naming the path given; a setting error names its
+flag, and a command checks the settings it reads before it opens a file.
+Each flag is one ``_FLAGS`` row, its ``add_argument`` settings and its rule;
+``_COMMANDS`` gives each command's help line, function and flags in order.
+``fit`` fits the reader's (n, M, K) array in one pass; ``--threads`` is
+accepted and changes nothing.  No command builds per-input objects: ids,
+labels and values go from reader to writer as arrays, and sample ids as one
+list of str.
 """
 
 from __future__ import annotations
@@ -101,35 +104,58 @@ def _parse_pair(raw: str, name: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
-# The rule each setting must meet, by flag: a test of its parsed value (given
-# all the arguments, for a rule that depends on another flag) and what it
-# asks, where {k} stands for --k.  The library checks the same settings under
-# its own names.
-_FLAG_RULES = {
-    "--n": (lambda v, a: v >= 1, "must be at least 1"),
-    "--m": (lambda v, a: v >= 1, "must be at least 1"),
-    "--k": (lambda v, a: v >= 2, "must be at least 2"),
-    "--alpha": (lambda v, a: len(v) == a.k and all(0.0 < x < math.inf for x in v) and sum(v) < math.inf,
-                "must be {k} finite positive values with a finite sum"),
-    "--alpha0": (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
-    "--frac-incorrect": (lambda v, a: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "--correct-alpha0": (lambda v, a: 0.0 < v[0] <= v[1] < math.inf, "must satisfy 0 < lo <= hi < inf"),
-    "--incorrect-alpha0": (lambda v, a: 0.0 < v[0] <= v[1] < math.inf, "must satisfy 0 < lo <= hi < inf"),
-    "--peak": (lambda v, a: 1.0 / a.k < v < 1.0, "must lie in (1/K, 1) = (1/{k}, 1)"),
-    "--cap": (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
-    "--max-iter": (lambda v, a: v >= 1, "must be at least 1"),
-    "--eps": (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
-    "--p-floor": (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "--models-limit": (lambda v, a: v >= 2, "must be at least 2"),
-    "--threads": (lambda v, a: v >= 1, "must be at least 1"),
-    "--bins": (lambda v, a: v >= 1, "must be at least 1"),
-    "--conf-threshold": (lambda v, a: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    "--cal-split": (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "--risk": (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "--tau": (lambda v, a: not math.isnan(v), "must be a number"),
-    "--lambda0": (lambda v, a: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
-    "--epochs": (lambda v, a: math.isfinite(v) and v >= 1.0, "must be finite and at least 1"),
-    "--epoch": (lambda v, a: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative"),
+# Shared rules: a test of the parsed value, given all the arguments (a rule
+# may read another flag), and what it asks, where {k} stands for --k.
+_AT_LEAST_1 = (lambda v, a: v >= 1, "must be at least 1")
+_AT_LEAST_2 = (lambda v, a: v >= 2, "must be at least 2")
+_POSITIVE = (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0")
+_NONNEGATIVE = (lambda v, a: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative")
+_OPEN_UNIT = (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)")
+_CLOSED_UNIT = (lambda v, a: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_RANGE = (lambda v, a: 0.0 < v[0] <= v[1] < math.inf, "must satisfy 0 < lo <= hi < inf")
+
+# Every flag: its add_argument settings and the rule its setting must meet,
+# or None.  The library checks the same settings under its own names.
+_FLAGS = {
+    "--preds-out": (dict(required=True), None),
+    "--labels-out": (dict(required=True), None),
+    "--alphas-out": (dict(required=True, help="ground-truth concentrations"), None),
+    "--n": (dict(type=int, required=True, help="number of inputs"), _AT_LEAST_1),
+    "--m": (dict(type=int, required=True, help="ensemble members per input"), _AT_LEAST_1),
+    "--k": (dict(type=int, required=True, help="class count"), _AT_LEAST_2),
+    "--seed": (dict(type=int, default=0), None),
+    "--scheme": (dict(choices=["fixed", "two-population", "collapse"], default="fixed"), None),
+    "--alpha": (dict(help="fixed scheme: comma-separated concentrations"),
+                (lambda v, a: len(v) == a.k and all(0.0 < x < math.inf for x in v) and sum(v) < math.inf,
+                 "must be {k} finite positive values with a finite sum")),
+    "--alpha0": (dict(type=float, default=1e7, help="collapse scheme: total concentration"), _POSITIVE),
+    "--frac-incorrect": (dict(type=float, default=0.3), _CLOSED_UNIT),
+    "--correct-alpha0": (dict(default="50,500", help="lo,hi range"), _RANGE),
+    "--incorrect-alpha0": (dict(default="3,30", help="lo,hi range"), _RANGE),
+    "--peak": (dict(type=float, default=0.8),
+               (lambda v, a: 1.0 / a.k < v < 1.0, "must lie in (1/K, 1) = (1/{k}, 1)")),
+    "--preds": (dict(required=True), None),
+    "--out": (dict(required=True), None),
+    "--mode": (dict(choices=["mom", "mom-mle"], default="mom"), None),
+    "--cap": (dict(type=float, default=DEFAULT_ALPHA0_CAP), _POSITIVE),
+    "--max-iter": (dict(type=int, default=DEFAULT_MAX_ITER), _AT_LEAST_1),
+    "--eps": (dict(type=float, default=DEFAULT_EPS), _POSITIVE),
+    "--p-floor": (dict(type=float, default=DEFAULT_P_FLOOR), _OPEN_UNIT),
+    "--models-limit": (dict(type=int), _AT_LEAST_2),
+    "--threads": (dict(type=int, help="accepted and ignored (>= 1)"), _AT_LEAST_1),
+    "--alphas": (dict(required=True), None),
+    "--labels": (dict(required=True), None),
+    "--bins": (dict(type=int, default=DEFAULT_BINS), _AT_LEAST_1),
+    "--conf-threshold": (dict(type=float, default=DEFAULT_CONFIDENCE_THRESHOLD), _CLOSED_UNIT),
+    "--risk": (dict(type=float, default=DEFAULT_TARGET_RISK), _OPEN_UNIT),
+    "--cal-split": (dict(type=float, default=0.5), _OPEN_UNIT),
+    "--tau": (dict(type=float, help="skip calibration, use this threshold"),
+              (lambda v, a: not math.isnan(v), "must be a number")),
+    "--curve-out": (dict(), None),
+    "--loss": (dict(choices=list(LOSSES), required=True), None),
+    "--lambda0": (dict(type=float, default=0.0), _NONNEGATIVE),
+    "--epoch": (dict(type=float), _NONNEGATIVE),
+    "--epochs": (dict(type=float), (lambda v, a: math.isfinite(v) and v >= 1.0, "must be finite and at least 1")),
 }
 
 
@@ -138,7 +164,7 @@ def _check_flags(args: argparse.Namespace, *flags: str) -> None:
     # setting left unset meets every rule.
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        test, rule = _FLAG_RULES[flag]
+        test, rule = _FLAGS[flag][1]
         if value is not None and not test(value, args):
             raise ValidationError(f"{flag} {rule.format_map(vars(args))}, got {value}")
 
@@ -160,6 +186,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     args.correct_alpha0 = _parse_pair(args.correct_alpha0, "--correct-alpha0")
     args.incorrect_alpha0 = _parse_pair(args.incorrect_alpha0, "--incorrect-alpha0")
     _check_flags(args, "--n", "--m", "--k", *_SCHEME_FLAGS[scheme])
+    if scheme == "fixed" and args.alpha is None:
+        raise ValidationError("--alpha is required by --scheme fixed")
     config = SimulationConfig(
         n=args.n,
         m=args.m,
@@ -407,103 +435,22 @@ def cmd_losses(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- arg wiring
 
 
-def _simulate_args(sim: argparse.ArgumentParser) -> None:
-    sim.add_argument("--preds-out", required=True)
-    sim.add_argument("--labels-out", required=True)
-    sim.add_argument("--alphas-out", required=True, help="ground-truth concentrations")
-    sim.add_argument("--n", type=int, required=True, help="number of inputs")
-    sim.add_argument("--m", type=int, required=True, help="ensemble members per input")
-    sim.add_argument("--k", type=int, required=True, help="class count")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--scheme", choices=["fixed", "two-population", "collapse"], default="fixed"
-    )
-    sim.add_argument("--alpha", help="fixed scheme: comma-separated concentrations")
-    sim.add_argument(
-        "--alpha0", type=float, default=1e7, help="collapse scheme: total concentration"
-    )
-    sim.add_argument("--frac-incorrect", type=float, default=0.3)
-    sim.add_argument("--correct-alpha0", default="50,500", help="lo,hi range")
-    sim.add_argument("--incorrect-alpha0", default="3,30", help="lo,hi range")
-    sim.add_argument("--peak", type=float, default=0.8)
-    sim.set_defaults(func=cmd_simulate)
-
-
-def _fit_args(fit: argparse.ArgumentParser) -> None:
-    fit.add_argument("--preds", required=True)
-    fit.add_argument("--out", required=True)
-    fit.add_argument("--mode", choices=["mom", "mom-mle"], default="mom")
-    fit.add_argument("--cap", type=float, default=DEFAULT_ALPHA0_CAP)
-    fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    fit.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    fit.add_argument("--p-floor", type=float, default=DEFAULT_P_FLOOR)
-    fit.add_argument("--models-limit", type=int, default=None)
-    fit.add_argument("--threads", type=int, default=None, help="accepted and ignored (>= 1)")
-    fit.set_defaults(func=cmd_fit)
-
-
-def _evaluate_args(ev: argparse.ArgumentParser) -> None:
-    src = ev.add_mutually_exclusive_group(required=True)
-    src.add_argument("--alphas")
-    src.add_argument("--preds", help="single-model predictions file")
-    ev.add_argument("--labels", required=True)
-    ev.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    ev.add_argument("--conf-threshold", type=float, default=DEFAULT_CONFIDENCE_THRESHOLD)
-    ev.add_argument("--out", required=True)
-    ev.set_defaults(func=cmd_evaluate)
-
-
-def _calibrate_threshold_args(cal: argparse.ArgumentParser) -> None:
-    cal.add_argument("--alphas", required=True)
-    cal.add_argument("--labels", required=True)
-    cal.add_argument("--risk", type=float, default=DEFAULT_TARGET_RISK)
-    cal.add_argument("--cal-split", type=float, default=0.5)
-    cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--out", required=True)
-    cal.set_defaults(func=cmd_calibrate_threshold)
-
-
-def _select_args(sel: argparse.ArgumentParser) -> None:
-    sel.add_argument("--alphas", required=True)
-    sel.add_argument("--labels", required=True)
-    sel.add_argument("--risk", type=float, default=DEFAULT_TARGET_RISK)
-    sel.add_argument("--cal-split", type=float, default=0.5)
-    sel.add_argument("--seed", type=int, default=0)
-    sel.add_argument("--tau", type=float, default=None, help="skip calibration, use this threshold")
-    sel.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    sel.add_argument("--conf-threshold", type=float, default=DEFAULT_CONFIDENCE_THRESHOLD)
-    sel.add_argument("--out", required=True)
-    sel.add_argument("--curve-out", default=None)
-    sel.set_defaults(func=cmd_select)
-
-
-def _risk_coverage_args(rc: argparse.ArgumentParser) -> None:
-    rc.add_argument("--alphas", required=True)
-    rc.add_argument("--labels", required=True)
-    rc.add_argument("--out", required=True)
-    rc.set_defaults(func=cmd_risk_coverage)
-
-
-def _losses_args(loss: argparse.ArgumentParser) -> None:
-    loss.add_argument("--alphas", required=True)
-    loss.add_argument("--labels", required=True)
-    loss.add_argument("--loss", choices=list(LOSSES), required=True)
-    loss.add_argument("--lambda0", type=float, default=0.0)
-    loss.add_argument("--epoch", type=float, default=None)
-    loss.add_argument("--epochs", type=float, default=None)
-    loss.add_argument("--out", required=True)
-    loss.set_defaults(func=cmd_losses)
-
-
-# Each command's help line and the builder of its arguments, in help order.
+# Each command's help line, function and flags, in help order.
 _COMMANDS = {
-    "simulate": ("generate synthetic ensemble predictions", _simulate_args),
-    "fit": ("fit per-input Dirichlet parameters", _fit_args),
-    "evaluate": ("calibration diagnostics report", _evaluate_args),
-    "calibrate-threshold": ("calibrate a variance threshold", _calibrate_threshold_args),
-    "select": ("threshold, decide, and report", _select_args),
-    "risk-coverage": ("risk-coverage curve CSV", _risk_coverage_args),
-    "losses": ("per-sample evidential losses", _losses_args),
+    "simulate": ("generate synthetic ensemble predictions", cmd_simulate,
+                 "--preds-out --labels-out --alphas-out --n --m --k --seed --scheme --alpha --alpha0 "
+                 "--frac-incorrect --correct-alpha0 --incorrect-alpha0 --peak"),
+    "fit": ("fit per-input Dirichlet parameters", cmd_fit,
+            "--preds --out --mode --cap --max-iter --eps --p-floor --models-limit --threads"),
+    "evaluate": ("calibration diagnostics report", cmd_evaluate,
+                 "--alphas --preds --labels --bins --conf-threshold --out"),
+    "calibrate-threshold": ("calibrate a variance threshold", cmd_calibrate_threshold,
+                            "--alphas --labels --risk --cal-split --seed --out"),
+    "select": ("threshold, decide, and report", cmd_select,
+               "--alphas --labels --risk --cal-split --seed --tau --bins --conf-threshold --out --curve-out"),
+    "risk-coverage": ("risk-coverage curve CSV", cmd_risk_coverage, "--alphas --labels --out"),
+    "losses": ("per-sample evidential losses", cmd_losses,
+               "--alphas --labels --loss --lambda0 --epoch --epochs --out"),
 }
 
 
@@ -522,9 +469,18 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"direns {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, func, flags) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        command_parser = sub.add_parser(name, help=help_line)
+        command_parser.set_defaults(func=func)
+        # evaluate reads exactly one of --alphas and --preds.
+        source = command_parser.add_mutually_exclusive_group(required=True) if name == "evaluate" else None
+        for flag in flags.split():
+            if source and flag in ("--alphas", "--preds"):
+                source.add_argument(flag, help="single-model predictions file" if flag == "--preds" else None)
+            else:
+                command_parser.add_argument(flag, **_FLAGS[flag][0])
     return parser
 
 

@@ -100,16 +100,21 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_text(path: str, text) -> None:
-    """Write a string as UTF-8, or an iterable of byte chunks, via a same-directory temp file and an atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write a string as UTF-8, or an iterable of byte chunks, via a same-directory temp file and an atomic rename.
+
+    An operating-system error names ``path``, not the temp file.
+    """
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as handle:
             handle.writelines([text.encode("utf-8")] if isinstance(text, str) else text)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -609,13 +609,40 @@ class TestExitCodes:
          "--alpha must be 3 finite positive values with a finite sum, got [1.0, 2.0]"),
         (SIMULATE + ["--n", "10", "--scheme", "fixed", "--alpha", "1e308,1e308,1"],
          "--alpha must be 3 finite positive values with a finite sum, got [1e+308, 1e+308, 1.0]"),
+        (SIMULATE + ["--n", "10", "--scheme", "fixed"], "--alpha is required by --scheme fixed"),
+        (SIMULATE + ["--n", "10", "--scheme", "fixed", "--alpha", ""], "--alpha is required by --scheme fixed"),
     ]
 
     @pytest.mark.parametrize("argv, message", SETTING_ERRORS,
                              ids=[" ".join(a for a in argv if "{" not in a) for argv, _ in SETTING_ERRORS])
     def test_setting_error_names_its_flag(self, files, capsys, argv, message):
+        def written():
+            return {p.name: p.stat().st_mtime_ns for p in Path(files["tmp"]).iterdir()}
+
+        before = written()
         assert main([a.format(**files) for a in argv]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert written() == before
+
+    @pytest.mark.parametrize("target", ["a directory", "in a missing directory"])
+    def test_unwritable_output_names_its_path(self, files, tmp_path, capsys, target):
+        # The temp file the write goes through is named at random; the error
+        # names the path given, so each run prints the same line, and the
+        # temp file is removed.
+        out = tmp_path / "out"
+        if target == "a directory":
+            out.mkdir()
+        else:
+            out = out / "r.json"
+        argv = ["evaluate", "--alphas", files["fits"], "--labels", files["labels"], "--out", out]
+        errors = []
+        for _ in range(2):
+            assert run(*argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("i/o error: ") and repr(str(out)) in errors[0], errors[0]
+        assert ".tmp-" not in errors[0]
+        assert [p.name for p in tmp_path.rglob("*")] == (["out"] if target == "a directory" else [])
 
     def test_lambda0_is_free_where_the_loss_takes_no_weight(self, files):
         argv = [a.format(**files) for a in self.LOSSES] + ["--loss", "digamma", "--lambda0", "nan"]

@@ -1,13 +1,15 @@
-"""The README's library examples run as written."""
+"""The README's library examples run as written, and its CLI sections name only real flags."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
+from direns import cli
 from direns.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def library_blocks() -> list[str]:
@@ -27,3 +29,20 @@ def test_library_use_blocks_run(tmp_path, monkeypatch):
     assert len(blocks) >= 2
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_cli_sections_name_only_real_flags():
+    # From the walkthrough to the library section: a command's bullet names
+    # only that command's flags, and any other text only flags some command
+    # has, or --help/--version.
+    flags = {name: set(command_flags.split()) for name, (_, _, command_flags) in cli._COMMANDS.items()}
+    known = set().union(*flags.values()) | {"--help", "--version"}
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI walkthrough\n", 1)[1].split("\n## Library use\n", 1)[0]
+    bullets = re.findall(r"^- `([a-z-]+)` (.*?)(?=^- |^$)", section, flags=re.MULTILINE | re.DOTALL)
+    assert sorted(name for name, _ in bullets) == sorted(flags)
+    for name, bullet in bullets:
+        assert set(FLAG.findall(bullet)) <= flags[name], name
+        section = section.replace(bullet, "")
+    assert set(FLAG.findall(section)) <= known
+
