@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dirichlet import ProbabilityVector, _class_index, _point
+from .dirichlet import _AT_LEAST_1, _CLOSED_UNIT, ProbabilityVector, _class_index, _point, _require
 
 __all__ = [
     "LabeledPrediction",
@@ -116,8 +116,7 @@ def _conf_correct(mean: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _reliability(conf: np.ndarray, correct: np.ndarray, n_bins: int) -> list[ReliabilityBin]:
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
+    _require("n_bins", n_bins, _AT_LEAST_1)
     idx = _bin_index(conf, n_bins) - 1
     counts = np.bincount(idx, minlength=n_bins).tolist()
     # Members of each bin in input order, so a bin's mean sums like the
@@ -150,10 +149,8 @@ def ece(preds: Sequence[LabeledPrediction], n_bins: int = DEFAULT_BINS) -> float
 def _histograms(
     conf: np.ndarray, correct: np.ndarray, n_bins: int, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
+    # The one caller, _report, has held n_bins to its rule in _reliability.
+    _require("threshold", threshold, _CLOSED_UNIT)
     idx = _bin_index(conf, n_bins) - 1
     n_incorrect = int((~correct).sum())
     overconfident = int((~correct & (conf > threshold)).sum())

@@ -10,7 +10,8 @@ digests, settings, seed, and version), curves are plain CSV.  Exit codes:
 0 success, 1 validation error (any out-of-range file content, flag or
 setting), 2 I/O error, naming the path given; a setting error names its
 flag, and a command checks the settings it reads before it opens a file.
-Each flag is one ``_FLAGS`` row, its ``add_argument`` settings and its rule;
+Each flag is one ``_FLAGS`` row, its ``add_argument`` settings and its rule,
+one of the library's setting rules, checked by the library's ``_require``;
 ``_COMMANDS`` gives each command's help line, function and flags in order.
 ``fit`` fits the reader's (n, M, K) array in one pass; ``--threads`` is
 accepted and changes nothing.  No command builds per-input objects: ids,
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .calibration import DEFAULT_BINS, DEFAULT_CONFIDENCE_THRESHOLD, _report
-from .dirichlet import _variances
+from .dirichlet import (_AT_LEAST_1, _AT_LEAST_2, _CLOSED_UNIT, _EPOCHS, _FIXED_ALPHA, _NONNEGATIVE, _OPEN_UNIT,
+                        _PEAK, _POSITIVE, _RANGE, _require, _variances)
 from .estimators import (
     DEFAULT_ALPHA0_CAP,
     DEFAULT_EPS,
@@ -104,18 +106,8 @@ def _parse_pair(raw: str, name: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
-# Shared rules: a test of the parsed value, given all the arguments (a rule
-# may read another flag), and what it asks, where {k} stands for --k.
-_AT_LEAST_1 = (lambda v, a: v >= 1, "must be at least 1")
-_AT_LEAST_2 = (lambda v, a: v >= 2, "must be at least 2")
-_POSITIVE = (lambda v, a: math.isfinite(v) and v > 0.0, "must be finite and > 0")
-_NONNEGATIVE = (lambda v, a: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative")
-_OPEN_UNIT = (lambda v, a: 0.0 < v < 1.0, "must lie in (0, 1)")
-_CLOSED_UNIT = (lambda v, a: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-_RANGE = (lambda v, a: 0.0 < v[0] <= v[1] < math.inf, "must satisfy 0 < lo <= hi < inf")
-
-# Every flag: its add_argument settings and the rule its setting must meet,
-# or None.  The library checks the same settings under its own names.
+# Every flag: its add_argument settings and the library's rule its setting
+# must meet, or None.
 _FLAGS = {
     "--preds-out": (dict(required=True), None),
     "--labels-out": (dict(required=True), None),
@@ -125,15 +117,12 @@ _FLAGS = {
     "--k": (dict(type=int, required=True, help="class count"), _AT_LEAST_2),
     "--seed": (dict(type=int, default=0), None),
     "--scheme": (dict(choices=["fixed", "two-population", "collapse"], default="fixed"), None),
-    "--alpha": (dict(help="fixed scheme: comma-separated concentrations"),
-                (lambda v, a: len(v) == a.k and all(0.0 < x < math.inf for x in v) and sum(v) < math.inf,
-                 "must be {k} finite positive values with a finite sum")),
+    "--alpha": (dict(help="fixed scheme: comma-separated concentrations"), _FIXED_ALPHA),
     "--alpha0": (dict(type=float, default=1e7, help="collapse scheme: total concentration"), _POSITIVE),
     "--frac-incorrect": (dict(type=float, default=0.3), _CLOSED_UNIT),
     "--correct-alpha0": (dict(default="50,500", help="lo,hi range"), _RANGE),
     "--incorrect-alpha0": (dict(default="3,30", help="lo,hi range"), _RANGE),
-    "--peak": (dict(type=float, default=0.8),
-               (lambda v, a: 1.0 / a.k < v < 1.0, "must lie in (1/K, 1) = (1/{k}, 1)")),
+    "--peak": (dict(type=float, default=0.8), _PEAK),
     "--preds": (dict(required=True), None),
     "--out": (dict(required=True), None),
     "--mode": (dict(choices=["mom", "mom-mle"], default="mom"), None),
@@ -150,12 +139,12 @@ _FLAGS = {
     "--risk": (dict(type=float, default=DEFAULT_TARGET_RISK), _OPEN_UNIT),
     "--cal-split": (dict(type=float, default=0.5), _OPEN_UNIT),
     "--tau": (dict(type=float, help="skip calibration, use this threshold"),
-              (lambda v, a: not math.isnan(v), "must be a number")),
+              (lambda v, s: not math.isnan(v), "must be a number")),
     "--curve-out": (dict(), None),
     "--loss": (dict(choices=list(LOSSES), required=True), None),
     "--lambda0": (dict(type=float, default=0.0), _NONNEGATIVE),
     "--epoch": (dict(type=float), _NONNEGATIVE),
-    "--epochs": (dict(type=float), (lambda v, a: math.isfinite(v) and v >= 1.0, "must be finite and at least 1")),
+    "--epochs": (dict(type=float), _EPOCHS),
 }
 
 
@@ -164,9 +153,8 @@ def _check_flags(args: argparse.Namespace, *flags: str) -> None:
     # setting left unset meets every rule.
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        test, rule = _FLAGS[flag][1]
-        if value is not None and not test(value, args):
-            raise ValidationError(f"{flag} {rule.format_map(vars(args))}, got {value}")
+        if value is not None:
+            _require(flag, value, _FLAGS[flag][1], vars(args))
 
 
 # ---------------------------------------------------------------- simulate
@@ -493,8 +481,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValidationError, ValueError) as exc:
-        # Library code raises ValueError for out-of-range settings; at the
-        # command line that is the same failure as a malformed file.
+        # The setting rules raise ValueError, for flags too; at the command
+        # line that is the same failure as a malformed file.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

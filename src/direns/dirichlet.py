@@ -16,7 +16,9 @@ Everything operates on plain numpy arrays wrapped in two light containers,
 invariants on construction.  Collections of simplex points (samples,
 ensembles) are represented as 2-D arrays with one point per row.  The
 object API elsewhere takes its points and labels through one rule each,
-``_point`` and ``_class_index``.
+``_point`` and ``_class_index``, and every setting, the library's and the
+CLI's, through one, ``_require``, which holds it to one of the setting rules
+here and raises an error that names the setting and its value.
 
 The variances and the KL each have one row-wise implementation over (n, K)
 concentrations and their (n,) exact totals; the functions on one
@@ -146,6 +148,29 @@ def _class_index(y, k: int) -> int:
     if not 0 <= idx < k:
         raise ValueError(f"label {idx} out of range for K={k}")
     return idx
+
+
+# The setting rules: a test of a value, given the other settings by name, and
+# what it asks, where {k} stands for setting k.  The count rules pass NaN.
+_AT_LEAST_1 = (lambda v, s: not v < 1, "must be at least 1")
+_AT_LEAST_2 = (lambda v, s: not v < 2, "must be at least 2")
+_POSITIVE = (lambda v, s: math.isfinite(v) and v > 0.0, "must be finite and > 0")
+_NONNEGATIVE = (lambda v, s: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative")
+_OPEN_UNIT = (lambda v, s: 0.0 < v < 1.0, "must lie in (0, 1)")
+_CLOSED_UNIT = (lambda v, s: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_RANGE = (lambda v, s: len(v) == 2 and 0.0 < v[0] <= v[1] < math.inf, "must satisfy 0 < lo <= hi < inf")
+_EPOCHS = (lambda v, s: math.isfinite(v) and v >= 1.0, "must be finite and at least 1")
+_PEAK = (lambda v, s: 1.0 / s["k"] < v < 1.0, "must lie in (1/K, 1) = (1/{k}, 1)")
+# A list of Python floats: a sum of numpy floats warns where it overflows.
+_FIXED_ALPHA = (lambda v, s: len(v) == s["k"] and all(0.0 < x < math.inf for x in v) and sum(v) < math.inf,
+                "must be {k} finite positive values with a finite sum")
+
+
+def _require(name: str, value, rule: tuple, settings=None) -> None:
+    # The one setting check: a value outside its rule is an error naming both.
+    test, text = rule
+    if not test(value, settings):
+        raise ValueError(f"{name} {text.format_map(settings or {})}, got {value}")
 
 
 def predictive_mean(d: DirichletParams) -> ProbabilityVector:
@@ -315,8 +340,7 @@ def sample(d: DirichletParams, rng_seed: int, n: int) -> np.ndarray:
     normalized independent Gamma(alpha_k, 1) variates; the generator's
     rejection sampler is exact for every positive shape.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require("n", n, _AT_LEAST_1)
     rng = np.random.default_rng(rng_seed)
     g = rng.gamma(shape=d.alpha, size=(int(n), d.k))
     # Guard against total underflow for extreme concentrations so rows

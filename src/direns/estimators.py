@@ -34,13 +34,12 @@ has the same bits in any batch and in any row block.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .dirichlet import (SIMPLEX_TOL, _LL_ROUNDING, DirichletParams, _log_likelihood_rows, _row_sum,
-                        _simplex_rows)
+from .dirichlet import (_AT_LEAST_1, _LL_ROUNDING, _OPEN_UNIT, _POSITIVE, SIMPLEX_TOL, DirichletParams,
+                        _log_likelihood_rows, _require, _row_sum, _simplex_rows)
 from .specfun import _trigamma, digamma
 
 __all__ = [
@@ -220,14 +219,10 @@ def _mle_rows(alpha: np.ndarray, lbar: np.ndarray, max_iter: int, eps: float, pa
 
 
 def _check(alpha0_cap, max_iter, eps, p_floor) -> None:
-    if not (math.isfinite(alpha0_cap) and alpha0_cap > 0.0):
-        raise ValueError("alpha0_cap must be finite and > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if not 0.0 < p_floor < 1.0:
-        raise ValueError(f"p_floor must lie in (0, 1), got {p_floor}")
+    _require("alpha0_cap", alpha0_cap, _POSITIVE)
+    _require("max_iter", max_iter, _AT_LEAST_1)
+    _require("eps", eps, _POSITIVE)
+    _require("p_floor", p_floor, _OPEN_UNIT)
 
 
 def _fit(probs, mle: bool, init=None, path=None, *, alpha0_cap=DEFAULT_ALPHA0_CAP, max_iter=DEFAULT_MAX_ITER,
@@ -321,8 +316,8 @@ def fit_batch(
     """
     if mode not in ("mom", "mom_then_mle"):
         raise ValueError('mode must be "mom" or "mom_then_mle"')
-    if n_threads is not None and n_threads < 1:
-        raise ValueError("n_threads must be >= 1")
+    if n_threads is not None:
+        _require("n_threads", n_threads, _AT_LEAST_1)
     settings = dict(alpha0_cap=alpha0_cap, max_iter=max_iter, eps=eps, p_floor=p_floor)
     ensembles = [_as_sample(s) for s in samples]
     if not ensembles:

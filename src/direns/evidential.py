@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from .dirichlet import DirichletParams, ProbabilityVector, _class_index, _kl_to_uniform, _point, _variances
+from .dirichlet import (_AT_LEAST_2, _EPOCHS, _NONNEGATIVE, _POSITIVE, DirichletParams, ProbabilityVector,
+                        _class_index, _kl_to_uniform, _point, _require, _variances)
 from .specfun import digamma
 
 __all__ = [
@@ -57,8 +58,7 @@ def _logits(z) -> np.ndarray:
 
 def softmax(z, T: float = 1.0) -> ProbabilityVector:
     """Temperature softmax, computed max-shifted so it never overflows."""
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError("temperature must be finite and > 0")
+    _require("temperature", T, _POSITIVE)
     w = _logits(z) / T
     w = w - w.max()
     e = np.exp(w)
@@ -84,11 +84,6 @@ def ce_gradient(z, y: int) -> np.ndarray:
     grad = softmax(logits, 1.0).p.copy()
     grad[_class_index(y, logits.size)] -= 1.0
     return grad
-
-
-def _check_weight(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def _block_losses(kind: str, alpha: np.ndarray, alpha0: np.ndarray, labels: np.ndarray,
@@ -118,7 +113,7 @@ def losses(kind: str, alpha: np.ndarray, alpha0: np.ndarray, labels, weight: flo
     if kind not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}, got {kind!r}")
     if kind in _WEIGHT_NAMES:
-        _check_weight(weight, _WEIGHT_NAMES[kind])
+        _require(_WEIGHT_NAMES[kind], weight, _NONNEGATIVE)
     k = alpha.shape[1]
     if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
         bad = np.flatnonzero((labels < 0) | (labels >= k))
@@ -160,14 +155,11 @@ def mse_kl_loss(d: DirichletParams, y: int, lambda_kl: float) -> float:
 
 def annealed_lambda(lambda0: float, k: int, t: float, total: float) -> float:
     """Linearly annealed KL weight ``(lambda0 / K) * (t / total)``."""
-    if k < 2:
-        raise ValueError("K must be at least 2")
+    _require("K", k, _AT_LEAST_2)
     if not math.isfinite(lambda0):
         raise ValueError(f"lambda0 must be finite, got {lambda0}")
-    if not (math.isfinite(total) and total >= 1):
-        raise ValueError("total epochs must be finite and at least 1")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"epoch must be finite and nonnegative, got {t}")
+    _require("total epochs", total, _EPOCHS)
+    _require("epoch", t, _NONNEGATIVE)
     if t > total:
         raise ValueError(f"epoch {t} outside [0, {total}]")
     return (lambda0 / k) * (t / total)

@@ -45,7 +45,6 @@ import io
 import itertools
 import json
 import os
-import tempfile
 import warnings
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -102,16 +101,17 @@ def format_float(x: float) -> str:
 def atomic_write_text(path: str, text) -> None:
     """Write a string as UTF-8, or an iterable of byte chunks, via a same-directory temp file and an atomic rename.
 
+    The file gets the mode ``open()`` gives a new file, 0666 less the umask.
     An operating-system error names ``path``, not the temp file.
     """
-    tmp_path = None
+    # 64 random bits name the temp file, made as open() makes a file (mkstemp's would stay 0600).
+    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "wb") as handle:
+        with os.fdopen(os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as handle:
             handle.writelines([text.encode("utf-8")] if isinstance(text, str) else text)
         os.replace(tmp_path, path)
     except BaseException as exc:
-        if tmp_path is not None and os.path.exists(tmp_path):
+        if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, path) from exc

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .calibration import _arrays as _mean_labels, _metrics
-from .dirichlet import ProbabilityVector, _class_index, _point
+from .dirichlet import _AT_LEAST_1, _NONNEGATIVE, _OPEN_UNIT, ProbabilityVector, _class_index, _point, _require
 
 __all__ = [
     "ScoredSample",
@@ -55,8 +55,7 @@ class ScoredSample:
         self.mean = _point(mean)
         self.sample_id = str(sample_id)
         self.variance = float(variance)
-        if not (math.isfinite(self.variance) and self.variance >= 0.0):
-            raise ValueError("variance must be finite and nonnegative")
+        _require("variance", self.variance, _NONNEGATIVE)
         self.label = _class_index(label, self.mean.p.size)
 
 
@@ -106,8 +105,7 @@ def _prefix_risk(variance: np.ndarray, wrong: np.ndarray):
 
 
 def _threshold(variance: np.ndarray, wrong: np.ndarray, r: float) -> ThresholdCalibration:
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"target risk must lie in (0, 1), got {r}")
+    _require("target risk", r, _OPEN_UNIT)
     values, kept, errors = _prefix_risk(variance, wrong)
     risk = errors / kept
     # Compare the realized ratio so the reported risk is <= r bit-exactly.
@@ -157,8 +155,7 @@ def _variance_histograms(variance: np.ndarray, wrong: np.ndarray, bins: int):
     # (edges, correct counts, incorrect counts) from one range computation.
     # Zero variances, and all when the positive ones span no range, land in
     # the lowest bin.
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
+    _require("bins", bins, _AT_LEAST_1)
     positive = variance[variance > 0.0]
     lo, hi = (float(positive.min()), float(positive.max())) if positive.size else (0.0, 0.0)
     idx = np.zeros(variance.size, dtype=np.int64)

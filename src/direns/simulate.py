@@ -29,11 +29,12 @@ the last two of views into the arrays.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
+
+from .dirichlet import _AT_LEAST_1, _AT_LEAST_2, _CLOSED_UNIT, _FIXED_ALPHA, _PEAK, _POSITIVE, _RANGE, _require
 
 __all__ = ["SimulationConfig", "SimulatedData", "generate", "SCHEMES"]
 
@@ -50,33 +51,23 @@ class SimulationConfig:
         self.n, self.m, self.k, self.seed, self.scheme, self.alpha = n, m, k, seed, scheme, alpha
         self.collapse_alpha0, self.frac_incorrect, self.peak = collapse_alpha0, frac_incorrect, peak
         self.correct_alpha0, self.incorrect_alpha0 = correct_alpha0, incorrect_alpha0
-        if self.n < 1 or self.m < 1 or self.k < 2:
-            raise ValueError("need n >= 1, m >= 1, k >= 2")
-        if self.scheme not in SCHEMES:
+        _require("n", n, _AT_LEAST_1)
+        _require("m", m, _AT_LEAST_1)
+        _require("k", k, _AT_LEAST_2)
+        if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.scheme == "fixed":
-            if self.alpha is None:
+        if scheme == "fixed":
+            if alpha is None:
                 raise ValueError("the fixed scheme requires an alpha vector")
-            alpha = np.asarray(self.alpha, dtype=np.float64)
-            if alpha.size != self.k or np.any(alpha <= 0.0) or not np.all(np.isfinite(alpha)):
-                raise ValueError(f"alpha must be {self.k} finite positive values")
-            with np.errstate(over="ignore"):
-                if not np.isfinite(alpha.sum()):
-                    raise ValueError("alpha must have a finite sum")
-            self.alpha = alpha
-        if self.scheme == "collapse" and not (
-            math.isfinite(self.collapse_alpha0) and self.collapse_alpha0 > 0.0
-        ):
-            raise ValueError("collapse_alpha0 must be finite and > 0")
-        if self.scheme == "two_population":
-            if not 0.0 <= self.frac_incorrect <= 1.0:
-                raise ValueError("frac_incorrect must lie in [0, 1]")
-            for name, (lo, hi) in (("correct_alpha0", self.correct_alpha0),
-                                   ("incorrect_alpha0", self.incorrect_alpha0)):
-                if not (0.0 < lo <= hi and math.isfinite(hi)):
-                    raise ValueError(f"{name} must satisfy 0 < lo <= hi < inf")
-            if not 1.0 / self.k < self.peak < 1.0:
-                raise ValueError(f"peak must lie in (1/K, 1) = ({1.0 / self.k}, 1)")
+            self.alpha = np.asarray(alpha, dtype=np.float64)
+            _require("alpha", self.alpha.ravel().tolist(), _FIXED_ALPHA, {"k": k})
+        if scheme == "collapse":
+            _require("collapse_alpha0", collapse_alpha0, _POSITIVE)
+        if scheme == "two_population":
+            _require("frac_incorrect", frac_incorrect, _CLOSED_UNIT)
+            _require("correct_alpha0", correct_alpha0, _RANGE)
+            _require("incorrect_alpha0", incorrect_alpha0, _RANGE)
+            _require("peak", peak, _PEAK, {"k": k})
 
 
 class SimulatedData:

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import stat
 import sys
 import tracemalloc
 import warnings
@@ -190,6 +191,17 @@ class TestFormatting:
         atomic_write_text(str(target), "second")
         assert target.read_text() == "second"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask 022", "umask 077"])
+    def test_atomic_write_gives_the_mode_open_gives(self, tmp_path, umask, mode):
+        # A new output file is 0666 less the umask, as open(path, "w") makes it.
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(tmp_path / "out.txt"), "x")
+            open(tmp_path / "plain.txt", "w").close()
+        finally:
+            os.umask(old)
+        assert [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("out.txt", "plain.txt")] == [mode, mode]
 
     def test_sha256_matches_known_digest(self, tmp_path):
         target = tmp_path / "x.bin"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from test_oracle import walkthrough
+
 from direns import cli
 from direns.cli import main
 
@@ -18,17 +20,19 @@ def library_blocks() -> list[str]:
     return re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
 
 
-def test_library_use_blocks_run(tmp_path, monkeypatch):
+def test_library_use_blocks_run(tmp_path, monkeypatch, capsys):
+    # Run as written, after the walkthrough's commands in the same directory:
+    # the second block reads their fits.csv and labels.csv.
     monkeypatch.chdir(tmp_path)
-    # The second block reads these two files.
-    assert main(["simulate", "--preds-out", "preds.csv", "--labels-out", "labels.csv",
-                 "--alphas-out", "truth.csv", "--n", "20", "--m", "5", "--k", "3", "--seed", "1",
-                 "--scheme", "two-population"]) == 0
-    assert main(["fit", "--preds", "preds.csv", "--out", "fits.csv"]) == 0
-    blocks = library_blocks()
-    assert len(blocks) >= 2
-    for block in blocks:
-        exec(compile(block, str(README), "exec"), {})
+    for argv in walkthrough():
+        assert main(argv) == 0, argv
+    first, second = library_blocks()
+    capsys.readouterr()
+    exec(compile(first, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "[6.65 2.85]"
+    names: dict = {}
+    exec(compile(second, str(README), "exec"), names)
+    assert names["mse_kl"].shape == (len(names["fits"]),)
 
 
 def test_cli_sections_name_only_real_flags():
