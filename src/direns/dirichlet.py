@@ -151,9 +151,9 @@ def _class_index(y, k: int) -> int:
 
 
 # The setting rules: a test of a value, given the other settings by name, and
-# what it asks, where {k} stands for setting k.  The count rules pass NaN.
-_AT_LEAST_1 = (lambda v, s: not v < 1, "must be at least 1")
-_AT_LEAST_2 = (lambda v, s: not v < 2, "must be at least 2")
+# what it asks, where {k} stands for setting k.  Each test fails on NaN.
+_AT_LEAST_1 = (lambda v, s: v >= 1, "must be at least 1")
+_AT_LEAST_2 = (lambda v, s: v >= 2, "must be at least 2")
 _POSITIVE = (lambda v, s: math.isfinite(v) and v > 0.0, "must be finite and > 0")
 _NONNEGATIVE = (lambda v, s: math.isfinite(v) and v >= 0.0, "must be finite and nonnegative")
 _OPEN_UNIT = (lambda v, s: 0.0 < v < 1.0, "must lie in (0, 1)")

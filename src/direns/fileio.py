@@ -19,18 +19,18 @@ coverage, risk and tau.  A plain file (printable ASCII without quotes,
 LF line ends, the header's field count on every line) has its lines
 counted first, and the arrays it returns are made at that size; it is
 then read a chunk of whole lines at a time, each chunk split at its byte
-offsets and its id columns and numbers (by ``np.loadtxt``) written into
-those arrays, so the reader holds its result and one chunk's working
-set, not the file and not a second copy of any column.  Any other file,
-or one whose numbers numpy rejects in any chunk, is read whole by the
-``csv`` module and ``float()``.  Both give the same arrays and the same
-errors, wherever the chunks end.  Checks run over whole arrays; a
-``ValidationError`` names the earliest bad row in file order (the header
-is row 1) and the first check it fails.  Rows that miss exact closure
-within the 1e-6 tolerance are renormalized with a warning instead of
-rejected.  Floats are written as ``'%.17g' % x`` writes them, block by
-block through ``floatfmt``, so files round-trip bit-exactly; writes are
-atomic renames.
+offsets and its ids and numbers (exactly by ``floatfmt``, else by
+``np.loadtxt``) written into those arrays, so the reader holds its result
+and one chunk's working set, not the file nor a second copy of a column.
+Any other file, or one whose numbers numpy rejects in any chunk, is read
+whole by the ``csv`` module and ``float()``.  All give the same arrays
+and the same errors, wherever the chunks end.  Checks run over whole
+arrays; a ``ValidationError`` names the earliest bad row in file order
+(the header is row 1) and the first check it fails.  Rows that miss
+exact closure within the 1e-6 tolerance are renormalized with a warning
+instead of rejected.  Floats are written as ``'%.17g' % x`` writes them,
+block by block through ``floatfmt``, so files round-trip bit-exactly;
+writes are atomic renames.
 
 Reports are JSON documents with a fixed key order, no timestamps, and a
 provenance block (input digests, settings, seed, tool version) so a rerun
@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dirichlet import SIMPLEX_TOL, _exact_sums, _simplex_rows
-from .floatfmt import BLOCK, format_lines
+from .floatfmt import BLOCK, format_lines, read_numbers
 
 __all__ = [
     "ValidationError",
@@ -293,10 +293,10 @@ def _columns(rows: list, width: int):
 
 
 # The bytes of a plain file: printable ASCII except the quote, and LF.  On
-# such bytes csv.reader splits exactly at commas and newlines, and
-# np.loadtxt parses a number as float() does or rejects it (underscores).
-# The other ASCII whitespace and control bytes stay out: numpy strips
-# 0x1c-0x1f around a number, and float() does not.
+# such bytes csv.reader splits exactly at commas and newlines; read_numbers
+# gives float()'s value from int64 digits or declines, and np.loadtxt then
+# gives it or rejects the number (underscores).  Other whitespace and control
+# bytes stay out: numpy strips 0x1c-0x1f around a number, and float() does not.
 _PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\n"
 # A plain file is read this many bytes at a time, so the reader holds a
 # chunk's masks and offsets, never the whole file's.
@@ -346,30 +346,29 @@ def _line_chunks(handle):
         yield tail + b"\n"
 
 
-def _separators(buf: np.ndarray) -> np.ndarray:
-    # The offsets of every comma and LF in ``buf``, found a quarter of it at
-    # a time, so that each mask is a quarter of its size.
-    step = len(buf) // 4 + 1
-    parts = []
-    for i in range(0, len(buf), step):
-        part = buf[i:i + step]
-        mask = part == ord(",")
-        mask |= part == ord("\n")
-        parts.append(np.flatnonzero(mask) + i)
-    return np.concatenate(parts)
-
-
 def _plain_split(raw: bytes):
-    # (W, starts, lengths) when ``raw``, whole lines ending in LF, is plain:
-    # only _PLAIN_BYTES, the first line's field count W >= 2 on every line
-    # and no field past the csv module's size limit.  starts and lengths are
-    # (lines, 2): where each line's first two fields begin in ``raw`` and
-    # their sizes.  None otherwise.
+    # (W, starts, lengths, marks) when ``raw``, whole lines ending in LF, is
+    # plain: only _PLAIN_BYTES, the first line's field count W >= 2 on every
+    # line and no field past the csv module's size limit.  starts and lengths
+    # are (lines, 2): where each line's first two fields begin and their
+    # sizes; marks is read_numbers' [ends, points, exps].  None otherwise.
     width = raw.count(b",", 0, raw.find(b"\n")) + 1
     if width < 2 or raw.translate(None, _PLAIN_BYTES):
         return None
+    # Every comma or LF, point, and 'e' or 'E', found in one pass a quarter of
+    # the bytes at a time, so that each mask is a quarter of their size.
     buf = np.frombuffer(raw, np.uint8)
-    ends = _separators(buf)
+    dtype, step, found = np.int32 if buf.size < 2**31 else np.intp, len(buf) // 4 + 1, [[], [], []]
+    mask = np.empty(step, dtype=bool)
+    for i in range(0, len(buf), step):
+        part = buf[i:i + step]
+        for parts, (byte, *also) in zip(found, [b",\n", b".", b"eE"]):
+            at = np.equal(part, byte, out=mask[:len(part)])
+            for other in also:
+                at |= part == other
+            parts.append(np.flatnonzero(at).astype(dtype) + i)
+    del mask, at
+    ends, points, exps = (np.concatenate(found.pop(0)) for _ in range(3))
     if ends.size % width:
         return None
     # Each line's W separators are W - 1 commas and its newline, so no line
@@ -386,7 +385,7 @@ def _plain_split(raw: bytes):
     # A field runs from the byte after one separator to the next; a plain
     # field holds no NUL, which a numpy str array would drop from its end.
     starts = np.stack([np.concatenate([[-1], ends[:-1, -1]]), ends[:, 0]], axis=1) + 1
-    return width, starts, ends[:, :2] - starts
+    return width, starts, ends[:, :2] - starts, [ends, points, exps]
 
 
 def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
@@ -405,11 +404,12 @@ def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
             split = _plain_split(raw)
             if split is None:
                 return None
-            width, starts, lengths = split
+            width, starts, lengths, marks = split
             first_chunk = header is None
             if first_chunk:
                 header = raw[:raw.find(b"\n")].decode("ascii").split(",")
                 starts, lengths = starts[1:], lengths[1:]
+                marks[0] = marks[0][1:]
                 text = [np.zeros((rows, 1), np.uint8), np.zeros((rows, 1), np.uint8)]
                 values = np.empty((rows, width - 2))
             elif width != len(header):
@@ -429,15 +429,16 @@ def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
                     text[j] = wider
                 chars = _gather(buf, starts[:, j], lengths[:, j], 0)
                 text[j][part, :chars.shape[1]] = chars
-            if width > 2:
+            del split, starts, lengths, chars
+            # A chunk read_numbers declines goes to np.loadtxt; one it rejects, to csv.
+            if width > 2 and not read_numbers(raw, int(first_chunk), marks, values[part]):
                 try:
                     values[part] = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=int(first_chunk),
-                                              usecols=range(2, width), comments=None, quotechar=None,
-                                              ndmin=2)
+                                              usecols=range(2, width), comments=None, quotechar=None, ndmin=2)
                 except ValueError:
                     return None
             # The next chunk is read with this one's arrays let go.
-            del raw, buf, split, starts, lengths
+            del raw, buf, marks
     if header is None:
         return None
     width = _width(path, header, rows, lead, prefix)
@@ -511,8 +512,9 @@ def read_predictions(path: str) -> PredictionsData:
     # How far each row's sum is from 1, kept only as the two masks.
     miss = totals - 1.0
     np.abs(miss, out=miss)
-    renorm, unclosed = (miss > RENORM_WARN_TOL) & (miss <= SIMPLEX_TOL), miss > SIMPLEX_TOL
+    renorm, unclosed = miss > RENORM_WARN_TOL, miss > SIMPLEX_TOL
     del miss
+    renorm &= ~unclosed
     values[renorm] /= totals[renorm, None]
 
     m = _blocks(sids, mids)

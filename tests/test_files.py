@@ -97,7 +97,8 @@ def reference_tables() -> floatfmt._Tables:
         a, b = near[-1].as_integer_ratio()
         below.append((num * b - a * den) / (den * b))
     near, below = np.array(near), np.array(below)
-    row = np.clip(2 * x0 + 16 - np.arange(2 * x0 + 1), 0, 2 * x0)
+    # The powers run on to 10**-300, which the reader takes.
+    row = np.clip(2 * x0 + 16 - np.arange(2 * x0 + 17), 0, 2 * x0)
     hi = near[row]
     split = hi * 134217729.0
     high = split - (split - hi)
@@ -778,6 +779,121 @@ class TestAlphasFile:
         path = write(tmp_path / "a.csv", text)
         with pytest.raises(ValidationError):
             read_alphas(path)
+
+
+class TestExactReader:
+    """The reader's exact parse: which numbers it answers, and bit-identical round trips."""
+
+    @staticmethod
+    def float_parses(monkeypatch) -> list:
+        # Records each np.loadtxt call that parses floats, not integers.
+        calls, loadtxt = [], np.loadtxt
+
+        def counted(*args, **kwargs):
+            if kwargs.get("dtype") is not np.int64:
+                calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        return calls
+
+    @staticmethod
+    def alphas(ids: list, alpha: np.ndarray, path) -> str:
+        write_alphas(str(path), ids, np.zeros(len(ids), dtype=bool), alpha)
+        return str(path)
+
+    @pytest.mark.parametrize("text, exact", [
+        ("0.5", True), ("-1.5", True), ("+1.5", True), (" 1.5", True), ("1.5e-05", True), ("1.5e+5", True),
+        ("123.456e-3", True), ("0.018891868987156387", True), ("7.7103773549650716e-14", True),
+        ("1.0000000000000001e-280", True), ("9.9999999999999996e+279", True), ("1", True), ("-25", True),
+        ("4503599627370497", True), ("5e+100", True), ("-5e-05", True),
+        ("0", True), ("-0", True), ("0.0", True), ("-0.0", True), ("+0", True), ("-0e-5", True),
+        (".5", False), ("5.", False), ("-.5", False), ("1e5", False), ("1.5E-05", False), ("1.5E+3", False),
+        ("1.2E-1", False), ("5 ", False), ("1.5 ", False), ("1.5e5", False), ("1.5e+0005", False),
+        ("0.1234567890123456789", False), (" -0", False), ("1.0000000000000001e-300", False), ("2.5e+300", False),
+        ("9.9e-281", False), ("1.5e-281", False),
+        ("9007199254740993.0", False), ("9.007199254740993e+15", False), ("9007199254740993", False),
+        ("10000000000000000000", False), ("inf", False), ("nan", False), ("1e+281", False),
+        ("12345678901234567.0e+300", False), ("1.5e-320", False), ("99999999999999999.0e-316", False),
+    ])
+    def test_numbers_the_exact_parse_answers(self, tmp_path, monkeypatch, text, exact):
+        # A number it declines sends its chunk to np.loadtxt; either way the
+        # value is float()'s, bit for bit.
+        path = write(tmp_path / "a.csv", f"sample_id,degenerate,a_0,a_1\ns0,0,{text},0.25\n")
+        calls = self.float_parses(monkeypatch)
+        values = fileio._table(path, ["sample_id", "degenerate"], "a")[-1]
+        assert len(calls) == (not exact)
+        assert values.tobytes() == np.array([[float(text), 0.25]]).tobytes()
+
+    @pytest.mark.parametrize("text", ["1.5E+3", "1.5E5", "1.2E-1", "1.5E-05", "1.5e-282", "7.0136719067158221e-301"])
+    def test_declines_before_the_integer_parse(self, tmp_path, monkeypatch, text):
+        # An 'E', or a number surely below 1e-280, is declined from the scan
+        # alone, so its chunk is parsed once.  The int64 parse here falls back
+        # to a float one, truncated, as some numpy versions' does (deprecated
+        # in 1.23): it would read the "15E+3" left of 1.5E+3 as 15000.
+        path = write(tmp_path / "a.csv", f"sample_id,degenerate,a_0,a_1\ns0,0,{text},0.25\n")
+        calls, loadtxt = [], np.loadtxt
+
+        def falls_back(*args, **kwargs):
+            if kwargs.get("dtype") is not np.int64:
+                return loadtxt(*args, **kwargs)
+            calls.append(args)
+            return np.trunc(loadtxt(*args, **{**kwargs, "dtype": np.float64})).astype(np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", falls_back)
+        values = fileio._table(path, ["sample_id", "degenerate"], "a")[-1]
+        assert not calls
+        assert values.tobytes() == np.array([[float(text), 0.25]]).tobytes()
+
+    def test_zeros_are_answered_with_their_sign(self, tmp_path, monkeypatch):
+        # Many chunks, a tenth of their numbers +0 and a tenth -0, in every
+        # quarter of every chunk: none goes to the float np.loadtxt.
+        rng = np.random.default_rng(11)
+        values = rng.random((20_000, 10)) * 10.0 ** rng.integers(-250, 250, size=(20_000, 10))
+        values[rng.random(values.shape) < 0.1] = 0.0
+        values[rng.random(values.shape) < 0.1] = -0.0
+        path = self.alphas([f"s{i:05d}" for i in range(len(values))], values, tmp_path / "a.csv")
+        calls = self.float_parses(monkeypatch)
+        back = fileio._table(path, ["sample_id", "degenerate"], "a")[-1]
+        assert not calls
+        assert back.tobytes() == values.tobytes()
+
+    def test_round_trip_of_random_bit_patterns(self, tmp_path):
+        # A million positive finite doubles below 2**1020, so that every row
+        # of ten has a finite sum; about a tenth lie outside 1e-280..1e280,
+        # so nearly every chunk goes to np.loadtxt.
+        bits = np.random.default_rng(20261020).integers(1, 0x7FB0000000000000, size=1_000_000, dtype=np.int64)
+        alpha = bits.view(np.float64).reshape(-1, 10)
+        ids = [f"s{i:06d}" for i in range(len(alpha))]
+        back = read_alphas(self.alphas(ids, alpha, tmp_path / "a.csv"))
+        assert back.alpha.tobytes() == alpha.tobytes()
+
+    def test_exact_parse_answers_every_chunk_without_a_tie(self, tmp_path, monkeypatch):
+        # Doubles drawn from 1e-280..1e280 bit pattern by bit pattern, then
+        # three exact decimal ties written in by hand: only the chunks that
+        # hold a tie go to np.loadtxt, which rounds them to even.
+        low, high = np.array([1e-280, 1e280]).view(np.int64)
+        bits = np.random.default_rng(7).integers(low, high, size=200_000, dtype=np.int64)
+        alpha = bits.view(np.float64).reshape(-1, 10)
+        ids = [f"s{i:06d}" for i in range(len(alpha))]
+        path = self.alphas(ids, alpha, tmp_path / "a.csv")
+        with open(path) as handle:
+            lines = handle.read().split("\n")
+        ties = {3: "9.007199254740993e+15", 9000: "18014398509481986.0", 9001: "3.6028797018963972e+16"}
+        for row, tie in ties.items():
+            fields = lines[row + 1].split(",")
+            fields[3] = tie
+            alpha[row, 1] = float(tie)
+            lines[row + 1] = ",".join(fields)
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines))
+        with open(path, "rb") as handle:
+            chunks = list(fileio._line_chunks(handle))
+        assert len(chunks) > 10
+        calls = self.float_parses(monkeypatch)
+        back = read_alphas(path)
+        assert len(calls) == sum(any(tie.encode() in chunk for tie in ties.values()) for chunk in chunks) == 2
+        assert back.alpha.tobytes() == alpha.tobytes()
 
 
 class TestCurveAndReport:

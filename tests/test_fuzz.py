@@ -244,6 +244,19 @@ ALPHAS_HEADER = "sample_id,degenerate,a_0,a_1\n"
     ("labels", "sample_id,label\ns0,1_0\ns1,-1\n", "numpy"),
     ("labels", "sample_id,label\ns0,\u0661\n", "csv"),
     ("labels", "sample_id,label\ns0,1,2\n", "csv"),
+    # Numbers the exact parse declines, so that np.loadtxt reads their chunk.
+    ("alphas", ALPHAS_HEADER + "s0,0,0.1234567890123456789,1\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,1.5E-05,1\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,1,1.5\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,.5,1.5\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,5.,1.5\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,1e5,1.5\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,9007199254740993,1.5\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,1.0000000000000001e-300,1.5\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,2.5e+300,1.5\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,-0.0,1.5\n", "numpy"),
+    ("preds", PREDS_HEADER + "s0,m0,-0.0,1.0\n", "numpy"),
+    ("alphas", ALPHAS_HEADER + "s0,0,1.2.3,1.5\n", "csv"),
 ], ids=[
     "blank line", "blank line after header", "extra column", "missing column", "underscore",
     "arabic-indic digit", "nbsp", "tab", "file separator", "inf", "exact sum overflow",
@@ -251,6 +264,9 @@ ALPHAS_HEADER = "sample_id,degenerate,a_0,a_1\n"
     "field at csv limit", "no final newline", "renormalized duplicate", "header only", "empty file",
     "narrow header", "one column", "non-ascii id", "padded label", "duplicate label id",
     "label underscore then negative", "arabic-indic label", "extra label column",
+    "19 digits", "capital E", "no point", "no digit before the point", "no digit after the point",
+    "exponent without point", "exact tie", "below the exact range", "above the exact range",
+    "negative zero", "negative zero probability", "two points",
 ])
 def test_numpy_and_csv_paths_agree_on_edge_files(tmp_path, kind, text, taken):
     path = tmp_path / "edge.csv"

@@ -48,6 +48,8 @@ LIBRARY_ERRORS = [
     (lambda: config(incorrect_alpha0=(5.0, 3.0)), "incorrect_alpha0 must satisfy 0 < lo <= hi < inf, got (5.0, 3.0)"),
     (lambda: config(peak=0.2), "peak must lie in (1/K, 1) = (1/3, 1), got 0.2"),
     (lambda: fit_batch([ENSEMBLE], n_threads=0), "n_threads must be at least 1, got 0"),
+    (lambda: fit_batch([ENSEMBLE], "mom_then_mle", n_threads=math.nan), "n_threads must be at least 1, got nan"),
+    (lambda: fit_batch([ENSEMBLE], "mom_then_mle", max_iter=math.nan), "max_iter must be at least 1, got nan"),
     (lambda: fit_mom(ENSEMBLE, alpha0_cap=math.nan), "alpha0_cap must be finite and > 0, got nan"),
     (lambda: fit_mle(ENSEMBLE, fit_mom(ENSEMBLE).params, max_iter=0), "max_iter must be at least 1, got 0"),
     (lambda: fit_mle(ENSEMBLE, fit_mom(ENSEMBLE).params, eps=0.0), "eps must be finite and > 0, got 0.0"),
@@ -62,6 +64,7 @@ LIBRARY_ERRORS = [
     (lambda: losses("mse-kl", *ONE_ROW, -1.0), "lambda_kl must be finite and nonnegative, got -1.0"),
     (lambda: losses("log-ev", *ONE_ROW, math.inf), "lambda_ev must be finite and nonnegative, got inf"),
     (lambda: annealed_lambda(0.1, 1, 0.0, 10.0), "K must be at least 2, got 1"),
+    (lambda: annealed_lambda(0.1, math.nan, 1.0, 2.0), "K must be at least 2, got nan"),
     (lambda: annealed_lambda(0.1, 3, 0.0, 0.5), "total epochs must be finite and at least 1, got 0.5"),
     (lambda: annealed_lambda(0.1, 3, -1.0, 10.0), "epoch must be finite and nonnegative, got -1.0"),
     (lambda: sample(DirichletParams([1.0, 1.0]), 0, 0), "n must be at least 1, got 0"),
