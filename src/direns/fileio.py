@@ -13,7 +13,7 @@ Readers parse a whole file into arrays: ``read_predictions`` gives
 sorted ids, a (n,) degenerate mask, (n, K) concentrations and their (n,)
 exact row sums, and ``read_labels`` the ids in sorted order as a str
 array with their labels and source rows, which ``pair_labels`` looks up
-by binary search; its per-id dicts are built only on first access.  The
+by binary search; its per-id dict is built only on first access.  The
 writers take the same arrays, and ``write_curve`` the (P, 3) array of
 coverage, risk and tau.  A plain file (printable ASCII without quotes,
 LF line ends, the header's field count on every line) has its lines
@@ -30,7 +30,8 @@ arrays; a ``ValidationError`` names the earliest bad row in file order
 exact closure within the 1e-6 tolerance are renormalized with a warning
 instead of rejected.  Floats are written as ``'%.17g' % x`` writes them,
 block by block through ``floatfmt``, so files round-trip bit-exactly;
-writes are atomic renames.
+writes are atomic renames.  A NUL anywhere in a file, and a label at or
+past 2**63, are rejected at their row like any other fault.
 
 Reports are JSON documents with a fixed key order, no timestamps, and a
 provenance block (input digests, settings, seed, tool version) so a rerun
@@ -73,7 +74,6 @@ __all__ = [
     "write_losses",
     "atomic_write_text",
     "sha256_of_file",
-    "format_float",
     "RENORM_WARN_TOL",
 ]
 
@@ -91,11 +91,6 @@ class ValidationError(Exception):
 
 class RenormalizationWarning(UserWarning):
     """Probability rows missed exact closure and were renormalized."""
-
-
-def format_float(x: float) -> str:
-    """``'%.17g' % x``, as the CSV writers write it."""
-    return format_lines(None, np.array([[float(x)]]))[:-1].decode("ascii")
 
 
 def atomic_write_text(path: str, text) -> None:
@@ -142,58 +137,23 @@ class PredictionsData:
         self.probs, self.ensembles = probs, ensembles
 
 
-def _str_ids(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    # Sample ids as a str array, and how many trailing NULs each has, which a
-    # str array drops; only an id the csv module read can end in one.
-    if isinstance(ids, np.ndarray) and ids.dtype.kind == "U":
-        return ids, np.zeros(ids.size, np.intp)
-    ids = list(ids)
-    nuls = np.zeros(len(ids), np.intp)
-    if "\0" in "".join(ids):
-        nuls[:] = [len(sid) - len(sid.rstrip("\0")) for sid in ids]
-    return np.array(ids, dtype=str), nuls
-
-
-def _id_list(ids: np.ndarray, nuls: np.ndarray) -> list:
-    # The ids that _str_ids took apart, as a list of str.
-    out = ids.tolist()
-    for i in np.flatnonzero(nuls).tolist():
-        out[i] += "\0" * int(nuls[i])
-    return out
-
-
 class LabelsData:
     """Parsed labels file, as arrays in sorted sample id order.
 
     Entry i is the i-th smallest sample id: ``ids[i]`` as a str array holds
-    it and ``nuls[i]`` counts the trailing NULs that drops, ``label[i]`` is
-    its int64 label and ``row[i]`` its row in the file (the header is row 1).
-    A label past int64 reads as int64's largest in ``label``, and ``large``
-    maps its entry to the exact int.  ``labels`` and ``rows`` map each sample
-    id to its label and its row, in file order; each is built on first access.
+    it, ``label[i]`` is its int64 label and ``row[i]`` its row in the file
+    (the header is row 1).  ``labels`` maps each sample id to its label, in
+    file order; it is built on first access.
     """
 
-    def __init__(self, ids: np.ndarray, nuls: np.ndarray, label: np.ndarray, row: np.ndarray,
-                 large: dict) -> None:
-        self.ids, self.nuls, self.label, self.row, self.large = ids, nuls, label, row, large
-
-    def _in_file_order(self, values: list) -> dict:
-        # Each sample id to its entry of ``values``, a list in sorted id
-        # order, in file order.
-        order = np.empty_like(self.row)
-        order[self.row - 2] = np.arange(self.row.size)
-        return dict(zip(_id_list(self.ids[order], self.nuls[order]), map(values.__getitem__, order.tolist())))
+    def __init__(self, ids: np.ndarray, label: np.ndarray, row: np.ndarray) -> None:
+        self.ids, self.label, self.row = ids, label, row
 
     @cached_property
     def labels(self) -> dict:
-        values = self.label.tolist()
-        for i, value in self.large.items():
-            values[i] = value
-        return self._in_file_order(values)
-
-    @cached_property
-    def rows(self) -> dict:
-        return self._in_file_order(self.row.tolist())
+        order = np.empty_like(self.row)
+        order[self.row - 2] = np.arange(self.row.size)
+        return dict(zip(self.ids[order].tolist(), self.label[order].tolist()))
 
 
 class AlphaRow(NamedTuple):
@@ -224,7 +184,11 @@ def _read_rows(path: str) -> list[list[str]]:
     rows: list[list[str]] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows.extend(csv.reader(handle))
+            for row in csv.reader(handle):
+                # No field may hold a NUL, which a numpy str array drops from its end.
+                if any("\0" in field for field in row):
+                    raise csv.Error("line contains NUL")
+                rows.append(row)
     except csv.Error as exc:
         raise ValidationError(f"{path}: row {len(rows) + 1}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -382,8 +346,7 @@ def _plain_split(raw: bytes):
     if (np.diff(ends[:, -1], prepend=-1).max() > limit
             and (np.diff(ends.ravel(), prepend=-1) - 1).max() >= limit):
         return None
-    # A field runs from the byte after one separator to the next; a plain
-    # field holds no NUL, which a numpy str array would drop from its end.
+    # A field runs from the byte after one separator to the next.
     starts = np.stack([np.concatenate([[-1], ends[:-1, -1]]), ends[:, 0]], axis=1) + 1
     return width, starts, ends[:, :2] - starts, [ends, points, exps]
 
@@ -668,26 +631,25 @@ def read_labels(path: str) -> LabelsData:
     # Once the ids are known to be unique, ``where`` is each row's place in
     # id order.
     distinct, where, repeated = _index(ids)
-    label, large = _digit_column(texts), {}
+    label, past = _digit_column(texts), np.zeros(len(ids), dtype=bool)
+    integer = ~past
     if label is None:
         parsed = np.array(list(map(_integer, texts.tolist())), dtype=object)
         integer = ~np.equal(parsed, None)
         parsed[~integer] = 0
-        past = np.flatnonzero(parsed > _INT64_MAX)
-        large = dict(zip(where[past].tolist(), parsed[past].tolist()))
-        parsed[past] = _INT64_MAX
+        past = parsed > _INT64_MAX
+        parsed[past] = 0
         label = np.maximum(parsed, -1).astype(np.int64)
-    else:
-        integer = np.ones(len(ids), dtype=bool)
     _raise_first_fault(path, [
         (fields != 2, lambda i: f"expected 2 fields, got {fields[i]}"),
         (~integer, lambda i: "label must be an integer"),
         (label < 0, lambda i: "label must be nonnegative"),
+        (past, lambda i: f"label {str(texts[i])!r} must be below 2**63"),
         (repeated, lambda i: f"duplicate sample_id {str(ids[i])!r}"),
     ])
     order = np.empty_like(where)
     order[where] = np.arange(where.size)
-    return LabelsData(*_str_ids(distinct), label[order], order + 2, large)
+    return LabelsData(distinct.astype(str, copy=False), label[order], order + 2)
 
 
 def _write_labels(path: str, sample_ids: Sequence[str], labels) -> None:
@@ -707,26 +669,22 @@ def write_labels(path: str, pairs: Sequence[tuple]) -> None:
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
     """Labels of ``sample_ids`` in order as an int array; each must exist and lie in [0, k)."""
-    ids, nuls = _str_ids(sample_ids)
-    at = np.searchsorted(data.ids, ids)
-    last = data.ids.size - 1
-    # Ids that differ only in trailing NULs share a str value, in rising NUL
-    # count; an id lands on the first of them.
-    for i in np.flatnonzero(data.nuls[np.minimum(at, last)] != nuls).tolist():
-        end = np.searchsorted(data.ids, ids[i], "right")
-        at[i] += np.searchsorted(data.nuls[at[i]:end], nuls[i])
-    np.minimum(at, last, out=at)
-    missing = (data.ids[at] != ids) | (data.nuls[at] != nuls)
+    # No labels file holds a NUL, and a str array drops an id's trailing
+    # NULs, so an id that holds one is missing.
+    ids = np.asarray(sample_ids, dtype=str)
+    at = np.minimum(np.searchsorted(data.ids, ids), data.ids.size - 1)
+    missing = data.ids[at] != ids
+    if "\0" in "".join(sample_ids):
+        missing |= ["\0" in sid for sid in sample_ids]
     labels = data.label[at]
     bad = np.flatnonzero(missing | (labels >= k))
     if bad.size:
         i = bad[0]
-        sid = str(ids[i]) + "\0" * int(nuls[i])
+        sid = str(sample_ids[i])
         if missing[i]:
             raise ValidationError(f"{path}: missing label for sample_id {sid!r}")
         raise ValidationError(
-            f"{path}: row {data.row[at[i]]}: label {data.large.get(int(at[i]), labels[i])} "
-            f"outside [0, {k}) for sample_id {sid!r}"
+            f"{path}: row {data.row[at[i]]}: label {labels[i]} outside [0, {k}) for sample_id {sid!r}"
         )
     return labels
 

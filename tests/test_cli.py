@@ -657,14 +657,16 @@ class TestExitCodes:
         # select --tau skips the calibration, and each --scheme reads its own flags.
         assert main([a.format(**files) for a in argv]) == 0
 
-    @pytest.mark.parametrize("fault", ["long field", "bad utf-8"])
+    @pytest.mark.parametrize("fault", ["long field", "bad utf-8", "nul id"])
     @pytest.mark.parametrize("target", ["preds", "fits", "labels"])
     def test_unreadable_csv_names_file_and_row(self, files, tmp_path, capsys, fault, target):
         lines = open(files[target], "rb").read().split(b"\n")
         if fault == "long field":
             lines[2] = b"x" * 200_000
-        else:
+        elif fault == "bad utf-8":
             lines[2] = lines[2].replace(b",", b"\xff,", 1)
+        else:
+            lines[2] = lines[2].replace(b",", b"\0,", 1)
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\n".join(lines))
         out = tmp_path / "o.out"
@@ -677,6 +679,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: row 3: ")
         assert "Traceback" not in err
+        if fault == "nul id":
+            assert err == f"error: {bad}: row 3: line contains NUL\n"
+
+    def test_label_past_int64_names_its_row(self, files, tmp_path, capsys):
+        lines = open(files["labels"], "rb").read().split(b"\n")
+        lines[2] = lines[2].split(b",")[0] + b",99999999999999999999"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        assert run("evaluate", "--alphas", files["fits"], "--labels", bad, "--out", tmp_path / "o.json") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: row 3: label '99999999999999999999' must be below 2**63\n"
 
     def test_help_and_version_succeed(self, capsys):
         assert run("--help") == 0

@@ -26,7 +26,6 @@ from direns.fileio import (
     RenormalizationWarning,
     ValidationError,
     atomic_write_text,
-    format_float,
     pair_labels,
     read_alphas,
     read_labels,
@@ -151,12 +150,12 @@ class TestFormatting:
     def test_float_round_trip(self, rng):
         for _ in range(1000):
             x = float(rng.uniform(-1e6, 1e6)) * 10 ** int(rng.integers(-12, 12))
-            assert float(format_float(x)) == x
+            assert float(formatted([x])[0]) == x
 
     def test_kernel_matches_percent_on_edges(self):
         values = edge_floats()
         assert formatted(values) == percent(values)
-        assert [format_float(v) for v in values] == percent(values)
+        assert [formatted([v])[0] for v in values] == percent(values)
 
     def test_ties_and_carries(self):
         assert formatted([1000000000000000.25, 1000000000000000.75, -1e-79, 1e-175, 1e-243]) == [
@@ -255,7 +254,7 @@ class TestPredictionsFile:
         writer.writerow(["sample_id", "model_id", "p_0", "p_1", "p_2"])
         for sid, block in zip(sample_ids, probs):
             for mid, p in zip(model_ids, block):
-                writer.writerow([sid, mid] + [format_float(v) for v in p])
+                writer.writerow([sid, mid] + formatted(p))
         assert out.read_text(encoding="utf-8") == buf.getvalue()
         again = read_predictions(str(out))
         assert again.sample_ids == sorted(sample_ids)
@@ -662,42 +661,65 @@ class TestLabelsFile:
 
     @pytest.mark.parametrize("text", [
         "sample_id,label\ns3,2\ns10,0\ns1,1\ns2,0\n",
-        'sample_id,label\r\n"b,1",3\r\na,1\r\nx\0\0,2\r\nx,0\r\n\xe9,1\r\nx\0,4\r\n',
-        "sample_id,label\ns1,99999999999999999999\ns0, 7\n",
-    ], ids=["plain", "csv path", "past int64"])
+        'sample_id,label\r\n"b,1",3\r\na,1\r\nx,0\r\n\xe9,1\r\n',
+    ], ids=["plain", "csv path"])
     def test_maps_equal_the_file_in_file_order(self, tmp_path, text):
-        # labels and rows, built on first access, hold what a dict of the
-        # file's rows in file order holds: the same keys, int values and order.
+        # labels, built on first access, holds what a dict of the file's
+        # rows in file order holds: the same keys, int values and order.
         path = str(tmp_path / "l.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         with open(path, encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))[1:]
         data = read_labels(path)
-        assert "labels" not in vars(data) and "rows" not in vars(data)
-        for got, expected in [(data.labels, {sid: int(label) for sid, label in rows}),
-                              (data.rows, {sid: i + 2 for i, (sid, _) in enumerate(rows)})]:
-            assert list(got.items()) == list(expected.items())
-            assert {type(v) for v in got.values()} == {int}
+        assert "labels" not in vars(data)
+        assert list(data.labels.items()) == [(sid, int(label)) for sid, label in rows]
+        assert {type(v) for v in data.labels.values()} == {int}
         assert data.labels is data.labels
 
-    def test_pairing_tells_apart_ids_that_differ_in_trailing_nuls(self, tmp_path):
-        path = write(tmp_path / "l.csv", "sample_id,label\nx\0,1\nx,0\nx\0\0\0,2\ny,1\n")
-        data = read_labels(path)
-        ids = ["x\0\0\0", "y", "x", "x\0"]
-        np.testing.assert_array_equal(pair_labels(ids, data, 3, path), [2, 1, 0, 1])
-        for sid in ["x\0\0", "x\0\0\0\0", "y\0"]:
-            with pytest.raises(ValidationError) as info:
-                pair_labels(["x", sid], data, 3, path)
-            assert str(info.value) == f"{path}: missing label for sample_id {sid!r}"
-
-    def test_label_past_int64_is_named_exactly(self, tmp_path):
-        path = write(tmp_path / "l.csv", "sample_id,label\ns0,1\ns1,99999999999999999999\n")
-        data = read_labels(path)
-        np.testing.assert_array_equal(pair_labels(["s0"], data, 3, path), [1])
+    @pytest.mark.parametrize("text, row", [
+        ("x\0,1\nx,0\ny,1\n", 2),
+        ("x,0\nx\0\0\0,2\n", 3),
+        ("x,0\n\0y,2\n", 3),
+        ('"b,1",3\r\n"a\0",1\r\n', 3),
+        ("x,1\0\ny,0\n", 2),
+    ], ids=["trailing", "trailing run", "leading", "quoted", "in the label"])
+    def test_nul_is_rejected_at_its_row(self, tmp_path, text, row):
+        path = write(tmp_path / "l.csv", "sample_id,label\n" + text)
         with pytest.raises(ValidationError) as info:
-            pair_labels(["s0", "s1"], data, 3, path)
-        assert str(info.value) == f"{path}: row 3: label 99999999999999999999 outside [0, 3) for sample_id 's1'"
+            read_labels(path)
+        assert str(info.value) == f"{path}: row {row}: line contains NUL"
+
+    def test_pairing_reports_ids_that_hold_a_nul_as_missing(self, tmp_path):
+        # A str array drops trailing NULs: "x\0" must not get "x"'s label.
+        path = write(tmp_path / "l.csv", "sample_id,label\nx,0\ny,1\n")
+        data = read_labels(path)
+        np.testing.assert_array_equal(pair_labels(["y", "x"], data, 3, path), [1, 0])
+        for sid in ["x\0", "x\0\0", "\0x", "x\0y"]:
+            for ids in [["y", sid], np.array(["y", sid], dtype=object)]:
+                with pytest.raises(ValidationError) as info:
+                    pair_labels(ids, data, 3, path)
+                assert str(info.value) == f"{path}: missing label for sample_id {sid!r}"
+
+    @pytest.mark.parametrize("text, row", [
+        ("s0,1\ns1,99999999999999999999\n", 3),
+        ("s1,99999999999999999999\ns0, 7\n", 2),
+        ("s0,9223372036854775808\n", 2),
+    ], ids=["after a label", "before a padded label", "2**63"])
+    def test_label_past_int64_is_named_exactly(self, tmp_path, text, row):
+        path = write(tmp_path / "l.csv", "sample_id,label\n" + text)
+        with pytest.raises(ValidationError) as info:
+            read_labels(path)
+        label = text.splitlines()[row - 2].split(",")[1]
+        assert str(info.value) == f"{path}: row {row}: label {label!r} must be below 2**63"
+
+    def test_largest_int64_label_is_read(self, tmp_path):
+        path = write(tmp_path / "l.csv", "sample_id,label\ns0,9223372036854775807\n")
+        data = read_labels(path)
+        assert data.labels == {"s0": 2**63 - 1}
+        with pytest.raises(ValidationError) as info:
+            pair_labels(["s0"], data, 3, path)
+        assert str(info.value) == f"{path}: row 2: label 9223372036854775807 outside [0, 3) for sample_id 's0'"
 
     def test_write_labels_memory(self, tmp_path):
         # At the report-many benchmark's shape (n=5000) the writer's traced

@@ -257,6 +257,9 @@ ALPHAS_HEADER = "sample_id,degenerate,a_0,a_1\n"
     ("alphas", ALPHAS_HEADER + "s0,0,-0.0,1.5\n", "numpy"),
     ("preds", PREDS_HEADER + "s0,m0,-0.0,1.0\n", "numpy"),
     ("alphas", ALPHAS_HEADER + "s0,0,1.2.3,1.5\n", "csv"),
+    ("labels", "sample_id,label\ns0,1\ns1\0,0\n", "csv"),
+    ("alphas", ALPHAS_HEADER + "s0,0,1,1\n\0s1,0,1,1\n", "csv"),
+    ("preds", PREDS_HEADER + "s0\0,m0,0.5,0.5\n", "csv"),
 ], ids=[
     "blank line", "blank line after header", "extra column", "missing column", "underscore",
     "arabic-indic digit", "nbsp", "tab", "file separator", "inf", "exact sum overflow",
@@ -266,7 +269,8 @@ ALPHAS_HEADER = "sample_id,degenerate,a_0,a_1\n"
     "label underscore then negative", "arabic-indic label", "extra label column",
     "19 digits", "capital E", "no point", "no digit before the point", "no digit after the point",
     "exponent without point", "exact tie", "below the exact range", "above the exact range",
-    "negative zero", "negative zero probability", "two points",
+    "negative zero", "negative zero probability", "two points", "nul in label id", "nul in alphas id",
+    "nul in preds id",
 ])
 def test_numpy_and_csv_paths_agree_on_edge_files(tmp_path, kind, text, taken):
     path = tmp_path / "edge.csv"

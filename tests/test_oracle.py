@@ -10,15 +10,19 @@ and ``reference_kl`` for the variances and the losses.  It checks:
 * ``select.json`` with a calibrated threshold and with ``--tau``, and its
   curve CSV;
 * ``calibrate-threshold``'s JSON and ``risk-coverage``'s CSV;
-* ``losses.csv`` for all four losses.
+* ``losses.csv`` for all four losses;
+* ``fits.csv`` from ``fit --mode mom``, with and without ``--models-limit``
+  and ``--cap``.
 
 Counts, ids, the split, ``tau``, coverage, risks, the variances and the
 losses (which ``test_rowwise.py`` pins bit for bit) must match bit for bit;
 the values the CLI sums in another order (bin confidences, ECE, macro F1,
-NLL, the variance bin edges) within 1e-12 relative.  The inputs are
+NLL, the variance bin edges, the fitted concentrations) within 1e-12
+relative, and the degenerate flags exactly.  The inputs are
 hypothesis-drawn small datasets, hand-made ones with tied variances,
-all-correct and all-wrong labels and one variance shared by every row, and
-the README walkthrough.
+all-correct and all-wrong labels and one variance shared by every row,
+predictions files with degenerate and renormalized rows, simulated ones,
+and the README walkthrough.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +43,16 @@ from test_rowwise import reference_kl, reference_row
 
 from direns import __version__
 from direns.cli import main
+from direns.fileio import RenormalizationWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 LOSSES = ("mse", "digamma", "mse-kl", "log-ev")
 NLL_FLOOR = 1e-12
 TOL = 1e-12
+# The reader renormalizes a row whose sum misses 1 by more than this.
+RENORM_TOL = 1e-9
+# The moment fit's least concentration, for a class no member gives mass.
+ALPHA_FLOOR = 1e-300
 
 
 class Near(float):
@@ -279,6 +289,47 @@ def loss(kind: str, row: dict, weight: float) -> float:
     return float(ref[kind])
 
 
+def moment_fit(members: list, cap: float) -> tuple:
+    """(degenerate, alpha) of one input's moment fit from its M members.
+
+    Each class with members that differ gives mu (1 - mu) / sigma2 - 1 from
+    its mean and unbiased variance; the finite positive ones are averaged
+    into alpha_0, or alpha_0 is ``cap`` when there are none."""
+    m = len(members)
+    means, estimates = [], []
+    for column in zip(*members):
+        mu = math.fsum(column) / m
+        means.append(mu)
+        if len(set(column)) > 1:
+            sigma2 = math.fsum((x - mu) ** 2 for x in column) / (m - 1)
+            estimate = mu * (1.0 - mu) / sigma2 - 1.0
+            if math.isfinite(estimate) and estimate > 0.0:
+                estimates.append(estimate)
+    alpha0 = math.fsum(estimates) / len(estimates) if estimates else cap
+    return not estimates, [max(mu * alpha0, ALPHA_FLOOR) for mu in means]
+
+
+def fits(preds_path, limit, cap: float) -> list:
+    """fits.csv's rows in sample id order: id, degenerate flag, concentrations.
+
+    Each row of the predictions file is renormalized by its exact sum when
+    that misses 1 by more than RENORM_TOL; a sample's members are its first
+    ``limit`` models in model id order, or all of them."""
+    ensembles = {}
+    for sid, mid, *fields in table(preds_path):
+        p = [float(x) for x in fields]
+        total = math.fsum(p)
+        if abs(total - 1.0) > RENORM_TOL:
+            p = [x / total for x in p]
+        ensembles.setdefault(sid, {})[mid] = p
+    rows = []
+    for sid in sorted(ensembles):
+        members = [p for _, p in sorted(ensembles[sid].items())][:limit]
+        degenerate, alpha = moment_fit(members, cap)
+        rows.append([sid, int(degenerate), *map(Near, alpha)])
+    return rows
+
+
 # ------------------------------------------------------ the CLI, checked
 
 
@@ -395,6 +446,16 @@ def check_losses(tmp, alphas, labels, kind: str, flags: list) -> None:
     check([[sid, float(v)] for sid, v in table(out)], want)
 
 
+def check_fit(tmp, preds, limit=None, cap=None) -> None:
+    out = tmp / "fits-mom.csv"
+    flags = [*(["--models-limit", limit] if limit else []), *(["--cap", repr(cap)] if cap else [])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RenormalizationWarning)
+        assert run("fit", "--preds", preds, "--mode", "mom", *flags, "--out", out) == 0
+    got = [[sid, int(flag), *map(float, alpha)] for sid, flag, *alpha in table(out)]
+    check(got, fits(preds, limit, cap or 1e6))
+
+
 # --------------------------------------------------------------- datasets
 
 
@@ -494,6 +555,83 @@ def test_drawn_datasets(tmp_path, data):
     check_everything(tmp_path, *write_dataset(tmp_path, alpha_rows, labels), **options)
 
 
+def write_predictions_file(path, ensembles: list, order=None) -> Path:
+    """A predictions file of (M, K) member lists, sample i's id ``s{i}`` and
+    model j's ``m{j}``; its lines in ``order``, a permutation, if given."""
+    k = len(ensembles[0][0])
+    lines = [f"s{i},m{j},{','.join(map(repr, p))}\n"
+             for i, members in enumerate(ensembles) for j, p in enumerate(members)]
+    if order is not None:
+        lines = [lines[i] for i in order]
+    path.write_text(f"sample_id,model_id,{','.join(f'p_{j}' for j in range(k))}\n" + "".join(lines))
+    return path
+
+
+FIT_HAND = {
+    # Members that agree bitwise on every class; one class spread past any
+    # Dirichlet's (both estimates negative); a class no member gives mass
+    # (the floor), beside spread classes.
+    "degenerate": [[[0.25, 0.25, 0.5]] * 3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+                   [[0.0, 0.4, 0.6], [0.0, 0.5, 0.5], [0.0, 0.7, 0.3]],
+                   [[0.5, 0.25, 0.25], [0.5, 0.25, 0.25], [0.6, 0.2, 0.2]]],
+    # Rows whose sums miss 1 by 5e-8 and by 2e-9, beside exact ones.
+    "renormalized": [[[0.3 * (1 - 5e-8), 0.7 * (1 - 5e-8)], [0.6, 0.4], [0.45, 0.55 - 2e-9]],
+                     [[0.2, 0.8], [0.9 * (1 - 9e-7), 0.1 * (1 - 9e-7)], [0.5, 0.5]]],
+    # Members that agree on the first two models only, which --models-limit 2 keeps.
+    "models limit": [[[0.25, 0.75], [0.25, 0.75], [0.5, 0.5], [0.125, 0.875]],
+                     [[0.1, 0.9], [0.3, 0.7], [0.2, 0.8], [0.6, 0.4]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_HAND))
+@pytest.mark.parametrize("limit, cap", [(None, None), (2, None), (None, 50.0), (3, 1e9)])
+def test_fit_hand_files(tmp_path, name, limit, cap):
+    check_fit(tmp_path, write_predictions_file(tmp_path / "preds.csv", FIT_HAND[name]), limit, cap)
+
+
+@pytest.mark.parametrize("scheme", [["fixed", "--alpha", "1,2,3,4,5"], ["two-population"],
+                                    ["collapse", "--alpha0", "1e7"]],
+                         ids=lambda scheme: scheme[0])
+def test_fit_simulated_files(tmp_path, scheme):
+    preds = tmp_path / "preds.csv"
+    assert run("simulate", "--scheme", *scheme, "--n", 60, "--m", 8, "--k", 5, "--seed", 4,
+               "--preds-out", preds, "--labels-out", tmp_path / "l.csv", "--alphas-out", tmp_path / "a.csv") == 0
+    check_fit(tmp_path, preds)
+    check_fit(tmp_path, preds, 3, 1e3)
+
+
+@st.composite
+def ensemble_files(draw):
+    """(members of each input, line order, --models-limit, --cap)."""
+    k, m = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ensembles = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["dirichlet", "identical", "zero class", "renormalized", "vertices"]))
+        members = rng.dirichlet([draw(st.sampled_from([0.3, 1.0, 5.0, 100.0, 1e4]))] * k, size=m)
+        if kind == "identical":
+            members[:] = members[0]
+        elif kind == "zero class":
+            members[:, 0] = 0.0
+            members[:, 1:] = rng.dirichlet([2.0] * (k - 1), size=m)
+        elif kind == "renormalized":
+            members *= 1.0 - draw(st.sampled_from([2e-9, 3e-8, 9e-7]))
+        elif kind == "vertices":
+            members = np.eye(k)[rng.integers(0, k, size=m)]
+        ensembles.append(members.tolist())
+    order = rng.permutation(len(ensembles) * m).tolist() if draw(st.booleans()) else None
+    limit = draw(st.one_of(st.none(), st.integers(2, m)))
+    return ensembles, order, limit, draw(st.sampled_from([None, 7.5, 1e9]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=ensemble_files())
+def test_fit_drawn_files(tmp_path, data):
+    ensembles, order, limit, cap = data
+    check_fit(tmp_path, write_predictions_file(tmp_path / "preds.csv", ensembles, order), limit, cap)
+
+
 def walkthrough() -> list[list[str]]:
     """The README walkthrough's commands, without the leading ``direns``."""
     text = README.read_text(encoding="utf-8")
@@ -533,7 +671,9 @@ def test_readme_walkthrough(tmp_path, monkeypatch):
     check([[sid, float(v)] for sid, v in table(losses["--out"])],
           [[r["id"], v] for r, v in zip(rows, values)] + [["__dataset_mean__", math.fsum(values) / len(values)]])
 
-    # The rest of the outputs on the walkthrough's fits.
+    # The moment fit of the walkthrough's predictions, and the rest of the
+    # outputs on its fits.
+    check_fit(tmp_path, Path("preds.csv"))
     check_risk_coverage(tmp_path, alphas, labels)
     check_select(tmp_path, alphas, labels, 0.05, 0.3, 8, 7, 0.6)
     check_select_tau(tmp_path, alphas, labels, rows[17]["variance"], 10, 0.8)
