@@ -13,8 +13,6 @@ from .calibration import (
     LabeledPrediction,
     ReliabilityBin,
     calibration_report,
-    confidence,
-    correctness,
     ece,
 )
 from .dirichlet import (
@@ -22,7 +20,6 @@ from .dirichlet import (
     ProbabilityVector,
     class_variance,
     kl_to_uniform,
-    log_density,
     log_likelihood,
     predictive_mean,
     sample,
@@ -35,7 +32,6 @@ from .evidential import (
     ce_loss,
     digamma_loss,
     losses,
-    mse_kl_loss,
     mse_loss,
     softmax,
 )

@@ -17,7 +17,8 @@ confidence threshold.
 Each computation has one array implementation over (n, K) means and (n,)
 labels, which the CLI calls on whole files; ``calibration_report`` and
 ``ece`` turn their ``LabeledPrediction`` lists into those two arrays and
-call it.
+call it.  Confidence and correctness have no public function: they are
+``max(p)`` and ``argmax(p) == label``, computed for every row at once.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "LabeledPrediction",
     "ReliabilityBin",
     "CalibrationReport",
-    "confidence",
-    "correctness",
     "ece",
     "calibration_report",
     "DEFAULT_BINS",
@@ -85,17 +84,6 @@ class CalibrationReport(NamedTuple):
     hist_correct: np.ndarray
     hist_incorrect: np.ndarray
     high_conf_error_rate: float
-
-
-def confidence(p) -> float:
-    """Maximum predicted class probability."""
-    return float(_point(p).p.max())
-
-
-def correctness(p, label: int) -> int:
-    """1 when the argmax class (lowest index on ties) equals the label."""
-    probs = _point(p).p
-    return int(int(np.argmax(probs)) == _class_index(label, probs.size))
 
 
 def _bin_index(conf, n_bins: int):

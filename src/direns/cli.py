@@ -42,7 +42,6 @@ from .estimators import (
 from .evidential import _WEIGHT_NAMES, LOSSES, annealed_lambda, losses
 from .fileio import (
     ValidationError,
-    _write_labels,
     pair_labels,
     read_alphas,
     read_labels,
@@ -50,6 +49,7 @@ from .fileio import (
     sha256_of_file,
     write_alphas,
     write_curve,
+    write_labels,
     write_losses,
     write_predictions,
     write_report,
@@ -191,7 +191,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     data = generate(config)
     write_predictions(args.preds_out, data.sample_ids, data.model_ids, data.probs)
-    _write_labels(args.labels_out, data.sample_ids, data.label)
+    write_labels(args.labels_out, data.sample_ids, data.label)
     write_alphas(args.alphas_out, data.sample_ids, np.zeros(config.n, dtype=bool), data.alpha)
     return 0
 

@@ -7,9 +7,9 @@ total ``alpha_0 = sum_k alpha_k``) has density
 
 on the probability simplex, with B the multivariate Beta function.  This
 module provides its moments (mean ``alpha_k / alpha_0``, per-class and total
-predictive variance), the log density, the closed-form KL divergence to the
-uniform Dirichlet (all concentrations 1), seeded sampling, and the joint
-log-likelihood of i.i.d. simplex observations.
+predictive variance), the closed-form KL divergence to the uniform Dirichlet
+(all concentrations 1), seeded sampling, and the joint log-likelihood of
+i.i.d. simplex observations, which at one point is the log density.
 
 Everything operates on plain numpy arrays wrapped in two light containers,
 ``DirichletParams`` and ``ProbabilityVector``, which validate their
@@ -24,8 +24,8 @@ The variances and the KL each have one row-wise implementation over (n, K)
 concentrations and their (n,) exact totals; the functions on one
 ``DirichletParams`` are its n=1 views.  The log-likelihood terms are
 written once, in ``_log_likelihood_terms``: the MLE's Newton steps, the
-log-likelihood, the log density and the KL (the terms at
-lbar_k = psi(alpha_k) - psi(alpha_0), less ln Gamma(K)) all take them there.
+log-likelihood and the KL (the terms at lbar_k = psi(alpha_k) - psi(alpha_0),
+less ln Gamma(K)) all take them there.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "predictive_mean",
     "class_variance",
     "total_variance",
-    "log_density",
     "kl_to_uniform",
     "sample",
     "log_likelihood",
@@ -212,16 +211,6 @@ def class_variance(d: DirichletParams, k: int) -> float:
 def total_variance(d: DirichletParams) -> float:
     """Sum of the per-class variances, the scalar spread of the Dirichlet."""
     return float(_variances(d.alpha[None], np.array([d.alpha0]), total=True)[0])
-
-
-def log_density(d: DirichletParams, p: VectorLike) -> float:
-    """Log density at a strictly interior simplex point.
-
-    Boundary points (any p_k = 0) are rejected; callers that may hold
-    boundary data are expected to clamp before evaluating.  It is the
-    log-likelihood of the one point.
-    """
-    return log_likelihood(d, _point(p).p)
 
 
 def _exact_sum(row: np.ndarray) -> float:

@@ -4,18 +4,18 @@ An evidential classifier outputs Dirichlet concentrations alpha in place of
 a point prediction.  This module evaluates the losses on such
 concentrations:
 
-* ``mse_loss``      expected squared error E||y - p||^2 under Dir(alpha),
-                    which decomposes into a bias and a variance term;
-* ``digamma_loss``  expected cross entropy E[-sum_k y_k ln p_k], equal to
-                    psi(alpha_0) - psi(alpha_true);
-* ``mse_kl_loss``   the MSE term plus a weighted KL to the uniform prior.
+* ``mse``      expected squared error E||y - p||^2 under Dir(alpha), which
+               decomposes into a bias and a variance term;
+* ``digamma``  expected cross entropy E[-sum_k y_k ln p_k], equal to
+               psi(alpha_0) - psi(alpha_true);
+* ``mse-kl``   the MSE term plus a weighted KL to the uniform prior;
+* ``log-ev``   the total-evidence regularizer lambda * ln(1 + alpha_0).
 
-``losses`` evaluates these row-wise on whole files, and a fourth,
-``log-ev``, the total-evidence regularizer lambda * ln(1 + alpha_0); the
-scalar losses above are its n=1 views.  ``softmax``, ``ce_loss`` and
-``ce_gradient`` give the softmax cross entropy of a logit vector and its
-gradient.  No training machinery lives here; everything is a pure
-function.
+``losses`` evaluates any of them row-wise on whole files; ``mse_loss`` and
+``digamma_loss`` are its n=1 views of the first two.  ``softmax``,
+``ce_loss`` and ``ce_gradient`` give the softmax cross entropy of a logit
+vector and its gradient.  No training machinery lives here; everything is
+a pure function.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "losses",
     "mse_loss",
     "digamma_loss",
-    "mse_kl_loss",
     "annealed_lambda",
 ]
 
@@ -130,8 +129,8 @@ def losses(kind: str, alpha: np.ndarray, alpha0: np.ndarray, labels, weight: flo
     return out
 
 
-def _loss_view(kind: str, d: DirichletParams, y: int, weight: float = 0.0) -> float:
-    return float(losses(kind, d.alpha[None], np.array([d.alpha0]), [y], weight)[0])
+def _loss_view(kind: str, d: DirichletParams, y: int) -> float:
+    return float(losses(kind, d.alpha[None], np.array([d.alpha0]), [y])[0])
 
 
 def mse_loss(d: DirichletParams, y: int) -> float:
@@ -146,11 +145,6 @@ def mse_loss(d: DirichletParams, y: int) -> float:
 def digamma_loss(d: DirichletParams, y: int) -> float:
     """Expected cross entropy under Dir(alpha): psi(alpha_0) - psi(alpha_true)."""
     return _loss_view("digamma", d, y)
-
-
-def mse_kl_loss(d: DirichletParams, y: int, lambda_kl: float) -> float:
-    """MSE loss plus ``lambda_kl`` times the KL to the uniform Dirichlet."""
-    return _loss_view("mse-kl", d, y, lambda_kl)
 
 
 def annealed_lambda(lambda0: float, k: int, t: float, total: float) -> float:

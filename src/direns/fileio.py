@@ -17,21 +17,23 @@ by binary search; its per-id dict is built only on first access.  The
 writers take the same arrays, and ``write_curve`` the (P, 3) array of
 coverage, risk and tau.  A plain file (printable ASCII without quotes,
 LF line ends, the header's field count on every line) has its lines
-counted first, and the arrays it returns are made at that size; it is
-then read a chunk of whole lines at a time, each chunk split at its byte
-offsets and its ids and numbers (exactly by ``floatfmt``, else by
-``np.loadtxt``) written into those arrays, so the reader holds its result
-and one chunk's working set, not the file nor a second copy of a column.
-Any other file, or one whose numbers numpy rejects in any chunk, is read
-whole by the ``csv`` module and ``float()``.  All give the same arrays
-and the same errors, wherever the chunks end.  Checks run over whole
-arrays; a ``ValidationError`` names the earliest bad row in file order
-(the header is row 1) and the first check it fails.  Rows that miss
+counted first, and the arrays it returns are made at that size; its
+header line is read and checked on its own, then its data lines a chunk
+of whole lines at a time, each chunk split at its byte offsets and its
+ids and numbers (exactly by ``floatfmt``, else by ``np.loadtxt``) written
+into those arrays, so the reader holds its result and one chunk's working
+set, not the file nor a second copy of a column.  Any other file, or one
+whose numbers numpy rejects in any chunk, is read whole by the ``csv``
+module and ``float()``.  All give the same arrays and the same errors,
+wherever the chunks end.  Checks run over whole arrays; a
+``ValidationError`` names the earliest bad row, counting csv records (the
+header is row 1), and the first check it fails.  Rows that miss
 exact closure within the 1e-6 tolerance are renormalized with a warning
 instead of rejected.  Floats are written as ``'%.17g' % x`` writes them,
 block by block through ``floatfmt``, so files round-trip bit-exactly;
 writes are atomic renames.  A NUL anywhere in a file, and a label at or
-past 2**63, are rejected at their row like any other fault.
+past 2**63, are rejected at their row like any other fault, and the
+writers refuse an id that holds a NUL.
 
 Reports are JSON documents with a fixed key order, no timestamps, and a
 provenance block (input digests, settings, seed, tool version) so a rerun
@@ -180,30 +182,32 @@ class AlphasData:
         return map(AlphaRow, self.sample_ids, self.degenerate.tolist(), self.alpha)
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_rows(path: str) -> tuple[list[list[str]], Optional[ValidationError]]:
+    # The file's csv records before its first csv-level fault, and that
+    # fault, naming its record's row, or None: a byte that is not UTF-8,
+    # which the decoder escapes to a lone surrogate, a NUL, which a numpy
+    # str array drops from the end of a value, or a csv.Error.
+    with open(path, "rb") as handle:
+        raw = handle.read()
     rows: list[list[str]] = []
+    fault = None
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            for row in csv.reader(handle):
-                # No field may hold a NUL, which a numpy str array drops from its end.
-                if any("\0" in field for field in row):
-                    raise csv.Error("line contains NUL")
-                rows.append(row)
+        for row in csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8", "surrogateescape", newline="")):
+            joined = "".join(row)
+            if not joined.isascii():
+                joined.encode("utf-8")
+            if "\0" in joined:
+                raise csv.Error("line contains NUL")
+            rows.append(row)
     except csv.Error as exc:
-        raise ValidationError(f"{path}: row {len(rows) + 1}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        # The streaming decoder knows only its offset within a chunk.
-        with open(path, "rb") as handle:
-            raw = handle.read()
+        fault = str(exc)
+    except UnicodeEncodeError:
+        # The file's first byte that is not UTF-8 is in this row.
         try:
             raw.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        row = raw.count(b"\n", 0, exc.start) + 1
-        raise ValidationError(
-            f"{path}: row {row}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
-    return rows
+        except UnicodeDecodeError as exc:
+            fault = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    return rows, fault and ValidationError(f"{path}: row {len(rows) + 1}: {fault}")
 
 
 def _expect_header(actual: Sequence[str], expected: Sequence[str], path: str) -> None:
@@ -213,12 +217,10 @@ def _expect_header(actual: Sequence[str], expected: Sequence[str], path: str) ->
         )
 
 
-def _width(path: str, header: Optional[list], rows: int, lead: list[str], prefix: Optional[str]) -> int:
+def _width(path: str, header: list, lead: list[str], prefix: Optional[str]) -> int:
     # Check a header of the two ``lead`` columns, followed, given a
-    # ``prefix``, by K >= 2 columns prefix_0 .. prefix_(K-1), over ``rows``
-    # data rows; return its field count.  ``header`` is None for an empty file.
-    if header is None:
-        raise ValidationError(f"{path}: row 1: empty file, header expected")
+    # ``prefix``, by K >= 2 columns prefix_0 .. prefix_(K-1); return its
+    # field count.
     if prefix is None:
         _expect_header(header, lead, path)
     elif len(header) < 4 or header[:2] != lead:
@@ -227,8 +229,6 @@ def _width(path: str, header: Optional[list], rows: int, lead: list[str], prefix
         )
     else:
         _expect_header(header, lead + [f"{prefix}_{i}" for i in range(len(header) - 2)], path)
-    if rows == 0:
-        raise ValidationError(f"{path}: row 2: no data rows")
     return len(header)
 
 
@@ -242,7 +242,7 @@ def _columns(rows: list, width: int):
     shaped = fields == width
     if not shaped.all():
         rows = [r if ok else [""] * width for r, ok in zip(rows, shaped.tolist())]
-    table = np.array(rows, dtype=object)
+    table = np.array(rows, dtype=object).reshape(n, width)
     values = np.full((n, width - 2), np.nan)
     numeric = shaped.copy()
     try:
@@ -310,14 +310,13 @@ def _line_chunks(handle):
         yield tail + b"\n"
 
 
-def _plain_split(raw: bytes):
-    # (W, starts, lengths, marks) when ``raw``, whole lines ending in LF, is
-    # plain: only _PLAIN_BYTES, the first line's field count W >= 2 on every
+def _plain_split(raw: bytes, width: int):
+    # (starts, lengths, marks) when ``raw``, whole lines ending in LF, is
+    # plain: only _PLAIN_BYTES, the header's field count W >= 2 on every
     # line and no field past the csv module's size limit.  starts and lengths
     # are (lines, 2): where each line's first two fields begin and their
     # sizes; marks is read_numbers' [ends, points, exps].  None otherwise.
-    width = raw.count(b",", 0, raw.find(b"\n")) + 1
-    if width < 2 or raw.translate(None, _PLAIN_BYTES):
+    if raw.translate(None, _PLAIN_BYTES):
         return None
     # Every comma or LF, point, and 'e' or 'E', found in one pass a quarter of
     # the bytes at a time, so that each mask is a quarter of their size.
@@ -348,42 +347,40 @@ def _plain_split(raw: bytes):
         return None
     # A field runs from the byte after one separator to the next.
     starts = np.stack([np.concatenate([[-1], ends[:-1, -1]]), ends[:, 0]], axis=1) + 1
-    return width, starts, ends[:, :2] - starts, [ends, points, exps]
+    return starts, ends[:, :2] - starts, [ends, points, exps]
 
 
 def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
     # _table's result for a plain file whose numbers numpy parses, else None.
     # The lines are counted first, so the values are parsed into one array
     # made at its size, and the two text columns gathered into (rows, width)
-    # byte matrices that widen when a chunk holds a longer value; each chunk
-    # of whole lines is checked and parsed before the next is read.
-    header, done, longest = None, 0, np.zeros(2, np.intp)
+    # byte matrices that widen when a chunk holds a longer value.  The header
+    # line is read and checked on its own, then each chunk of whole data
+    # lines before the next is read.
+    done, longest = 0, np.zeros(2, np.intp)
     with open(path, "rb") as handle:
         # The padded text columns may hold no more bytes than the file and
         # the LF its last line may lack.
         limit = os.fstat(handle.fileno()).st_size + 1
         rows = _line_count(handle) - 1
+        header = handle.readline().removesuffix(b"\n")
+        names = header.split(b",")
+        # The header is plain by the rule _plain_split holds each data line to.
+        if len(names) < 2 or header.translate(None, _PLAIN_BYTES) or max(map(len, names)) >= csv.field_size_limit():
+            return None
+        width = _width(path, header.decode("ascii").split(","), lead, prefix)
+        text = [np.zeros((rows, 1), np.uint8), np.zeros((rows, 1), np.uint8)]
+        values = np.empty((rows, width - 2))
         for raw in _line_chunks(handle):
-            split = _plain_split(raw)
+            split = _plain_split(raw, width)
             if split is None:
                 return None
-            width, starts, lengths, marks = split
-            first_chunk = header is None
-            if first_chunk:
-                header = raw[:raw.find(b"\n")].decode("ascii").split(",")
-                starts, lengths = starts[1:], lengths[1:]
-                marks[0] = marks[0][1:]
-                text = [np.zeros((rows, 1), np.uint8), np.zeros((rows, 1), np.uint8)]
-                values = np.empty((rows, width - 2))
-            elif width != len(header):
-                return None
-            longest = np.maximum(longest, lengths.max(axis=0, initial=0))
+            starts, lengths, marks = split
+            longest = np.maximum(longest, lengths.max(axis=0))
             if rows * longest.sum() > limit:
                 return None
             part = slice(done, done + len(lengths))
             done = part.stop
-            if not len(lengths):
-                continue
             buf = np.frombuffer(raw, np.uint8)
             for j in range(2):
                 if text[j].shape[1] < longest[j]:
@@ -394,45 +391,51 @@ def _plain_table(path: str, lead: list[str], prefix: Optional[str]):
                 text[j][part, :chars.shape[1]] = chars
             del split, starts, lengths, chars
             # A chunk read_numbers declines goes to np.loadtxt; one it rejects, to csv.
-            if width > 2 and not read_numbers(raw, int(first_chunk), marks, values[part]):
+            if width > 2 and not read_numbers(raw, marks, values[part]):
                 try:
-                    values[part] = np.loadtxt(io.BytesIO(raw), delimiter=",", skiprows=int(first_chunk),
-                                              usecols=range(2, width), comments=None, quotechar=None, ndmin=2)
+                    values[part] = np.loadtxt(io.BytesIO(raw), delimiter=",", usecols=range(2, width),
+                                              comments=None, quotechar=None, ndmin=2)
                 except ValueError:
                     return None
             # The next chunk is read with this one's arrays let go.
             del raw, buf, marks
-    if header is None:
-        return None
-    width = _width(path, header, rows, lead, prefix)
     first, second = (t.astype(np.uint32).view(f"U{t.shape[1]}").ravel() for t in text)
     # Every row of a plain file has the header's fields, all of them parsed.
-    return width, np.broadcast_to(width, rows), np.broadcast_to(True, rows), first, second, values
+    return width, np.broadcast_to(width, rows), np.broadcast_to(True, rows), first, second, values, None
 
 
 def _table(path: str, lead: list[str], prefix: Optional[str]):
-    # (width, fields, numeric, first, second, values) of the data rows of a
-    # file whose header _width accepts; see _columns.  A plain file parses
-    # through numpy, its text columns as str arrays; any other file, or one
-    # numpy rejects, through csv.reader.  Either kind of text column compares
-    # with str as Python does.
+    # (width, fields, numeric, first, second, values, fault) of the data rows
+    # of a file whose header _width accepts; see _columns.  A plain file
+    # parses through numpy, its text columns as str arrays; any other file,
+    # or one numpy rejects, through csv.reader, and then its rows stop before
+    # the fault _read_rows names, if any.  Either kind of text column
+    # compares with str as Python does.
     table = _plain_table(path, lead, prefix)
-    if table is not None:
-        return table
-    rows = _read_rows(path)
-    width = _width(path, rows[0] if rows else None, len(rows) - 1, lead, prefix)
-    return (width, *_columns(rows[1:], width))
+    if table is None:
+        rows, fault = _read_rows(path)
+        if not rows:
+            raise fault or ValidationError(f"{path}: row 1: empty file, header expected")
+        width = _width(path, rows[0], lead, prefix)
+        table = (width, *_columns(rows[1:], width), fault)
+    if not len(table[1]):
+        raise table[-1] or ValidationError(f"{path}: row 2: no data rows")
+    return table
 
 
-def _raise_first_fault(path: str, checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+def _raise_first_fault(path: str, checks: list[tuple[np.ndarray, Callable[[int], str]]],
+                       fault: Optional[ValidationError]) -> None:
     # ``checks`` holds (per-row fault mask, message for row i) in the order
     # one row is checked.  The earliest faulty row wins, and within it the
     # first failed check; a later check may misfire on a row an earlier one
-    # already rejects, since that earlier check wins.
+    # already rejects, since that earlier check wins.  ``fault``, _table's,
+    # comes after every row the masks cover.
     hits = [(int(np.argmax(mask)), order) for order, (mask, _) in enumerate(checks) if mask.any()]
     if hits:
         i, order = min(hits)
         raise ValidationError(f"{path}: row {i + 2}: {checks[order][1](i)}")
+    if fault is not None:
+        raise fault
 
 
 def _index(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -469,7 +472,7 @@ def read_predictions(path: str) -> PredictionsData:
     closure (renormalizing small misses), (sample, model) uniqueness, and
     that every sample carries the same model set.
     """
-    width, fields, numeric, sids, mids, values = _table(path, ["sample_id", "model_id"], "p")
+    width, fields, numeric, sids, mids, values, fault = _table(path, ["sample_id", "model_id"], "p")
     k = width - 2
     in_bounds, totals = _simplex_rows(values)
     # How far each row's sum is from 1, kept only as the two masks.
@@ -496,7 +499,7 @@ def read_predictions(path: str) -> PredictionsData:
         (~in_bounds, lambda i: "probabilities must lie in [0, 1]"),
         (unclosed, lambda i: f"probabilities sum to {float(totals[i])!r}, outside 1 +- {SIMPLEX_TOL}"),
         (duplicate, lambda i: f"duplicate (sample_id, model_id) pair ({str(sids[i])!r}, {str(mids[i])!r})"),
-    ])
+    ], fault)
     if renorm.any():
         warnings.warn(
             f"{path}: renormalized {int(renorm.sum())} row(s) whose probabilities "
@@ -542,9 +545,8 @@ def _csv_fields(values: Sequence[str]) -> list:
 
 def _unquoted(joined: str) -> bool:
     # Whether values whose concatenation is ``joined`` hold none of the
-    # characters csv.writer may quote for, nor a NUL, which a numpy str
-    # array drops from the end of a value.
-    return not any(c in joined for c in ',"\r\n\0')
+    # characters csv.writer may quote for.
+    return not any(c in joined for c in ',"\r\n')
 
 
 def _text_matrix(values: Sequence[str]) -> np.ndarray:
@@ -552,6 +554,9 @@ def _text_matrix(values: Sequence[str]) -> np.ndarray:
     # matrix format_lines takes: whole arrays at once when no value needs
     # quoting, else through csv.writer.
     joined = "".join(values)
+    if "\0" in joined:
+        bad = next(v for v in values if "\0" in v)
+        raise ValueError(f"id {bad!r} holds a NUL, which no reader accepts")
     if _unquoted(joined):
         chars = np.array(values, dtype=str)
         points = chars.view(np.uint32).reshape(chars.size, chars.itemsize // 4)
@@ -627,7 +632,7 @@ def _digit_column(texts: np.ndarray) -> Optional[np.ndarray]:
 
 def read_labels(path: str) -> LabelsData:
     """Parse and validate a labels file (unique ids, integer labels >= 0)."""
-    _, fields, _, ids, texts, _ = _table(path, ["sample_id", "label"], None)
+    _, fields, _, ids, texts, _, fault = _table(path, ["sample_id", "label"], None)
     # Once the ids are known to be unique, ``where`` is each row's place in
     # id order.
     distinct, where, repeated = _index(ids)
@@ -646,25 +651,19 @@ def read_labels(path: str) -> LabelsData:
         (label < 0, lambda i: "label must be nonnegative"),
         (past, lambda i: f"label {str(texts[i])!r} must be below 2**63"),
         (repeated, lambda i: f"duplicate sample_id {str(ids[i])!r}"),
-    ])
+    ], fault)
     order = np.empty_like(where)
     order[where] = np.arange(where.size)
     return LabelsData(distinct.astype(str, copy=False), label[order], order + 2)
 
 
-def _write_labels(path: str, sample_ids: Sequence[str], labels) -> None:
-    # A labels file with one row per id and label, in the order given.
+def write_labels(path: str, sample_ids: Sequence[str], labels) -> None:
+    """Write a labels file, one row per id and its integer label, in the order given."""
     labels = np.asarray(labels, dtype=np.int64)
     width = max(len(str(labels.min(initial=0))), len(str(labels.max(initial=0))))
     digits = labels.astype(f"S{width}").view(np.uint8).reshape(labels.size, width)
     text = _fields(_text_matrix(sample_ids), np.where(digits == 0, np.uint8(_PAD), digits))
     _write_table(path, ["sample_id", "label"], text.__getitem__, np.empty((labels.size, 0)))
-
-
-def write_labels(path: str, pairs: Sequence[tuple]) -> None:
-    """Write (sample_id, label) pairs as a labels file, in the order ``sorted(pairs)`` gives."""
-    ids, labels = zip(*sorted(pairs)) if pairs else ((), ())
-    _write_labels(path, ids, labels)
 
 
 def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) -> np.ndarray:
@@ -691,7 +690,7 @@ def pair_labels(sample_ids: Sequence[str], data: LabelsData, k: int, path: str) 
 
 def read_alphas(path: str) -> AlphasData:
     """Parse and validate an alphas file (positive values with a finite sum, sorted unique ids)."""
-    width, fields, numeric, ids, flags, alpha = _table(path, ["sample_id", "degenerate"], "a")
+    width, fields, numeric, ids, flags, alpha, fault = _table(path, ["sample_id", "degenerate"], "a")
     n = len(ids)
     positive = np.isfinite(alpha).all(axis=1) & (alpha > 0.0).all(axis=1)
     # The sum of a row that is not positive is never read: that check
@@ -706,7 +705,7 @@ def read_alphas(path: str) -> AlphasData:
         (~positive, lambda i: "concentrations must be finite and > 0"),
         (np.isnan(totals), lambda i: "concentrations sum past the largest float"),
         (unsorted, lambda i: f"sample_id {str(ids[i])!r} out of sorted order"),
-    ])
+    ], fault)
     return AlphasData(ids.tolist(), flags == "1", alpha, totals)
 
 

@@ -216,12 +216,12 @@ def format_lines(texts: Optional[np.ndarray], values: np.ndarray) -> bytearray:
     return block.translate(None, _DROP)
 
 
-def read_numbers(raw: bytes, skip: int, marks: list, out: np.ndarray) -> bool:
+def read_numbers(raw: bytes, marks: list, out: np.ndarray) -> bool:
     """Parse the numbers in the last C fields of CSV lines exactly into the (L, C) ``out``.
 
-    The L lines follow the first ``skip`` of ``raw``.  ``marks``, [ends, points, exps], holds where
-    each of their fields ends, (L, W), and every point, 'e' and 'E'; it is emptied, so that each
-    array goes once read.  False, with ``out`` partly written, unless every number is proven.
+    ``raw`` holds the L lines.  ``marks``, [ends, points, exps], holds where each of their fields
+    ends, (L, W), and every point, 'e' and 'E'; it is emptied, so that each array goes once read.
+    False, with ``out`` partly written, unless every number is proven.
     """
     ends, points, exps = marks
     marks.clear()
@@ -272,7 +272,7 @@ def read_numbers(raw: bytes, skip: int, marks: list, out: np.ndarray) -> bool:
             np.frombuffer(text, np.uint8)[(at[lo:hi] + k)[k < size[lo:hi]] - start] = ord(".")
         try:
             d = np.loadtxt(io.BytesIO(text.translate(None, b".")), dtype=np.int64, delimiter=",",
-                           skiprows=0 if i else skip, usecols=range(first, width), comments=None, ndmin=2)
+                           usecols=range(first, width), comments=None, ndmin=2)
         except ValueError:
             return False
         if not (d.max() < 10**18 and d.min() > -10**18):

@@ -23,8 +23,8 @@ identical files, and row i's draws do not depend on n: the first n' rows of
 an n-row dataset are the n'-row dataset.  ``generate`` returns arrays in
 sample id order: ``SimulatedData.label`` the (n,) labels, ``.alpha`` the
 (n, K) concentrations and ``.probs`` the (n, M, K) members.  The per-id
-maps ``labels``, ``alphas`` and ``ensembles`` are built on first access,
-the last two of views into the arrays.
+maps ``labels`` and ``alphas`` are built on first access, the second of
+views into ``.alpha``.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ class SimulatedData:
     ``sample_ids`` are in sorted order.  ``probs[i, m]`` is member
     ``model_ids[m]``'s probability vector for ``sample_ids[i]``, an
     (n, M, K) array, ``alpha[i]`` its (K,) concentrations, an (n, K) array,
-    and ``label[i]`` its label, an (n,) int array.  ``labels``, ``alphas``
-    and ``ensembles`` map each sample id to its label as an int, its (K,)
-    concentrations and its (M, K) ensemble, views into ``alpha`` and
-    ``probs``; each map is built on first access.
+    and ``label[i]`` its label, an (n,) int array.  ``labels`` and
+    ``alphas`` map each sample id to its label as an int and to its (K,)
+    concentrations, a view into ``alpha``; each map is built on first access.
     """
 
     def __init__(self, sample_ids: list, model_ids: list, label: np.ndarray, probs: np.ndarray,
@@ -94,10 +93,6 @@ class SimulatedData:
     @cached_property
     def alphas(self) -> dict:
         return dict(zip(self.sample_ids, self.alpha))
-
-    @cached_property
-    def ensembles(self) -> dict:
-        return dict(zip(self.sample_ids, self.probs))
 
 
 def generate(config: SimulationConfig) -> SimulatedData:

@@ -17,8 +17,6 @@ from direns.calibration import (
     LabeledPrediction,
     _bin_index,
     calibration_report,
-    confidence,
-    correctness,
     ece,
 )
 from direns.dirichlet import ProbabilityVector
@@ -74,17 +72,25 @@ def brute_force_macro_f1(pred_classes, labels, k) -> float:
 
 
 class TestConfidenceAndCorrectness:
+    # One prediction's confidence and correctness, as the report's one
+    # occupied bin and its accuracy show them.
+    @staticmethod
+    def confidence_correct(p, label) -> tuple[float, float]:
+        report = calibration_report([pred(p, label)])
+        (occupied,) = [b for b in report.bins if not b.empty]
+        return occupied.confidence, report.accuracy
+
     def test_confidence_is_max_probability(self):
-        assert confidence(np.array([0.2, 0.5, 0.3])) == 0.5
+        assert self.confidence_correct([0.2, 0.5, 0.3], 0)[0] == 0.5
 
     def test_correctness_uses_argmax(self):
-        assert correctness(np.array([0.2, 0.5, 0.3]), 1) == 1
-        assert correctness(np.array([0.2, 0.5, 0.3]), 0) == 0
+        assert self.confidence_correct([0.2, 0.5, 0.3], 1)[1] == 1.0
+        assert self.confidence_correct([0.2, 0.5, 0.3], 0)[1] == 0.0
 
     def test_ties_break_to_lowest_index(self):
-        p = np.array([0.4, 0.4, 0.2])
-        assert correctness(p, 0) == 1
-        assert correctness(p, 1) == 0
+        p = [0.4, 0.4, 0.2]
+        assert self.confidence_correct(p, 0)[1] == 1.0
+        assert self.confidence_correct(p, 1)[1] == 0.0
 
 
 WRAPPERS = {
@@ -94,8 +100,8 @@ WRAPPERS = {
 
 
 class TestOneLabelAndPointRule:
-    # The wrappers, confidence, correctness and ce_loss take a label and a
-    # point by the same rules as the losses.
+    # The wrappers and ce_loss take a label and a point by the same rules as
+    # the losses.
 
     @pytest.mark.parametrize("wrap", WRAPPERS.values(), ids=WRAPPERS.keys())
     @pytest.mark.parametrize("label", [1.5, 1.9, float("inf"), float("nan")])
@@ -112,9 +118,9 @@ class TestOneLabelAndPointRule:
 
     @pytest.mark.parametrize("call", [
         lambda: ce_loss(np.array([2.0, -1.0]), 0),
-        lambda: confidence([2.0, -1.0]),
-        lambda: correctness(np.array([[0.5, 0.5], [0.5, 0.5]]), 0),
-    ], ids=["ce_loss", "confidence", "correctness"])
+        lambda: LabeledPrediction(mean=[2.0, -1.0], label=0),
+        lambda: LabeledPrediction(mean=np.array([[0.5, 0.5], [0.5, 0.5]]), label=0),
+    ], ids=["ce_loss", "negative", "two-dimensional"])
     def test_points_off_the_simplex_rejected(self, call):
         with pytest.raises(ValueError):
             call()
@@ -124,11 +130,11 @@ class TestOneLabelAndPointRule:
         calls = []
         simplex_rows = dirichlet._simplex_rows
         monkeypatch.setattr(dirichlet, "_simplex_rows", lambda rows: calls.append(1) or simplex_rows(rows))
-        assert confidence(p) == 0.5 and correctness(p, 1) == 1 and ce_loss(p, 1) == -math.log(0.5)
+        assert ce_loss(p, 1) == -math.log(0.5)
         for wrap in WRAPPERS.values():
             assert wrap(p, 1).mean is p
         assert not calls
-        confidence([0.2, 0.5, 0.3])
+        ce_loss([0.2, 0.5, 0.3], 1)
         assert calls
 
 
@@ -259,7 +265,7 @@ class TestConfidenceHistograms:
             p /= p.sum()
             preds.append(pred(p, int(rng.integers(4)), f"s{i}"))
         hist_c, hist_i, _ = report_histograms(preds, 10, 0.8)
-        n_correct = sum(correctness(q.mean.p, q.label) for q in preds)
+        n_correct = sum(int(np.argmax(q.mean.p)) == q.label for q in preds)
         assert int(hist_c.sum()) == n_correct
         assert int(hist_i.sum()) == len(preds) - n_correct
 

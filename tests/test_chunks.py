@@ -50,7 +50,7 @@ def read_at_every_chunk_size(kind: str, path: str):
     for chunk in CHUNKS:
         assert outcome(kind, path, chunk) == whole, chunk
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fileio, "_plain_split", lambda raw: None)
+        patch.setattr(fileio, "_PLAIN_BYTES", b"")
         assert outcome(kind, path, 1)[:2] == whole[:2]
     return whole
 
@@ -75,7 +75,7 @@ def simulated_lines(tmp_path, kind: str) -> list:
     elif kind == "alphas":
         write_alphas(path, data.sample_ids, np.arange(300) % 7 == 0, data.alpha)
     else:
-        write_labels(path, list(data.labels.items()))
+        write_labels(path, data.sample_ids, data.label)
     with open(path) as handle:
         return handle.read().splitlines()
 

@@ -21,7 +21,6 @@ from direns.dirichlet import (
     _simplex_rows,
     class_variance,
     kl_to_uniform,
-    log_density,
     log_likelihood,
     predictive_mean,
     sample,
@@ -222,6 +221,7 @@ class TestMoments:
 
 
 class TestLogDensity:
+    # The log density at a point is the log-likelihood of that one point.
     def test_matches_oracle(self, rng):
         for _ in range(200):
             k = int(rng.integers(2, 6))
@@ -229,14 +229,14 @@ class TestLogDensity:
             p = rng.dirichlet(np.full(k, 5.0))
             p = np.maximum(p, 1e-12)
             p = p / p.sum()
-            got = log_density(DirichletParams(alpha), p)
+            got = log_likelihood(DirichletParams(alpha), p)
             assert got == pytest.approx(oracle_logpdf(p, alpha), rel=1e-10, abs=1e-10)
 
     def test_normalizes_on_the_line(self):
         d = params(2.5, 4.0)
 
         def f(p0: float) -> float:
-            return math.exp(log_density(d, np.array([p0, 1.0 - p0])))
+            return math.exp(log_likelihood(d, np.array([p0, 1.0 - p0])))
 
         total, err = integrate.quad(f, 0.0, 1.0, limit=200)
         assert total == pytest.approx(1.0, abs=max(1e-8, 10 * err))
@@ -248,7 +248,7 @@ class TestLogDensity:
             p2 = 1.0 - p0 - p1
             if p2 <= 1e-12:
                 return 0.0
-            return math.exp(log_density(d, np.array([p0, p1, p2])))
+            return math.exp(log_likelihood(d, np.array([p0, p1, p2])))
 
         total, err = integrate.dblquad(
             f, 0.0, 1.0, lambda p0: 0.0, lambda p0: 1.0 - p0
@@ -258,9 +258,9 @@ class TestLogDensity:
     def test_rejects_boundary_points(self):
         d = params(2.0, 2.0)
         with pytest.raises(ValueError):
-            log_density(d, np.array([0.0, 1.0]))
+            log_likelihood(d, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            log_density(d, np.array([1.0, 0.0]))
+            log_likelihood(d, np.array([1.0, 0.0]))
 
 
 class TestKLToUniform:
@@ -379,8 +379,8 @@ class TestLogLikelihood:
 
 class TestOneLikelihood:
     def test_every_likelihood_reaches_the_shared_terms(self, monkeypatch):
-        # The Newton fit, the log-likelihood, the log density and the KL take
-        # their log normalizer and class terms from one function.
+        # The Newton fit, the log-likelihood and the KL take their log
+        # normalizer and class terms from one function.
         d = params(2.0, 3.0, 5.0)
         draws = sample(d, rng_seed=1, n=20)
         start = fit_mom(EnsembleSample(draws)).params
@@ -390,7 +390,6 @@ class TestOneLikelihood:
         for name, call in [
             ("fit_mle", lambda: fit_mle(EnsembleSample(draws), start)),
             ("log_likelihood", lambda: log_likelihood(d, draws)),
-            ("log_density", lambda: log_density(d, draws[0])),
             ("kl_to_uniform", lambda: kl_to_uniform(d)),
         ]:
             calls.clear()

@@ -15,7 +15,6 @@ from direns.evidential import (
     ce_loss,
     digamma_loss,
     losses,
-    mse_kl_loss,
     mse_loss,
     softmax,
 )
@@ -23,6 +22,11 @@ from direns.evidential import (
 
 def params(*alpha: float) -> DirichletParams:
     return DirichletParams(np.array(alpha, dtype=float))
+
+
+def mse_kl_loss(d: DirichletParams, y: int, weight: float) -> float:
+    # The mse-kl loss of one Dirichlet, its n=1 call.
+    return float(losses("mse-kl", d.alpha[None], np.array([d.alpha0]), [y], weight)[0])
 
 
 def log_evidence_penalty(d: DirichletParams, weight: float) -> float:

@@ -441,7 +441,7 @@ class TestPredictionsFile:
 
         plain = traced_peak()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fileio, "_plain_split", lambda raw: None)
+            patch.setattr(fileio, "_PLAIN_BYTES", b"")
             via_csv = traced_peak()
         assert plain < via_csv
 
@@ -462,17 +462,17 @@ def writer_cases() -> dict:
     n = len(data.sample_ids)
     return {
         "preds": (write_predictions, data.sample_ids, data.model_ids, data.probs),
-        "labels": (write_labels, list(data.labels.items())),
+        "labels": (write_labels, data.sample_ids, data.label),
         "alphas": (write_alphas, data.sample_ids, np.arange(n) % 3 == 0, alphas),
         "curve": (write_curve, curve),
         "losses": (write_losses, data.sample_ids, list(-np.log(alphas[:, 0]))),
         "quoted_preds": (write_predictions, QUOTED_IDS, ["m,0", "ü"], probs),
-        "quoted_labels": (write_labels, [(sid, i) for i, sid in enumerate(QUOTED_IDS)]),
+        "quoted_labels": (write_labels, sorted(QUOTED_IDS), [QUOTED_IDS.index(sid) for sid in sorted(QUOTED_IDS)]),
         "quoted_alphas": (write_alphas, QUOTED_IDS, np.arange(len(QUOTED_IDS)) % 2 == 1, probs[:, 0] * 7.5),
         "special_losses": (write_losses, [f"s{i}" for i in range(len(SPECIAL))], SPECIAL),
         "special_curve": (write_curve, np.array(SPECIAL[:15]).reshape(5, 3)),
         "empty_preds": (write_predictions, [], ["m0", "m1"], np.empty((0, 2, 3))),
-        "empty_labels": (write_labels, []),
+        "empty_labels": (write_labels, [], []),
         "empty_alphas": (write_alphas, [], np.empty(0, dtype=bool), np.empty((0, 3))),
         "empty_curve": (write_curve, np.empty((0, 3))),
         "empty_losses": (write_losses, [], []),
@@ -556,7 +556,7 @@ def profile_counts(call) -> collections.Counter:
 
 
 ID_CHARS = ["a", "Z", "0", " ", "\t", "\x7f", "\xe9", "\u65e5", "\U0001f600"]
-QUOTING_CHARS = [",", '"', "\r", "\n", "\x00"]
+QUOTING_CHARS = [",", '"', "\r", "\n"]
 
 
 class TestTextColumns:
@@ -571,7 +571,7 @@ class TestTextColumns:
         write(tmp_path / f"unordered{n}.csv", header + "".join(rows[::-1]))
         calls = {
             "write_predictions": lambda: write_predictions(path["preds"], data.sample_ids, data.model_ids, data.probs),
-            "write_labels": lambda: write_labels(path["labels"], list(data.labels.items())),
+            "write_labels": lambda: write_labels(path["labels"], data.sample_ids, data.label),
             "write_alphas": lambda: write_alphas(path["alphas"], data.sample_ids[::-1], np.arange(n) % 2 == 0,
                                                  data.alpha[::-1]),
             "write_losses": lambda: write_losses(path["losses"], data.sample_ids, data.alpha[:, 0]),
@@ -601,8 +601,8 @@ class TestTextColumns:
     @given(data=st.data())
     def test_array_path_writes_what_csv_writer_does(self, tmp_path, data):
         # Ids from characters csv.writer leaves as they are, and sometimes
-        # ones it quotes (or a NUL): the bytes must be those of the
-        # csv.writer path, forced by patching the one plainness check.
+        # ones it quotes: the bytes must be those of the csv.writer path,
+        # forced by patching the one plainness check.
         chars = st.sampled_from(data.draw(st.sampled_from([ID_CHARS, ID_CHARS + QUOTING_CHARS])))
         ids = data.draw(st.lists(st.text(chars, max_size=4), max_size=6))
         models = data.draw(st.lists(st.text(chars, max_size=3), min_size=1, max_size=3))
@@ -610,7 +610,7 @@ class TestTextColumns:
         probs = np.full((n, len(models), 2), 0.5)
         writers = {
             "preds": lambda path: write_predictions(path, ids, models, probs),
-            "labels": lambda path: write_labels(path, [(sid, i % 3) for i, sid in enumerate(ids)]),
+            "labels": lambda path: write_labels(path, ids, np.arange(n) % 3),
             "alphas": lambda path: write_alphas(path, ids, np.arange(n) % 2 == 0, np.ones((n, 2)) + np.arange(n)[:, None]),
             "losses": lambda path: write_losses(path, ids, -0.25 * np.arange(n)),
         }
@@ -626,13 +626,30 @@ class TestTextColumns:
                 assert handle.read() == written, name
 
 
+    def test_writers_refuse_an_id_with_a_nul(self, tmp_path):
+        # No reader accepts a NUL, so no writer writes one, nor any file.
+        path = str(tmp_path / "x.csv")
+        with pytest.raises(ValueError) as info:
+            write_alphas(path, ["a\0", "b"], [False, False], np.ones((2, 2)))
+        assert str(info.value) == "id 'a\\x00' holds a NUL, which no reader accepts"
+        for call in [
+            lambda: write_predictions(path, ["a"], ["m\0"], np.full((1, 1, 2), 0.5)),
+            lambda: write_labels(path, ["a", "b\0c"], [0, 1]),
+            lambda: write_losses(path, ["\0"], [1.0]),
+        ]:
+            with pytest.raises(ValueError, match="holds a NUL"):
+                call()
+        assert not os.path.exists(path)
+
+
 class TestLabelsFile:
-    def test_round_trip_sorted(self, tmp_path):
+    def test_round_trip_in_the_order_given(self, tmp_path):
         out = tmp_path / "l.csv"
-        write_labels(str(out), [("s1", 2), ("s0", 1)])
-        assert out.read_text() == "sample_id,label\ns0,1\ns1,2\n"
+        write_labels(str(out), ["s1", "s0"], [2, 1])
+        assert out.read_text() == "sample_id,label\ns1,2\ns0,1\n"
         data = read_labels(str(out))
-        assert data.labels == {"s0": 1, "s1": 2}
+        assert data.labels == {"s1": 2, "s0": 1}
+        assert data.ids.tolist() == ["s0", "s1"] and data.label.tolist() == [1, 2]
 
     def test_rejects_negative_and_non_integer(self, tmp_path):
         path = write(tmp_path / "l.csv", "sample_id,label\ns0,-1\n")
@@ -690,6 +707,37 @@ class TestLabelsFile:
             read_labels(path)
         assert str(info.value) == f"{path}: row {row}: line contains NUL"
 
+    @pytest.mark.parametrize("raw, message", [
+        (b'sample_id,label\n"a\nb",1\nc\xff,0\n', "row 3: not UTF-8 text (invalid start byte at byte 25)"),
+        (b"sample_id,label\ns0,1,2\ns1,0\ns2\xff,1\n", "row 2: expected 2 fields, got 3"),
+        (b"sample_id,label\ns0,1,2\ns1,0\ns2\0,1\n", "row 2: expected 2 fields, got 3"),
+        (b"sample_id,label\ns0,x\ns1,0\ns2\xff,1\n", "row 2: label must be an integer"),
+        (b"sample_id,l\xffabel\ns0,1\n", "row 1: not UTF-8 text (invalid start byte at byte 11)"),
+        (b"sample_id,label\ns0\xff,1\n", "row 2: not UTF-8 text (invalid start byte at byte 18)"),
+    ], ids=["record of two lines", "bad byte after a bad row", "NUL after a bad row", "bad byte after a bad label",
+            "bad byte in the header", "bad byte in the first row"])
+    def test_csv_path_names_the_earliest_bad_record(self, tmp_path, raw, message):
+        # Rows count csv records, the header being row 1, and a NUL, a byte
+        # that is not UTF-8 or a csv error loses to an earlier row's fault.
+        path = tmp_path / "l.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError) as info:
+            read_labels(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("reader, header", [
+        (read_predictions, "sample_id,model_id,p_0,p_1"),
+        (read_alphas, "sample_id,degenerate,a_0,a_1"),
+        (read_labels, "sample_id,label"),
+    ], ids=["preds", "alphas", "labels"])
+    def test_a_fault_in_the_first_data_row_is_named(self, tmp_path, reader, header):
+        # No row precedes it: the fault is not "no data rows", nor an error
+        # from checks over an empty table.
+        path = write(tmp_path / "x.csv", f"{header}\ns0\0,0,1\n")
+        with pytest.raises(ValidationError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: row 2: line contains NUL"
+
     def test_pairing_reports_ids_that_hold_a_nul_as_missing(self, tmp_path):
         # A str array drops trailing NULs: "x\0" must not get "x"'s label.
         path = write(tmp_path / "l.csv", "sample_id,label\nx,0\ny,1\n")
@@ -726,8 +774,8 @@ class TestLabelsFile:
         # peak stays within 0.65 MB.  Formatting each label in 21 bytes and
         # gathering the ids through an (n, width) index peaked at 0.87 MB.
         data = generate(SimulationConfig(n=5000, m=1, k=10, seed=1, scheme="two_population"))
-        pairs = list(data.labels.items())[::-1]
-        _, peak = traced_peak(lambda: write_labels(str(tmp_path / "l.csv"), pairs))
+        ids, labels = data.sample_ids[::-1], data.label[::-1]
+        _, peak = traced_peak(lambda: write_labels(str(tmp_path / "l.csv"), ids, labels))
         assert peak <= 0.65e6
 
     def test_read_and_pair_memory(self, tmp_path):
@@ -737,7 +785,7 @@ class TestLabelsFile:
         # 0.93 MB.
         data = generate(SimulationConfig(n=5000, m=1, k=10, seed=1, scheme="two_population"))
         path = str(tmp_path / "l.csv")
-        write_labels(path, list(data.labels.items()))
+        write_labels(path, data.sample_ids, data.label)
         ids = data.sample_ids
         labels, peak = traced_peak(lambda: pair_labels(ids, read_labels(path), 10, path))
         np.testing.assert_array_equal(labels, data.label)
@@ -843,7 +891,7 @@ class TestExactReader:
         # value is float()'s, bit for bit.
         path = write(tmp_path / "a.csv", f"sample_id,degenerate,a_0,a_1\ns0,0,{text},0.25\n")
         calls = self.float_parses(monkeypatch)
-        values = fileio._table(path, ["sample_id", "degenerate"], "a")[-1]
+        values = fileio._table(path, ["sample_id", "degenerate"], "a")[5]
         assert len(calls) == (not exact)
         assert values.tobytes() == np.array([[float(text), 0.25]]).tobytes()
 
@@ -863,7 +911,7 @@ class TestExactReader:
             return np.trunc(loadtxt(*args, **{**kwargs, "dtype": np.float64})).astype(np.int64)
 
         monkeypatch.setattr(np, "loadtxt", falls_back)
-        values = fileio._table(path, ["sample_id", "degenerate"], "a")[-1]
+        values = fileio._table(path, ["sample_id", "degenerate"], "a")[5]
         assert not calls
         assert values.tobytes() == np.array([[float(text), 0.25]]).tobytes()
 
@@ -876,7 +924,7 @@ class TestExactReader:
         values[rng.random(values.shape) < 0.1] = -0.0
         path = self.alphas([f"s{i:05d}" for i in range(len(values))], values, tmp_path / "a.csv")
         calls = self.float_parses(monkeypatch)
-        back = fileio._table(path, ["sample_id", "degenerate"], "a")[-1]
+        back = fileio._table(path, ["sample_id", "degenerate"], "a")[5]
         assert not calls
         assert back.tobytes() == values.tobytes()
 
@@ -949,21 +997,14 @@ class TestSimulate:
         data = generate(self.base())
         assert len(data.sample_ids) == 40
         assert len(data.model_ids) == 12
+        assert data.probs.shape == (40, 12, 3)
+        np.testing.assert_allclose(data.probs.sum(axis=2), 1.0, atol=1e-12)
+        assert np.all(data.probs > 0.0)
         for sid in data.sample_ids:
-            ens = data.ensembles[sid]
-            assert ens.shape == (12, 3)
-            np.testing.assert_allclose(ens.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(ens > 0.0)
             assert 0 <= data.labels[sid] < 3
             assert np.all(data.alphas[sid] > 0.0)
-        again = generate(self.base())
-        for sid in data.sample_ids:
-            np.testing.assert_array_equal(data.ensembles[sid], again.ensembles[sid])
-        shifted = generate(self.base(seed=6))
-        assert any(
-            not np.array_equal(data.ensembles[sid], shifted.ensembles[sid])
-            for sid in data.sample_ids
-        )
+        np.testing.assert_array_equal(data.probs, generate(self.base()).probs)
+        assert not np.array_equal(data.probs, generate(self.base(seed=6)).probs)
 
     # sha256 of probs, labels (int64) and alphas, each stacked in sample
     # order, as numpy 2.4 on x86-64 draws them from the per-quantity child
@@ -1085,15 +1126,14 @@ class TestSimulate:
     def test_maps_are_built_on_first_access(self):
         # Each map holds, in sample id order, what the per-id dicts built
         # with the arrays held: int labels and views, not copies, of the
-        # rows of alpha and probs.
+        # rows of alpha.
         data = generate(self.base())
-        assert not {"labels", "alphas", "ensembles"} & set(vars(data))
-        assert list(data.labels) == list(data.alphas) == list(data.ensembles) == data.sample_ids
+        assert not {"labels", "alphas"} & set(vars(data))
+        assert list(data.labels) == list(data.alphas) == data.sample_ids
         for i, sid in enumerate(data.sample_ids):
             assert type(data.labels[sid]) is int and data.labels[sid] == data.label[i]
-            for rows, view in [(data.alpha, data.alphas[sid]), (data.probs, data.ensembles[sid])]:
-                assert view.base is rows
-                np.testing.assert_array_equal(view, rows[i])
+            assert data.alphas[sid].base is data.alpha
+            np.testing.assert_array_equal(data.alphas[sid], data.alpha[i])
         assert data.alphas is data.alphas
 
     def test_memory_follows_the_arrays(self):
@@ -1102,13 +1142,6 @@ class TestSimulate:
         # per-id maps and a second (n, K) array peaked at 4 times (3.2 MB).
         data, peak = traced_peak(lambda: generate(self.base(n=5000, m=1, k=10)))
         assert peak <= 2 * (data.alpha.nbytes + data.probs.nbytes)
-
-    def test_ensembles_are_views_of_probs(self):
-        data = generate(self.base())
-        assert data.probs.shape == (40, 12, 3)
-        for i, sid in enumerate(data.sample_ids):
-            assert data.ensembles[sid].base is data.probs
-            np.testing.assert_array_equal(data.ensembles[sid], data.probs[i])
 
     def test_ids_sort_in_numeric_order(self):
         data = generate(self.base(n=120))

@@ -161,7 +161,7 @@ def read_both_ways(kind, path):
     """The path the reader took, after checking the csv path agrees with it."""
     outcome, warned, taken = _read(kind, path)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fileio, "_plain_split", lambda raw: None)
+        patch.setattr(fileio, "_PLAIN_BYTES", b"")
         assert _read(kind, path) == (outcome, warned, "csv")
     return taken
 

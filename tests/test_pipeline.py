@@ -8,7 +8,7 @@ chain, ``fit_mom``/``fit_mle`` on each input alone, per-row
 ``DirichletParams`` -> ``predictive_mean``/``total_variance`` ->
 ``LabeledPrediction``/``ScoredSample`` -> ``calibration_report``,
 ``calibrate_threshold`` and ``risk_coverage_curve``, or
-``DirichletParams`` -> ``mse_loss``/``digamma_loss``/``mse_kl_loss``, and
+``DirichletParams`` -> ``mse_loss``/``digamma_loss`` or the n=1 ``losses`` call, and
 require fits.csv, report.json, select.json, the curve CSV and losses.csv to
 match it bit for bit.  Those views run the CLI's own array code, so each
 report test also holds the outputs to ``test_oracle.py``'s independent
@@ -37,7 +37,7 @@ from direns.calibration import LabeledPrediction, calibration_report
 from direns.cli import _calibration_document, _json_float, main
 from direns.dirichlet import DirichletParams, ProbabilityVector, predictive_mean, total_variance
 from direns.estimators import EnsembleSample, FitResult, fit_mle, fit_mom
-from direns.evidential import LOSSES, annealed_lambda, digamma_loss, mse_kl_loss, mse_loss
+from direns.evidential import LOSSES, annealed_lambda, digamma_loss, losses, mse_loss
 from direns.fileio import AlphaRow, read_alphas, read_labels, read_predictions
 from direns.selective import RiskCoveragePoint, ScoredSample, calibrate_threshold, risk_coverage_curve
 
@@ -318,7 +318,7 @@ def test_losses_match_object_api(dataset, loss, flags):
     scalar = {
         "mse": mse_loss,
         "digamma": digamma_loss,
-        "mse-kl": lambda d, y: mse_kl_loss(d, y, lam),
+        "mse-kl": lambda d, y: float(losses("mse-kl", d.alpha[None], np.array([d.alpha0]), [y], lam)[0]),
         "log-ev": lambda d, y: lam * math.log1p(d.alpha0),
     }[loss]
     by_id = read_labels(str(labels)).labels

@@ -1,12 +1,17 @@
-"""The README's library examples run as written, and its CLI sections name only real flags."""
+"""The README's library examples run as written, its library section calls
+only real functions, and its CLI sections name only real flags."""
 
 from __future__ import annotations
 
+import builtins
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 from test_oracle import walkthrough
 
+import direns
 from direns import cli
 from direns.cli import main
 
@@ -14,10 +19,23 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
-def library_blocks() -> list[str]:
+def library_section() -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", library_section(), flags=re.DOTALL)
+
+
+def test_library_use_calls_only_real_functions():
+    # Every name the section writes as `name(` is an attribute of direns, of
+    # one of its modules or, as `len(`, a builtin.
+    modules = [builtins, direns] + [importlib.import_module(f"direns.{m.name}")
+                                    for m in pkgutil.iter_modules(direns.__path__)]
+    called = set(re.findall(r"`(\w+)\(", library_section()))
+    assert "generate" in called
+    assert sorted(name for name in called if not any(hasattr(m, name) for m in modules)) == []
 
 
 def test_library_use_blocks_run(tmp_path, monkeypatch, capsys):

@@ -31,13 +31,7 @@ from direns.dirichlet import (
     total_variance,
 )
 from direns.estimators import DEFAULT_P_FLOOR, _summaries
-from direns.evidential import (
-    LOSSES,
-    digamma_loss,
-    losses,
-    mse_kl_loss,
-    mse_loss,
-)
+from direns.evidential import LOSSES, digamma_loss, losses, mse_loss
 from direns.specfun import (
     _INT_TABLE_LIMIT,
     _LGAMMA_TAYLOR_AT_1,
@@ -48,13 +42,14 @@ from direns.specfun import (
 )
 
 WEIGHT = 0.7
-SCALAR_LOSS = {
-    "mse": lambda d, y: mse_loss(d, y),
-    "digamma": lambda d, y: digamma_loss(d, y),
-    "mse-kl": lambda d, y: mse_kl_loss(d, y, WEIGHT),
-    # The one loss with no scalar function: its n=1 call.
-    "log-ev": lambda d, y: float(losses("log-ev", d.alpha[None], np.array([d.alpha0]), [y], WEIGHT)[0]),
-}
+
+
+def n1_loss(kind: str):
+    # A loss with no scalar function: its n=1 call.
+    return lambda d, y: float(losses(kind, d.alpha[None], np.array([d.alpha0]), [y], WEIGHT)[0])
+
+
+SCALAR_LOSS = {"mse": mse_loss, "digamma": digamma_loss, "mse-kl": n1_loss("mse-kl"), "log-ev": n1_loss("log-ev")}
 
 
 def bits(values) -> bytes:
