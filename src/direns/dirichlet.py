@@ -90,11 +90,7 @@ class ProbabilityVector:
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("p must be a 1-D vector with at least 2 components")
-        in_bounds, totals = _simplex_rows(p[None])
-        if not in_bounds[0]:
-            raise ValueError("every probability must lie in [0, 1]")
-        if abs(totals[0] - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {SIMPLEX_TOL}")
+        _check_simplex(p[None])
         self.p = p
 
 
@@ -127,6 +123,18 @@ def _simplex_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     far = np.flatnonzero(np.abs(miss, out=miss) > 5e-10)
     totals[far] = _exact_sums(p[far])
     return in_bounds, totals
+
+
+def _check_simplex(mat: np.ndarray) -> None:
+    # The object API's simplex check of (n, K) points: a ValueError names
+    # the first row off the simplex and the rule it fails.
+    in_bounds, totals = _simplex_rows(mat)
+    off = np.flatnonzero(~in_bounds | (np.abs(totals - 1.0) > SIMPLEX_TOL))
+    if off.size:
+        i = int(off[0])
+        rule = (f"probabilities must sum to 1 within {SIMPLEX_TOL}" if in_bounds[i]
+                else "every probability must lie in [0, 1]")
+        raise ValueError(f"row {i} of the points is off the simplex: {rule}")
 
 
 VectorLike = Union[ProbabilityVector, np.ndarray, list, tuple]
@@ -355,13 +363,7 @@ def log_likelihood(alpha: VectorLike, samples: np.ndarray) -> float:
         raise ValueError("the log-likelihood needs at least one point")
     if mat.shape[1] != a.size:
         raise ValueError(f"dimension mismatch: K={a.size} vs points of size {mat.shape[1]}")
-    in_bounds, totals = _simplex_rows(mat)
-    off = np.flatnonzero(~in_bounds | (np.abs(totals - 1.0) > SIMPLEX_TOL))
-    if off.size:
-        i = int(off[0])
-        rule = (f"probabilities must sum to 1 within {SIMPLEX_TOL}" if in_bounds[i]
-                else "every probability must lie in [0, 1]")
-        raise ValueError(f"row {i} of the points is off the simplex: {rule}")
+    _check_simplex(mat)
     if np.any(mat <= 0.0):
         raise ValueError("the log-likelihood needs strictly interior points (all p_k > 0)")
     ll, _ = _log_likelihood_rows(a[None], np.log(mat).mean(axis=0)[None])

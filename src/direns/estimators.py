@@ -38,8 +38,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .dirichlet import (_AT_LEAST_1, _LL_ROUNDING, _OPEN_UNIT, _POSITIVE, SIMPLEX_TOL, DirichletParams,
-                        _log_likelihood_rows, _require, _row_sum, _simplex_rows)
+from .dirichlet import (_AT_LEAST_1, _LL_ROUNDING, _OPEN_UNIT, _POSITIVE, DirichletParams, _check_simplex,
+                        _log_likelihood_rows, _require, _row_sum)
 from .specfun import _trigamma, digamma
 
 __all__ = [
@@ -83,11 +83,7 @@ class EnsembleSample:
             raise ValueError("an ensemble needs at least 2 members")
         if k < 2:
             raise ValueError("an ensemble needs at least 2 classes")
-        in_bounds, totals = _simplex_rows(probs)
-        if not in_bounds.all():
-            raise ValueError("every probability must lie in [0, 1]")
-        if np.any(np.abs(totals - 1.0) > SIMPLEX_TOL):
-            raise ValueError(f"every row must sum to 1 within {SIMPLEX_TOL}")
+        _check_simplex(probs)
         self.probs = probs
 
     @property

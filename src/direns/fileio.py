@@ -25,7 +25,8 @@ into those arrays, so the reader holds its result and one chunk's working
 set, not the file nor a second copy of a column.  Any other file, or one
 whose numbers numpy rejects in any chunk, is read whole by the ``csv``
 module and ``float()``.  All give the same arrays and the same errors,
-wherever the chunks end.  Checks run over whole arrays; a
+wherever the chunks end; one numpy conversion reads a labels column,
+taking what ``int()`` takes within int64.  Checks run over whole arrays; a
 ``ValidationError`` names the earliest bad row, counting csv records (the
 header is row 1), and the first check it fails.  Rows that miss
 exact closure within the 1e-6 tolerance are renormalized with a warning
@@ -153,8 +154,7 @@ class LabelsData:
 
     @cached_property
     def labels(self) -> dict:
-        order = np.empty_like(self.row)
-        order[self.row - 2] = np.arange(self.row.size)
+        order = np.argsort(self.row)
         return dict(zip(self.ids[order].tolist(), self.label[order].tolist()))
 
 
@@ -210,25 +210,21 @@ def _read_rows(path: str) -> tuple[list[list[str]], Optional[ValidationError]]:
     return rows, fault and ValidationError(f"{path}: row {len(rows) + 1}: {fault}")
 
 
-def _expect_header(actual: Sequence[str], expected: Sequence[str], path: str) -> None:
-    if list(actual) != list(expected):
-        raise ValidationError(
-            f"{path}: row 1: expected header {','.join(expected)}, got {','.join(actual)}"
-        )
-
-
 def _width(path: str, header: list, lead: list[str], prefix: Optional[str]) -> int:
     # Check a header of the two ``lead`` columns, followed, given a
     # ``prefix``, by K >= 2 columns prefix_0 .. prefix_(K-1); return its
     # field count.
-    if prefix is None:
-        _expect_header(header, lead, path)
-    elif len(header) < 4 or header[:2] != lead:
+    expected = lead
+    if prefix is not None:
+        if len(header) < 4 or header[:2] != lead:
+            raise ValidationError(
+                f"{path}: row 1: header must be {','.join(lead)},{prefix}_0..{prefix}_(K-1)"
+            )
+        expected = lead + [f"{prefix}_{i}" for i in range(len(header) - 2)]
+    if header != expected:
         raise ValidationError(
-            f"{path}: row 1: header must be {','.join(lead)},{prefix}_0..{prefix}_(K-1)"
+            f"{path}: row 1: expected header {','.join(expected)}, got {','.join(header)}"
         )
-    else:
-        _expect_header(header, lead + [f"{prefix}_{i}" for i in range(len(header) - 2)], path)
     return len(header)
 
 
@@ -410,7 +406,7 @@ def _table(path: str, lead: list[str], prefix: Optional[str]):
     # parses through numpy, its text columns as str arrays; any other file,
     # or one numpy rejects, through csv.reader, and then its rows stop before
     # the fault _read_rows names, if any.  Either kind of text column
-    # compares with str as Python does.
+    # compares with str as Python does, and np.unique sorts it so.
     table = _plain_table(path, lead, prefix)
     if table is None:
         rows, fault = _read_rows(path)
@@ -438,18 +434,11 @@ def _raise_first_fault(path: str, checks: list[tuple[np.ndarray, Callable[[int],
         raise fault
 
 
-def _index(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Sorted distinct ids, each entry's position among them, and which
-    # entries equal an earlier one (np.unique would import numpy.ma).
-    order = np.argsort(ids, kind="stable")
-    ranked = ids[order]
-    new = np.ones(ids.size, dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    where = np.empty(ids.size, dtype=np.intp)
-    where[order] = np.cumsum(new) - 1
-    repeated = np.zeros(ids.size, dtype=bool)
-    repeated[order[~new]] = True
-    return ranked[new], where, repeated
+def _repeated(first: np.ndarray, n: int) -> np.ndarray:
+    # Which of n entries equal an earlier one, given np.unique's index of each value's first.
+    repeated = np.ones(n, dtype=bool)
+    repeated[first] = False
+    return repeated
 
 
 def _blocks(sids: np.ndarray, mids: np.ndarray) -> int:
@@ -489,10 +478,10 @@ def read_predictions(path: str) -> PredictionsData:
         sample_ids, model_ids = sids[::m].tolist(), mids[:m].tolist()
         duplicate = np.zeros(len(fields), dtype=bool)
     else:
-        sample_ids, sidx, _ = _index(sids)
-        model_all, midx, _ = _index(mids)
+        sample_ids, sidx = np.unique(sids, return_inverse=True)
+        model_all, midx = np.unique(mids, return_inverse=True)
         sample_ids = sample_ids.tolist()
-        duplicate = _index(sidx * len(model_all) + midx)[2]
+        duplicate = _repeated(np.unique(sidx * len(model_all) + midx, return_index=True)[1], len(fields))
     _raise_first_fault(path, [
         (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
         (~numeric, lambda i: "non-numeric probability"),
@@ -616,29 +605,18 @@ def _integer(text: str) -> Optional[int]:
         return None
 
 
-def _digit_column(texts: np.ndarray) -> Optional[np.ndarray]:
-    # The labels as int64 when every one is 1-18 ASCII digits, which int()
-    # parses as numpy does and which cannot overflow; None otherwise, and
-    # for a csv-read column, whose labels int() parses one by one.
-    if texts.dtype.kind != "U" or texts.itemsize > 18 * 4:
-        return None
-    # A plain file holds no NUL, so 0 only pads a label.
-    points = texts.view(np.uint32).reshape(texts.size, texts.itemsize // 4)
-    digits = (points >= ord("0")) & (points <= ord("9"))
-    if not ((digits | (points == 0)).all() and digits[:, 0].all()):
-        return None
-    return np.array(texts.tolist(), dtype=np.int64)
-
-
 def read_labels(path: str) -> LabelsData:
     """Parse and validate a labels file (unique ids, integer labels >= 0)."""
     _, fields, _, ids, texts, _, fault = _table(path, ["sample_id", "label"], None)
-    # Once the ids are known to be unique, ``where`` is each row's place in
-    # id order.
-    distinct, where, repeated = _index(ids)
-    label, past = _digit_column(texts), np.zeros(len(ids), dtype=bool)
+    # Once the ids are known to be unique, ``first`` is each sorted id's row.
+    distinct, first = np.unique(ids, return_index=True)
+    past = np.zeros(len(ids), dtype=bool)
     integer = ~past
-    if label is None:
+    try:
+        # numpy's int64 conversion accepts what int() does within int64.
+        label = np.array(texts.tolist(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        # int() parses each label, so that the checks name the first bad row.
         parsed = np.array(list(map(_integer, texts.tolist())), dtype=object)
         integer = ~np.equal(parsed, None)
         parsed[~integer] = 0
@@ -650,11 +628,9 @@ def read_labels(path: str) -> LabelsData:
         (~integer, lambda i: "label must be an integer"),
         (label < 0, lambda i: "label must be nonnegative"),
         (past, lambda i: f"label {str(texts[i])!r} must be below 2**63"),
-        (repeated, lambda i: f"duplicate sample_id {str(ids[i])!r}"),
+        (_repeated(first, len(ids)), lambda i: f"duplicate sample_id {str(ids[i])!r}"),
     ], fault)
-    order = np.empty_like(where)
-    order[where] = np.arange(where.size)
-    return LabelsData(distinct.astype(str, copy=False), label[order], order + 2)
+    return LabelsData(distinct.astype(str, copy=False), label[first], first + 2)
 
 
 def write_labels(path: str, sample_ids: Sequence[str], labels) -> None:

@@ -52,14 +52,14 @@ class TestSimulateCommand:
         first = simulate(tmp_path, "1")
         second = simulate(tmp_path, "2")
         for key in first:
-            a = open(first[key], "rb").read()
-            b = open(second[key], "rb").read()
+            a = Path(first[key]).read_bytes()
+            b = Path(second[key]).read_bytes()
             assert a == b
 
     def test_seed_changes_output(self, tmp_path):
         first = simulate(tmp_path, "1", seed=1)
         second = simulate(tmp_path, "2", seed=2)
-        assert open(first["preds"]).read() != open(second["preds"]).read()
+        assert Path(first["preds"]).read_bytes() != Path(second["preds"]).read_bytes()
 
     def test_fixed_scheme_alpha_flag(self, tmp_path):
         paths = simulate(tmp_path, scheme="fixed", alpha="3,1,0.5")
@@ -660,7 +660,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("fault", ["long field", "bad utf-8", "nul id"])
     @pytest.mark.parametrize("target", ["preds", "fits", "labels"])
     def test_unreadable_csv_names_file_and_row(self, files, tmp_path, capsys, fault, target):
-        lines = open(files[target], "rb").read().split(b"\n")
+        lines = Path(files[target]).read_bytes().split(b"\n")
         if fault == "long field":
             lines[2] = b"x" * 200_000
         elif fault == "bad utf-8":
@@ -683,7 +683,7 @@ class TestExitCodes:
             assert err == f"error: {bad}: row 3: line contains NUL\n"
 
     def test_label_past_int64_names_its_row(self, files, tmp_path, capsys):
-        lines = open(files["labels"], "rb").read().split(b"\n")
+        lines = Path(files["labels"]).read_bytes().split(b"\n")
         lines[2] = lines[2].split(b",")[0] + b",99999999999999999999"
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\n".join(lines))

@@ -761,6 +761,33 @@ class TestLabelsFile:
         label = text.splitlines()[row - 2].split(",")[1]
         assert str(info.value) == f"{path}: row {row}: label {label!r} must be below 2**63"
 
+    @pytest.mark.parametrize("parse", ["plain", "csv path"])
+    @pytest.mark.parametrize("text", ["+1", " 1", "01", "1_0", "-0", "9223372036854775807"])
+    def test_one_conversion_reads_what_int_reads(self, tmp_path, monkeypatch, parse, text):
+        # numpy's int64 conversion takes the whole column: int() parses no
+        # label one by one.
+        if parse == "csv path":
+            monkeypatch.setattr(fileio, "_PLAIN_BYTES", b"")
+        monkeypatch.setattr(fileio, "_integer", lambda label: pytest.fail(f"int() parsed {label!r}"))
+        path = write(tmp_path / "l.csv", f"sample_id,label\ns1,{text}\ns0,2\n")
+        data = read_labels(path)
+        assert data.ids.tolist() == ["s0", "s1"] and data.label.tolist() == [2, int(text)]
+        assert data.row.tolist() == [3, 2]
+
+    @pytest.mark.parametrize("parse", ["plain", "csv path"])
+    @pytest.mark.parametrize("text, message", [
+        ("9223372036854775808", "label '9223372036854775808' must be below 2**63"),
+        ("-9223372036854775809", "label must be nonnegative"),
+        ("1.0", "label must be an integer"),
+    ], ids=["2**63", "-2**63 - 1", "1.0"])
+    def test_a_label_the_conversion_rejects_is_named(self, tmp_path, monkeypatch, parse, text, message):
+        if parse == "csv path":
+            monkeypatch.setattr(fileio, "_PLAIN_BYTES", b"")
+        path = write(tmp_path / "l.csv", f"sample_id,label\ns0,2\ns1,{text}\ns2,x\n")
+        with pytest.raises(ValidationError) as info:
+            read_labels(path)
+        assert str(info.value) == f"{path}: row 3: {message}"
+
     def test_largest_int64_label_is_read(self, tmp_path):
         path = write(tmp_path / "l.csv", "sample_id,label\ns0,9223372036854775807\n")
         data = read_labels(path)

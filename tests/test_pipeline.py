@@ -181,8 +181,8 @@ def test_report_path_runs_no_per_element_python(tmp_path, monkeypatch):
 
 
 def test_pipeline_leaves_numpy_ma_unimported(tmp_path):
-    # numpy.ma is a slow import (np.unique pulls it in) that nothing in the
-    # pipeline needs.
+    # numpy.ma is a slow import that nothing in the pipeline needs; the
+    # readers' np.unique calls do not pull it in.
     script = "\n".join([
         "import shlex, sys",
         "from direns.cli import main",
